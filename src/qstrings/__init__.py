@@ -7,6 +7,7 @@ from .series import (
     InsufficientOrder,
     Mismatch,
     Monomial,
+    PrecisionShortfall,
     QSeries,
     SeriesError,
     ZeroLeadingTerm,
@@ -52,7 +53,8 @@ from .strings import (
 from .expr import evaluate_text, parse
 
 __all__ = [
-    "GaussianRational", "InsufficientOrder", "Mismatch", "Monomial", "QSeries",
+    "GaussianRational", "InsufficientOrder", "Mismatch", "Monomial",
+    "PrecisionShortfall", "QSeries",
     "SeriesError", "ZeroLeadingTerm", "format_series", "margin_scale",
     "J", "Jbar", "Jm", "eta", "j_split_components", "jtheta", "jtheta_prod",
     "jtheta_sum", "pochhammer", "theta_quotient",

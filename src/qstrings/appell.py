@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .series import GaussianRational, Monomial, QI_ONE, QSeries, Rat, pad
+from .series import GaussianRational, Monomial, QI_ONE, QSeries, Rat, pad, require_order
 from .theta import ThetaZeroDenominator, comb2, is_theta_zero, jtheta, jtheta_valuation
 
 
@@ -89,6 +89,4 @@ def appell_m(x: Monomial, base: Rat, z: Monomial, order: Rat) -> QSeries:
     s = QSeries(terms, win_s)
     win_d = max(o_z + base, order + 2 * o_z - min(sigma, Fraction(0)) + pad(base))
     denom = jtheta(z, base, win_d)
-    out = s * denom.inverse()
-    assert out.trunc >= order, f"appell precision shortfall: {out.trunc} < {order}"
-    return out.truncate(order)
+    return require_order(s * denom.inverse(), order, "appell")

@@ -16,6 +16,7 @@ support.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf as INF
@@ -45,6 +46,10 @@ class InsufficientOrder(SeriesError):
     """Comparison requested beyond the known range of an operand."""
 
 
+class PrecisionShortfall(SeriesError):
+    """A constructor's result is not exact up to the order it promised."""
+
+
 # --------------------------------------------------------------------------
 # precision margins
 #
@@ -52,25 +57,25 @@ class InsufficientOrder(SeriesError):
 # that every internal window gets a small slack of PAD_STEPS lattice steps.
 # `margin_scale` multiplies that slack, so precision audits can double every
 # margin and assert that no coefficient below the requested order moves.
+# The scale is a context variable: each thread (and each context a runner
+# copies for a worker) sees its own value.
 
 PAD_STEPS = 2
-_margin_scale = 1
+_margin_scale: ContextVar[int] = ContextVar("margin_scale", default=1)
 
 
 @contextmanager
 def margin_scale(k: int):
-    global _margin_scale
-    old = _margin_scale
-    _margin_scale = k
+    token = _margin_scale.set(k)
     try:
         yield
     finally:
-        _margin_scale = old
+        _margin_scale.reset(token)
 
 
 def pad(step: Rat) -> Fraction:
     """Slack added to an enumeration window whose lattice step is `step`."""
-    return PAD_STEPS * _margin_scale * Fraction(step)
+    return PAD_STEPS * _margin_scale.get() * Fraction(step)
 
 
 def tadd(t: Trunc, d: Rat) -> Trunc:
@@ -96,13 +101,6 @@ class GaussianRational:
         """The unit i**k."""
         k %= 4
         return _I_POWERS[k]
-
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     def as_fraction(self) -> Fraction:
         if self.im != 0:
@@ -521,19 +519,23 @@ class QSeries:
                 return Mismatch(e, a, b)
         return None
 
-    def equal_to(self, other: "QSeries", upto: Rat) -> bool:
-        return self.compare(other, upto) is None
-
     def __repr__(self):
         return f"QSeries({format_series(self, max_terms=8)})"
 
 
+def require_order(s: QSeries, order: Rat, what: str) -> QSeries:
+    """`s` truncated at `order`, which `s` must be exact up to.
+
+    Raises PrecisionShortfall otherwise; unlike an assert, the check stays
+    on under ``python -O``.
+    """
+    if s.trunc < order:
+        raise PrecisionShortfall(f"{what} precision shortfall: {s.trunc} < {order}")
+    return s.truncate(order)
+
+
 # --------------------------------------------------------------------------
 # rendering
-
-
-def format_exponent(e: Fraction) -> str:
-    return str(e)
 
 
 def format_coeff(c: GaussianRational) -> str:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hecke import hecke_f
-from .series import Monomial, QSeries, Rat, pad
+from .series import Monomial, QSeries, Rat, pad, require_order
 from .theta import J, Jbar, Jm, eta
 
 F = Fraction
@@ -141,9 +141,7 @@ def _cone_sum(N: int, ell: int, m: int, win: Fraction) -> dict:
 def _divide_by_j1_cubed(raw: QSeries, order: Fraction, base: Rat = 1) -> QSeries:
     sigma = min(raw.ord_bound(), F(0))
     j13 = Jm(base, order - sigma + pad(base)) ** 3
-    out = raw * j13.inverse()
-    assert out.trunc >= order
-    return out.truncate(order)
+    return require_order(raw * j13.inverse(), order, "string function")
 
 
 def calC_oracle(lbl: StringLabel, order: Rat) -> QSeries:
@@ -364,8 +362,7 @@ def eta_quotient(factors, order: Rat) -> QSeries:
         deficit = order - total + F(scale, 24) * power
         T = F(scale, 24) + max(deficit, scale) + pad(scale)
         acc = acc * (eta(scale, T) ** power)
-    assert acc.trunc >= order
-    return acc.truncate(order)
+    return require_order(acc, order, "eta quotient")
 
 
 _KP_IDS = ("KP2A", "KP3A", "KP3B", "KP3C", "KP4B")

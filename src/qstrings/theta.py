@@ -1,10 +1,16 @@
 """Theta-type constructors.
 
-``jtheta(x, base, order)`` is the canonical entry point for the two-sided
-theta sum j(x; q^base).  Arguments with unit +-1 are reduced into the
-fundamental strip 0 <= qexp < base, exact zeros are detected before any
-expansion, and the triple-product form is used; arguments with unit +-i
-fall back to the defining sum, which needs no strip bookkeeping.
+Every theta series is built from its defining two-sided sum
+j(x; q^base) = sum over n of (-1)^n q^(base*C(n,2)) x^n, which has
+O(sqrt(order/base)) terms below any order and needs no reduction of x into
+a fundamental strip.  ``jtheta(x, base, order)`` is the entry point: it
+returns the exact zero when x is an integral power of the modulus and the
+sum otherwise, for all four units +-1, +-i.  ``Jm`` and ``eta`` are the
+pentagonal case J_m = j(q^m; q^{3m}).
+
+The Pochhammer products and the triple-product form ``jtheta_prod`` compute
+the same series a second, independent way; they serve only as the other
+side of the oracle identities and tests.
 
 ``theta_quotient`` assembles a monomial prefactor times a product of theta
 factors over another, computing every factor at exactly the order its
@@ -16,11 +22,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from math import inf as INF
 from typing import Optional, Sequence, Tuple, Union
 
-from . import series as _series
 from .series import (
     GaussianRational,
     Monomial,
@@ -28,6 +32,7 @@ from .series import (
     QSeries,
     Rat,
     pad,
+    require_order,
 )
 
 
@@ -87,18 +92,11 @@ def is_theta_zero(x: Monomial, base: Rat) -> bool:
     return x.unit_k == 0 and (x.qexp / Fraction(base)).denominator == 1
 
 
-def _strip_reduce(x: Monomial, base: Fraction):
-    """Split j(x;q^b) = shift * j(core;q^b) with core.qexp in [0, base)."""
-    n = math.floor(x.qexp / base)
-    e0 = x.qexp - n * base
-    # j(q^{nb} x0; q^b) = (-1)^n q^{-b*C(n,2)} x0^{-n} j(x0; q^b)
-    shift = Monomial(2 * n - n * x.unit_k, -base * comb2(n) - n * e0)
-    return shift, Monomial(x.unit_k, e0)
-
-
 def jtheta_sum(x: Monomial, base: Rat, order: Rat) -> QSeries:
-    """j(x; q^base) by the defining two-sided sum; no preconditions."""
+    """j(x; q^base) by the defining two-sided sum; no preconditions on x."""
     base = Fraction(base)
+    if base <= 0:
+        raise ValueError("base must be positive")
     order = Fraction(order)
     win = order + pad(base)
     terms: dict = {}
@@ -145,42 +143,34 @@ def jtheta_prod(x: Monomial, base: Rat, order: Rat) -> QSeries:
     return (a * b * c).truncate(order)
 
 
-@lru_cache(maxsize=None)
-def _jtheta_cached(x: Monomial, base: Fraction, order: Fraction, scale: int) -> QSeries:
-    if x.unit_k % 2 == 1:
-        return jtheta_sum(x, base, order)
-    shift, core = _strip_reduce(x, base)
-    if core.qexp == 0 and core.unit_k == 0:
-        return QSeries.zero()
-    inner = jtheta_prod(core, base, order - shift.qexp)
-    return inner.shift(shift).truncate(order)
-
-
 def jtheta(x: Monomial, base: Rat, order: Rat) -> QSeries:
     """j(x; q^base), exact below `order`; exactly zero when x = q^(k*base)."""
     base = Fraction(base)
     if base <= 0:
         raise ValueError("base must be positive")
-    return _jtheta_cached(x, base, Fraction(order), _series._margin_scale)
+    if is_theta_zero(x, base):
+        return QSeries.zero()
+    return jtheta_sum(x, base, order)
 
 
 def jtheta_valuation(x: Monomial, base: Rat) -> Fraction:
-    """Exact least exponent of j(x; q^base); the series must not be zero."""
+    """Exact least exponent of j(x; q^base); the series must not be zero.
+
+    The exponents f(n) = base*C(n,2) + n*qexp form a parabola with its
+    minimum at n = 1/2 - qexp/base, so the least one is f(lo) or f(lo+1).
+    Those two terms cannot cancel: they have equal exponents only when
+    qexp = -lo*base, and then their coefficients are equal for unit -1,
+    differ by a factor +-i for units +-i, and x is a zero for unit +1.
+    """
     base = Fraction(base)
     if is_theta_zero(x, base):
         raise ThetaZeroDenominator(f"j({x}; q^{base}) vanishes identically")
-    if x.unit_k % 2 == 1:
-        # minimal exponent of the sum; the two straddling terms cannot cancel
-        # because their coefficient ratio is a power of i, never 1
-        vertex = Fraction(1, 2) - x.qexp / base
 
-        def f(n: int) -> Fraction:
-            return base * comb2(n) + n * x.qexp
+    def f(n: int) -> Fraction:
+        return base * comb2(n) + n * x.qexp
 
-        lo = math.floor(vertex)
-        return min(f(lo), f(lo + 1))
-    shift, _core = _strip_reduce(x, base)
-    return shift.qexp  # strip-form theta has valuation 0
+    lo = math.floor(Fraction(1, 2) - x.qexp / base)
+    return min(f(lo), f(lo + 1))
 
 
 # -- shorthands --------------------------------------------------------------
@@ -197,8 +187,9 @@ def Jbar(a: Rat, m: Rat, order: Rat) -> QSeries:
 
 
 def Jm(m: Rat, order: Rat) -> QSeries:
-    """J_m = (q^m; q^m)_inf = j(q^m; q^{3m})."""
-    return pochhammer(Monomial.q(m), m, None, order)
+    """J_m = (q^m; q^m)_inf = j(q^m; q^{3m}), Euler's pentagonal sum."""
+    m = Fraction(m)
+    return jtheta_sum(Monomial.q(m), 3 * m, order)
 
 
 def eta(scale: Rat, order: Rat) -> QSeries:
@@ -207,8 +198,7 @@ def eta(scale: Rat, order: Rat) -> QSeries:
     if scale <= 0:
         raise ValueError("scale must be positive")
     pre = scale / 24
-    inner = pochhammer(Monomial.q(scale), scale, None, Fraction(order) - pre)
-    return inner.shift(Monomial(0, pre))
+    return Jm(scale, Fraction(order) - pre).shift(Monomial(0, pre))
 
 
 def j_split_components(z: Monomial, base: Rat, mm: int, order: Rat) -> list:
@@ -268,5 +258,4 @@ def theta_quotient(
     for (x, b), v in zip(den, d_vals):
         f = jtheta(x, b, v + max(deficit, Fraction(b)) + pad(b))
         acc = acc * f.inverse()
-    assert acc.trunc >= order, f"quotient precision shortfall: {acc.trunc} < {order}"
-    return acc.truncate(order)
+    return require_order(acc, order, "quotient")

@@ -15,6 +15,7 @@ failure names the exact specialization that broke.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -55,6 +56,7 @@ from .theta import (
     eta,
     j_split_components,
     jtheta,
+    jtheta_prod,
     jtheta_sum,
     pochhammer,
 )
@@ -121,16 +123,12 @@ def _case(cid, suite, lhs, rhs, den=1, order=30, ref=""):
     _REGISTRY.append(IdentityCase(cid, suite, lhs, rhs, den, F(order), ref))
 
 
-def _mono_str(m: Monomial) -> str:
-    return str(m)
-
-
 # ---- notation suite ----
 
 
 def _register_notation():
     _case("poch/J1-is-theta", "notation",
-          lambda T: Jm(1, T), lambda T: J(1, 3, T),
+          lambda T: pochhammer(q(1), 1, None, T), lambda T: J(1, 3, T),
           ref="(q;q)_inf as the theta j(q;q^3)")
     _case("poch/empty-product", "notation",
           lambda T: pochhammer(q(1), 1, 0, T), lambda T: QSeries.one(T),
@@ -202,7 +200,7 @@ def _register_theta():
         den = (x.qexp / base).denominator * 2
         _case(f"triple-product/{k:02d}[x={x},b=q^{base}]", "theta",
               (lambda T, x=x, b=base: jtheta_sum(x, b, T)),
-              (lambda T, x=x, b=base: jtheta(x, b, T)),
+              (lambda T, x=x, b=base: jtheta_prod(x, b, T)),
               den=den, ref="sum and product forms of j agree")
 
     rearr = [
@@ -795,8 +793,11 @@ def run_suite(suite: str = "all", order: Optional[Fraction] = None,
               jobs: int = 1, filter: Optional[str] = None) -> VerifyReport:
     cases = list_cases(filter=filter, suite=suite)
     if jobs > 1:
+        # each worker runs in a copy of the caller's context, so settings such
+        # as margin_scale carry over without being shared between cases
+        ctx = contextvars.copy_context()
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda c: run_case(c, order), cases))
+            results = list(pool.map(lambda c: ctx.copy().run(run_case, c, order), cases))
     else:
         results = [run_case(c, order) for c in cases]
     return VerifyReport(results)

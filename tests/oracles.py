@@ -39,8 +39,12 @@ def pochhammer_product(x_coeff: Fraction, x_exp: Fraction, base: Fraction, bound
     return product_expand(factors, bound)
 
 
-def jtheta_sum_bruteforce(x_coeff: int, x_exp: Fraction, base: Fraction, bound: Fraction) -> dict:
-    """j(x; q^base) = sum over n of (-1)^n q^(base*C(n,2)) x^n, |x_coeff| = 1."""
+def jtheta_sum_gaussian(unit_k: int, x_exp: Fraction, base: Fraction, bound: Fraction) -> dict:
+    """j(i^unit_k q^x_exp; q^base) as {exponent: (re, im)} with integer parts.
+
+    The n-th term has coefficient (-1)^n i^(unit_k*n) = i^((2+unit_k)*n).
+    """
+    powers = ((1, 0), (0, 1), (-1, 0), (0, -1))
     out: dict = {}
     n = 0
     while True:  # walk both arms from 0; quadratic exponents terminate each arm
@@ -48,13 +52,20 @@ def jtheta_sum_bruteforce(x_coeff: int, x_exp: Fraction, base: Fraction, bound: 
         for m in ({n, -n} if n else {0}):
             e = base * F(m * (m - 1), 2) + m * x_exp
             if e < bound:
-                c = F((-1) ** m) * F(x_coeff) ** m
-                out[e] = out.get(e, F(0)) + c
+                re, im = out.get(e, (0, 0))
+                dre, dim = powers[(2 + unit_k) * m % 4]
+                out[e] = (re + dre, im + dim)
                 added = True
         if not added and n > 2 * (abs(x_exp) / base + 2):
             break
         n += 1
-    return {e: c for e, c in out.items() if c}
+    return {e: c for e, c in out.items() if c != (0, 0)}
+
+
+def jtheta_sum_bruteforce(x_coeff: int, x_exp: Fraction, base: Fraction, bound: Fraction) -> dict:
+    """j(x; q^base) for x = x_coeff * q^x_exp with x_coeff = +-1."""
+    parts = jtheta_sum_gaussian(0 if x_coeff == 1 else 2, x_exp, base, bound)
+    return {e: F(re) for e, (re, _im) in parts.items()}
 
 
 def partition_counts(n: int) -> list:

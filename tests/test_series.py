@@ -1,5 +1,7 @@
 """Core arithmetic on truncated Laurent series."""
 
+import sys
+import threading
 from fractions import Fraction as F
 from math import inf as INF
 
@@ -13,9 +15,13 @@ from qstrings.series import (
     Mismatch,
     Monomial,
     NonPositiveRatio,
+    PrecisionShortfall,
     QSeries,
     SeriesError,
     ZeroLeadingTerm,
+    margin_scale,
+    pad,
+    require_order,
 )
 
 from oracles import int_coeffs, partition_counts, pochhammer_product
@@ -280,3 +286,37 @@ def test_no_stored_zero_coefficients(a, b):
     for s in (a + b, a * b, a - b, (a * b) + (b * a)):
         assert all(c for c in s.terms.values())
         assert all(e < s.trunc for e in s.terms)
+
+
+class TestPrecision:
+    def test_require_order_raises_typed_error(self):
+        with pytest.raises(PrecisionShortfall, match="probe precision shortfall"):
+            require_order(QSeries.one(F(5)), 10, "probe")
+        assert issubclass(PrecisionShortfall, SeriesError)
+        assert require_order(QSeries.one(F(5)), 3, "probe").trunc == 3
+
+    def test_margin_scale_is_per_thread(self):
+        # both threads hold their scale while the other reads; with one shared
+        # value the thread that set it first would see the other's padding
+        barrier = threading.Barrier(2, timeout=10)
+        seen = {}
+
+        def worker(k):
+            with margin_scale(k):
+                barrier.wait()
+                seen[k] = {pad(1) for _ in range(2000)}
+                barrier.wait()
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in (2, 3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=20)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == {2: {4}, 3: {6}}
+        assert pad(1) == 2

@@ -1,8 +1,14 @@
 """String functions: oracle vs production path, tables, symmetries, examples."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+
+import qstrings
 
 from qstrings.series import Monomial
 from qstrings.strings import (
@@ -248,3 +254,22 @@ class TestKpExamples:
     def test_oracle_path_agrees_too(self):
         T = F(4)
         assert_equal(kp_string_side("KP2A", T, oracle=True), kp_eta_side("KP2A", T), T)
+
+
+def test_precision_shortfall_survives_optimize():
+    # a numerator known only below q^3 cannot give a string function to q^10;
+    # the check must raise even under python -O, which strips asserts
+    code = (
+        "from fractions import Fraction as F\n"
+        "from qstrings import PrecisionShortfall, QSeries\n"
+        "from qstrings.strings import _divide_by_j1_cubed\n"
+        "try:\n"
+        "    _divide_by_j1_cubed(QSeries.one(F(3)), F(10))\n"
+        "except PrecisionShortfall:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(qstrings.__file__).resolve().parents[1])
+    r = subprocess.run([sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": src},
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr

@@ -1,8 +1,10 @@
 """Theta constructors against brute-force oracles and the classical laws."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qstrings.series import Monomial, QSeries
 from qstrings.theta import (
@@ -14,6 +16,7 @@ from qstrings.theta import (
     ThetaZeroDenominator,
     comb2,
     eta,
+    is_theta_zero,
     j_split_components,
     jtheta,
     jtheta_prod,
@@ -23,7 +26,7 @@ from qstrings.theta import (
     theta_quotient,
 )
 
-from oracles import int_coeffs, jtheta_sum_bruteforce, pochhammer_product
+from oracles import int_coeffs, jtheta_sum_bruteforce, jtheta_sum_gaussian, pochhammer_product
 
 q = Monomial.q
 mq = Monomial.mq
@@ -34,6 +37,23 @@ PENTAGONAL_13 = [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1]
 def assert_equal(a: QSeries, b: QSeries, upto):
     m = a.compare(b, upto)
     assert m is None, f"mismatch at q^{m.exponent}: {m.left} vs {m.right}" if m else ""
+
+
+def jtheta_by_product(x: Monomial, base, order) -> QSeries:
+    """j(x; q^base) from the triple product, after moving x into the strip.
+
+    With x = q^(n*base) x0 and 0 <= x0.qexp < base, quasi-periodicity gives
+    j(x; q^base) = (-1)^n q^(-base*C(n,2)) x0^(-n) j(x0; q^base).
+    """
+    base = F(base)
+    n = math.floor(x.qexp / base)
+    e0 = x.qexp - n * base
+    shift = Monomial(2 * n - n * x.unit_k, -base * comb2(n) - n * e0)
+    return jtheta_prod(Monomial(x.unit_k, e0), base, order - shift.qexp).shift(shift)
+
+
+def gaussian_terms(s: QSeries) -> dict:
+    return {e: (c.re, c.im) for e, c in s.terms.items()}
 
 
 class TestPochhammer:
@@ -102,9 +122,7 @@ class TestTripleProduct:
     def test_sum_equals_product_25_samples(self):
         assert len(self.SAMPLES) == 25
         for x, base in self.SAMPLES:
-            s = jtheta_sum(x, base, 30)
-            p = jtheta(x, base, 30)
-            assert_equal(s, p, 30)
+            assert_equal(jtheta(x, base, 30), jtheta_prod(x, base, 30), 30)
 
     def test_strip_enforced(self):
         with pytest.raises(OutOfStrip):
@@ -121,18 +139,20 @@ class TestJthetaCanonical:
         assert not jtheta(mq(0), 1, 20).is_exact_zero
 
     def test_elliptic_reduction_matches_sum(self):
-        # j(q^4; q^3) needs a two-step reduction
-        assert_equal(jtheta(q(4), 3, 20), jtheta_sum(q(4), 3, 20), 20)
-        assert_equal(jtheta(q(-5), 2, 20), jtheta_sum(q(-5), 2, 20), 20)
-        assert_equal(jtheta(mq(-3), F(5, 2), 15), jtheta_sum(mq(-3), F(5, 2), 15), 15)
+        # the sum off the strip against the product after the reduction:
+        # j(q^4; q^3) lies one period above the strip, j(q^-5; q^2) three below
+        for x, base, T in [(q(4), 3, 20), (q(-5), 2, 20), (mq(-3), F(5, 2), 15)]:
+            assert_equal(jtheta(x, base, T), jtheta_by_product(x, base, T), T)
 
     def test_one_seven_symmetry(self):
         # j(x;q) = j(q/x;q) at x = q^(1/3)
         assert_equal(jtheta(q(F(1, 3)), 1, 25), jtheta(q(F(2, 3)), 1, 25), 25)
 
     def test_imaginary_fallback(self):
+        # units +-i take the same sum as +-1; check one against both oracles
         x = Monomial(1, F(1))
-        assert_equal(jtheta(x, 4, 15), jtheta_sum(x, 4, 15), 15)
+        assert gaussian_terms(jtheta(x, 4, 15)) == jtheta_sum_gaussian(1, F(1), F(4), F(15))
+        assert_equal(jtheta(x, 4, 15), jtheta_by_product(x, 4, 15), 15)
 
     def test_valuation(self):
         assert jtheta_valuation(q(1), 3) == 0
@@ -446,3 +466,48 @@ class TestSplitChains:
         T = F(20)
         s = J(2, 5, 3 * T).substitute_power(F(1, 3))
         assert_equal(s, jtheta(q(F(2, 3)), F(5, 3), T), T)
+
+
+# -- properties over all four units and rational bases -------------------------
+
+UNITS = st.integers(min_value=0, max_value=3)
+QEXPS = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+BASES = st.fractions(min_value=F(1, 3), max_value=4, max_denominator=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(UNITS, QEXPS, BASES, st.integers(min_value=1, max_value=10))
+def test_jtheta_matches_bruteforce_sum(k, e, base, T):
+    x = Monomial(k, e)
+    s = jtheta(x, base, T)
+    if is_theta_zero(x, base):
+        assert s.is_exact_zero
+    else:
+        assert s.trunc == T
+        assert gaussian_terms(s) == jtheta_sum_gaussian(k, e, base, F(T))
+
+
+@settings(max_examples=30, deadline=None)
+@given(UNITS, st.fractions(min_value=F(1, 7), max_value=2, max_denominator=7),
+       st.sampled_from([F(1), F(2), F(1, 2)]))
+def test_jtheta_matches_reduced_product(k, e, base):
+    x = Monomial(k, e)
+    assume(not is_theta_zero(x, base))
+    assert_equal(jtheta(x, base, 6), jtheta_by_product(x, base, 6), 6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([F(1), F(2), F(3), F(1, 2), F(5, 3)]), st.integers(min_value=1, max_value=30))
+def test_Jm_matches_pochhammer_product(m, T):
+    s = Jm(m, T)
+    assert s.trunc == T
+    assert {e: c.as_fraction() for e, c in s.terms.items()} == pochhammer_product(F(1), m, m, F(T))
+
+
+@settings(max_examples=100, deadline=None)
+@given(UNITS, QEXPS, BASES)
+def test_valuation_is_least_exponent(k, e, base):
+    x = Monomial(k, e)
+    assume(not is_theta_zero(x, base))
+    # f(0) = 0, so the least exponent is never positive and order 1 holds it
+    assert jtheta_valuation(x, base) == jtheta(x, base, 1).ord

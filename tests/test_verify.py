@@ -4,7 +4,7 @@ import json
 from fractions import Fraction as F
 from pathlib import Path
 
-from qstrings.series import Monomial, QSeries
+from qstrings.series import Monomial, QSeries, margin_scale, pad
 from qstrings.theta import Jm
 from qstrings import verify
 from qstrings.verify import (
@@ -81,6 +81,12 @@ class TestRunner:
         seq = run_suite("kp_examples", jobs=1)
         par = run_suite("kp_examples", jobs=4)
         assert report_to_json(seq) == report_to_json(par)
+
+    def test_parallel_workers_inherit_margin_scale(self, monkeypatch):
+        monkeypatch.setattr(verify, "run_case", lambda case, order: pad(1))
+        with margin_scale(3):
+            report = run_suite("notation", jobs=2)
+        assert report.results and set(report.results) == {6}
 
     def test_json_deterministic_and_complete(self):
         a = report_to_json(run_suite("notation"))
