@@ -89,4 +89,4 @@ def appell_m(x: Monomial, base: Rat, z: Monomial, order: Rat) -> QSeries:
     s = QSeries(terms, win_s)
     win_d = max(o_z + base, order + 2 * o_z - min(sigma, Fraction(0)) + pad(base))
     denom = jtheta(z, base, win_d)
-    return require_order(s * denom.inverse(), order, "appell")
+    return require_order(s / denom, order, "appell")

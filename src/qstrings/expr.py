@@ -555,7 +555,7 @@ def _eval_series(node: Node, order: Fraction, path: str) -> QSeries:
 def evaluate(node: Node, order) -> QSeries:
     """Evaluate to a series exact below `order`.
 
-    Inversions can lower the provable truncation below the requested order;
+    Divisions can lower the provable truncation below the requested order;
     in that case the whole tree is re-evaluated at a bumped working order
     (builders are monotone in their order argument), a few times.
     """

@@ -19,6 +19,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import inf as INF
 from typing import Mapping, Union
 
@@ -31,7 +32,7 @@ class SeriesError(Exception):
 
 
 class ZeroLeadingTerm(SeriesError):
-    """Inversion of a series with no nonzero term below its truncation."""
+    """Division by a series with no nonzero term below its truncation."""
 
 
 class NonPositiveRatio(SeriesError):
@@ -419,41 +420,49 @@ class QSeries:
             if not isinstance(other, GaussianRational):
                 other = GaussianRational(other)
             return self.scale(QI_ONE / other)
-        return self * other.inverse()
+        a, f = self, other
+        v = f.ord
+        if v is None:
+            raise ZeroLeadingTerm("division by a series with no term below its truncation")
+        # trunc contract: min(a.trunc - v, ord(a) + f.trunc - 2v)
+        trunc = min(tadd(a.trunc, -v), tadd(tadd(f.trunc, -2 * v), a.ord_bound()))
+        inv_c0 = QI_ONE / f.terms[v]
+        # f = c0 q^v (1 - sum of m q^d) with d > 0; a = f*Q read at q^(e+v):
+        # Q_e = a_(e+v)/c0 + sum of m Q_(e-d)
+        tail = sorted((e - v, -c * inv_c0) for e, c in f.terms.items() if e != v)
+        if tail and a.trunc == INF and f.trunc == INF:
+            # an exact series over an exact non-monomial has infinitely many terms
+            raise SeriesError("truncate before dividing by an exact non-monomial series")
+        # pending[e] collects Q_e; it is final once popped, since every
+        # contribution comes from a smaller exponent
+        pending = {e - v: c * inv_c0 for e, c in a.terms.items() if e - v < trunc}
+        heap = list(pending)
+        heapify(heap)
+        t: dict = {}
+        while heap:
+            e = heappop(heap)
+            c = pending.pop(e)
+            if not c:
+                continue
+            t[e] = c
+            for d, m in tail:
+                e2 = e + d
+                if e2 >= trunc:
+                    break
+                s = pending.get(e2)
+                if s is None:
+                    pending[e2] = m * c
+                    heappush(heap, e2)
+                else:
+                    pending[e2] = s + m * c
+        out = QSeries.__new__(QSeries)
+        out.terms = t
+        out.trunc = trunc
+        return out
 
     def inverse(self) -> "QSeries":
-        """Multiplicative inverse; trunc contract: self.trunc - 2*ord(self).
-
-        Newton iteration on the normalized series 1 + u doubles the valid
-        precision each step, so the propagated truncation is set from that
-        argument rather than from the generic product rule.
-        """
-        o = self.ord
-        if o is None:
-            raise ZeroLeadingTerm("no nonzero term below the truncation order")
-        c0 = self.terms[o]
-        a = self.shift(Monomial(0, -o)).scale(QI_ONE / c0)  # 1 + u, ord(u) > 0
-        target = a.trunc
-        rest = [e for e in a.terms if e != 0]
-        if not rest:
-            b = QSeries.one(target)
-        elif target == INF:
-            # the inverse of an exact non-monomial has infinitely many terms
-            raise SeriesError("truncate before inverting an exact non-monomial series")
-        else:
-            step = min(rest)
-            p: Trunc = step
-            b = QSeries.one(INF)
-            two = QSeries.const(2)
-            while p < target:
-                p = min(2 * p, target)
-                ap = a.truncate(p)
-                # b is valid to the pre-doubling precision; widening its label
-                # to p is what the Newton step corrects for
-                bw = QSeries(b.terms, p)
-                nxt = (two - ap * bw) * bw
-                b = QSeries({e: c for e, c in nxt.terms.items() if e < p}, p)
-        return b.shift(Monomial(0, -o)).scale(QI_ONE / c0)
+        """Multiplicative inverse 1/self; trunc contract: self.trunc - 2*ord(self)."""
+        return QSeries.one() / self
 
     # -- substitutions and shifts -------------------------------------------
 

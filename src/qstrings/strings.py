@@ -141,7 +141,7 @@ def _cone_sum(N: int, ell: int, m: int, win: Fraction) -> dict:
 def _divide_by_j1_cubed(raw: QSeries, order: Fraction, base: Rat = 1) -> QSeries:
     sigma = min(raw.ord_bound(), F(0))
     j13 = Jm(base, order - sigma + pad(base)) ** 3
-    return require_order(raw * j13.inverse(), order, "string function")
+    return require_order(raw / j13, order, "string function")
 
 
 def calC_oracle(lbl: StringLabel, order: Rat) -> QSeries:

@@ -257,5 +257,5 @@ def theta_quotient(
         acc = acc * f
     for (x, b), v in zip(den, d_vals):
         f = jtheta(x, b, v + max(deficit, Fraction(b)) + pad(b))
-        acc = acc * f.inverse()
+        acc = acc / f
     return require_order(acc, order, "quotient")

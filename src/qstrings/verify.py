@@ -693,7 +693,7 @@ def _register_mps():
     _case("split/K2-closed-form", "mps",
           lambda T: mps_split_rhs(2, 0, 0, -1, 1, T),
           lambda T: ((Jm(1, T + F(1, 12)) * J(1, 2, T + F(1, 12)))
-                     * (Jm(1, T + F(1, 12)) ** 3).inverse()
+                     / Jm(1, T + F(1, 12)) ** 3
                      ).shift(Monomial(0, F(-1, 12))).truncate(T),
           den=12, order=25, ref="the minus split evaluates in closed form")
     _case("split/K1-base2", "mps",

@@ -21,6 +21,30 @@ def poly_mul(a: dict, b: dict, bound: Fraction) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+def poly_div(a: dict, f: dict, bound) -> dict:
+    """The quotient a/f below `bound` by remainder long division.
+
+    Repeatedly takes the least exponent e left in the remainder and subtracts
+    c*q^(e - v)*f, c = r_e/f_v, v = min(f); stops once e - v reaches `bound`.
+    """
+    v = min(f)
+    r = {e: c for e, c in a.items() if c}
+    out: dict = {}
+    while r:
+        e = min(r)
+        if e - v >= bound:
+            break
+        c = r.pop(e) / f[v]
+        out[e - v] = c
+        for ef, cf in f.items():
+            if ef != v:
+                k = e - v + ef
+                r[k] = r.get(k, F(0)) - c * cf
+                if not r[k]:
+                    del r[k]
+    return out
+
+
 def product_expand(factors, bound: Fraction) -> dict:
     """Expand a product of (1 - c*q^e) binomial factors below `bound`."""
     acc = {F(0): F(1)}

@@ -24,7 +24,7 @@ from qstrings.series import (
     require_order,
 )
 
-from oracles import int_coeffs, partition_counts, pochhammer_product
+from oracles import int_coeffs, partition_counts, pochhammer_product, poly_div
 
 # frozen from the brute-force product oracle (tests/oracles.py)
 PENTAGONAL_14 = [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1, 0]
@@ -155,6 +155,33 @@ class TestInverse:
             QSeries({F(0): 1, F(1): -1}, INF).inverse()
 
 
+class TestDivision:
+    def test_empty_dividend_uses_trunc_as_ord_bound(self):
+        # ord_bound(a) = 5: min(5 - 0, 5 + 2 - 0) = 5, where ord(a) = 0 would give 2
+        q = QSeries({}, F(5)) / QSeries({F(0): 1, F(1): 1}, F(2))
+        assert q.terms == {} and q.trunc == F(5)
+
+    def test_exact_over_exact_monomial_stays_exact(self):
+        q = QSeries({F(0): 1, F(1): 2}, INF) / QSeries({F(1, 2): -2}, INF)
+        assert q.terms == {F(-1, 2): GaussianRational(F(-1, 2)), F(1, 2): GaussianRational(-1)}
+        assert q.trunc == INF
+
+    def test_exact_over_exact_non_monomial_rejected(self):
+        with pytest.raises(SeriesError):
+            QSeries({F(0): 1, F(2): 3}, INF) / QSeries({F(0): 1, F(1): -1}, INF)
+
+    def test_divisor_without_terms(self):
+        with pytest.raises(ZeroLeadingTerm):
+            QSeries.one(F(5)) / QSeries({}, F(3))
+        with pytest.raises(ZeroLeadingTerm):
+            QSeries.one(F(5)) / QSeries.zero()
+
+    def test_truncated_over_exact_polynomial(self):
+        q = QSeries.one(F(8)) / QSeries({F(0): 1, F(1): -1}, INF)
+        assert q.trunc == F(8)
+        assert q.terms == {F(k): GaussianRational(1) for k in range(8)}
+
+
 class TestSubstitutions:
     def test_power_half(self):
         a = QSeries({F(0): 1, F(1): 1}, F(6))
@@ -269,6 +296,57 @@ def test_inverse_is_two_sided(a):
     one = QSeries.one(INF)
     assert left.compare(one, left.trunc) is None
     assert right.compare(one, right.trunc) is None
+
+
+@st.composite
+def division_operands(draw):
+    """(a, f, a beyond its trunc, f beyond its trunc) on one lattice 1/den.
+
+    The "beyond" dicts stand for the unknown terms at or above each trunc;
+    a quotient exact below its trunc cannot depend on them.
+    """
+    den = draw(st.sampled_from([1, 2, 3, 5, 7]))
+    exps = st.integers(min_value=-3 * den, max_value=6 * den).map(lambda k: F(k, den))
+    nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+
+    def operand(lead):
+        terms = draw(st.dictionaries(exps, nonzero, max_size=5))
+        if lead is not None:  # the divisor's least term, so ord f = lead
+            terms = {e: c for e, c in terms.items() if e > lead}
+            terms[lead] = draw(nonzero)
+        lo = max(terms, default=F(-3)) if lead is None else lead
+        trunc = draw(st.one_of(st.just(INF),
+                               st.integers(1, 8 * den).map(lambda k: lo + F(k, den))))
+        if draw(st.integers(0, 2)) == 0:  # a truncation that hides some drawn terms
+            trunc = min(trunc, draw(exps.filter(lambda e: lead is None or e > lead)))
+        beyond = {} if trunc == INF else {
+            trunc + F(k, den): c
+            for k, c in draw(st.dictionaries(st.integers(0, 4 * den), nonzero, max_size=3)).items()
+        }
+        s = QSeries(terms, trunc)
+        return s, {e: c for e, c in terms.items() if e < trunc} | beyond
+
+    a, a_full = operand(None)
+    v = draw(exps)
+    f, f_full = operand(v)
+    return a, f, a_full, f_full
+
+
+@settings(max_examples=200, deadline=None)
+@given(division_operands())
+def test_division_matches_long_division_oracle(operands):
+    a, f, a_full, f_full = operands
+    if a.trunc == INF and f.trunc == INF and len(f.terms) > 1:
+        with pytest.raises(SeriesError):
+            a / f
+        return
+    q = a / f
+    v = f.ord
+    assert q.trunc == min(a.trunc - v, a.ord_bound() + f.trunc - 2 * v)
+    # the oracle sees the terms beyond each trunc too, so agreement below
+    # q.trunc shows that the contract is provable
+    want = poly_div(a_full, f_full, q.trunc)
+    assert {e: c.as_fraction() for e, c in q.terms.items()} == want
 
 
 @settings(max_examples=40, deadline=None)
