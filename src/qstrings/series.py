@@ -11,6 +11,14 @@ All operations are pure; values are immutable after construction and safe
 to share between threads.  Arithmetic propagates the best provable
 truncation and never silently claims more precision than its inputs
 support.
+
+Multiplication and series division run on plain ints: both operands go on
+their common exponent lattice 1/den (den the lcm of their exponent
+denominators), each exponent e becomes the int e*den, the truncation the
+int bound ceil(trunc*den), and each coefficient an (re, im) pair whose parts
+are ints when integral (mixed int/Fraction arithmetic keeps the rest exact).
+Fractions and GaussianRationals are built only at the storage boundary,
+once per output term.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import inf as INF
+from math import ceil, inf as INF, lcm
 from typing import Mapping, Union
 
 Rat = Union[int, Fraction]
@@ -174,7 +182,8 @@ class GaussianRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal to int and Fraction values, so it must hash like them
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
@@ -378,28 +387,24 @@ class QSeries:
         if a.is_exact_zero or b.is_exact_zero:
             return QSeries.zero()
         trunc = min(tadd(a.trunc, b.ord_bound()), tadd(b.trunc, a.ord_bound()))
-        t: dict = {}
-        if a.terms and b.terms:
-            bs = b.items_sorted()
-            b_min = bs[0][0]
-            for ea, ca in a.items_sorted():
-                if ea + b_min >= trunc:
+        den, bound, la, lb = _on_lattice(trunc, a, b)
+        acc: dict = {}
+        if la and lb:
+            kb_min = lb[0][0]
+            for ka, ra, ia in la:
+                if ka + kb_min >= bound:
                     break
-                for eb, cb in bs:
-                    e = ea + eb
-                    if e >= trunc:
+                for kb, rb, ib in lb:
+                    k = ka + kb
+                    if k >= bound:
                         break
-                    p = ca * cb
-                    s = t.get(e)
-                    s = p if s is None else s + p
-                    if s:
-                        t[e] = s
+                    s = acc.get(k)
+                    if s is None:
+                        acc[k] = [ra * rb - ia * ib, ra * ib + ia * rb]
                     else:
-                        t.pop(e, None)
-        out = QSeries.__new__(QSeries)
-        out.terms = t
-        out.trunc = trunc
-        return out
+                        s[0] += ra * rb - ia * ib
+                        s[1] += ra * ib + ia * rb
+        return _from_lattice(acc, den, trunc)
 
     __rmul__ = __mul__
 
@@ -426,39 +431,42 @@ class QSeries:
             raise ZeroLeadingTerm("division by a series with no term below its truncation")
         # trunc contract: min(a.trunc - v, ord(a) + f.trunc - 2v)
         trunc = min(tadd(a.trunc, -v), tadd(tadd(f.trunc, -2 * v), a.ord_bound()))
-        inv_c0 = QI_ONE / f.terms[v]
-        # f = c0 q^v (1 - sum of m q^d) with d > 0; a = f*Q read at q^(e+v):
-        # Q_e = a_(e+v)/c0 + sum of m Q_(e-d)
-        tail = sorted((e - v, -c * inv_c0) for e, c in f.terms.items() if e != v)
-        if tail and a.trunc == INF and f.trunc == INF:
+        if len(f.terms) > 1 and a.trunc == INF and f.trunc == INF:
             # an exact series over an exact non-monomial has infinitely many terms
             raise SeriesError("truncate before dividing by an exact non-monomial series")
-        # pending[e] collects Q_e; it is final once popped, since every
+        den, bound, la, lf = _on_lattice(trunc, a, f)
+        # f = c0 q^v (1 - sum of m q^d) with d > 0; a = f*Q read at q^(e+v):
+        # Q_e = a_(e+v)/c0 + sum of m Q_(e-d), all exponents in units of 1/den
+        kv = lf[0][0]
+        inv_c0 = QI_ONE / f.terms[v]
+        ur, ui = _part(inv_c0.re), _part(inv_c0.im)
+        tail = [(k - kv, ui * i - ur * r, -ur * i - ui * r) for k, r, i in lf[1:]]
+        # pending[k] collects Q_k; it is final once popped, since every
         # contribution comes from a smaller exponent
-        pending = {e - v: c * inv_c0 for e, c in a.terms.items() if e - v < trunc}
+        pending = {k - kv: [ur * r - ui * i, ur * i + ui * r]
+                   for k, r, i in la if k - kv < bound}
         heap = list(pending)
         heapify(heap)
-        t: dict = {}
+        acc: dict = {}
         while heap:
-            e = heappop(heap)
-            c = pending.pop(e)
-            if not c:
+            k = heappop(heap)
+            c = pending.pop(k)
+            cr, ci = c
+            if not (cr or ci):
                 continue
-            t[e] = c
-            for d, m in tail:
-                e2 = e + d
-                if e2 >= trunc:
+            acc[k] = c
+            for d, mr, mi in tail:
+                k2 = k + d
+                if k2 >= bound:
                     break
-                s = pending.get(e2)
+                s = pending.get(k2)
                 if s is None:
-                    pending[e2] = m * c
-                    heappush(heap, e2)
+                    pending[k2] = [mr * cr - mi * ci, mr * ci + mi * cr]
+                    heappush(heap, k2)
                 else:
-                    pending[e2] = s + m * c
-        out = QSeries.__new__(QSeries)
-        out.terms = t
-        out.trunc = trunc
-        return out
+                    s[0] += mr * cr - mi * ci
+                    s[1] += mr * ci + mi * cr
+        return _from_lattice(acc, den, trunc)
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse 1/self; trunc contract: self.trunc - 2*ord(self)."""
@@ -530,6 +538,40 @@ class QSeries:
 
     def __repr__(self):
         return f"QSeries({format_series(self, max_terms=8)})"
+
+
+def _part(x: Fraction) -> Rat:
+    """x as an int when integral: the kernels then run on ints, and mixed
+    int/Fraction arithmetic keeps the other parts exact."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _on_lattice(trunc: Trunc, *series: QSeries):
+    """Put `series` on their common exponent lattice 1/den.
+
+    Returns den, the integer bound ceil(trunc*den) (INF stays INF), and for
+    each series its terms as ascending (k, re, im) with exponent k/den and
+    coefficient parts as `_part` gives them.
+    """
+    den = lcm(*{e.denominator for s in series for e in s.terms})
+    bound = INF if trunc == INF else ceil(trunc * den)
+    lists = [sorted((e.numerator * (den // e.denominator), _part(c.re), _part(c.im))
+                    for e, c in s.terms.items()) for s in series]
+    return (den, bound, *lists)
+
+
+def _from_lattice(acc: dict, den: int, trunc: Trunc) -> QSeries:
+    """The series with terms k/den: re + im*i for k: (re, im) in acc, zeros
+    dropped; empties acc."""
+    out = QSeries.__new__(QSeries)
+    terms = {}
+    while acc:
+        k, (re, im) = acc.popitem()  # frees each pair as its term is built: lower peak memory
+        if re or im:
+            terms[Fraction(k, den)] = GaussianRational(re, im)
+    out.terms = terms
+    out.trunc = trunc
+    return out
 
 
 def require_order(s: QSeries, order: Rat, what: str) -> QSeries:

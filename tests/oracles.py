@@ -1,13 +1,52 @@
 """Independent brute-force oracles for the test suite.
 
-Everything here works on plain ``dict[Fraction, Fraction]`` polynomials and
-never touches the package's series type, so expected values computed from
+Everything here works on plain ``dict[Fraction, Fraction]`` polynomials (or
+``dict[Fraction, Gauss]`` where coefficients are non-real) and never touches
+the package's series or coefficient types, so expected values computed from
 these stay independent of the code paths they check.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 F = Fraction
+
+
+@dataclass(frozen=True)
+class Gauss:
+    """re + im*i with Fraction parts: a minimal Gaussian rational."""
+
+    re: Fraction
+    im: Fraction = F(0)
+
+    @staticmethod
+    def of(x) -> "Gauss":
+        return x if isinstance(x, Gauss) else Gauss(F(x))
+
+    def __add__(self, other):
+        o = Gauss.of(other)
+        return Gauss(self.re + o.re, self.im + o.im)
+
+    def __neg__(self):
+        return Gauss(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + -Gauss.of(other)
+
+    def __rsub__(self, other):
+        return Gauss.of(other) + -self
+
+    def __mul__(self, other):
+        o = Gauss.of(other)
+        return Gauss(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def __truediv__(self, other):
+        o = Gauss.of(other)
+        n = o.re * o.re + o.im * o.im
+        return self * Gauss(o.re / n, -o.im / n)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
 
 
 def poly_mul(a: dict, b: dict, bound: Fraction) -> dict:
@@ -26,6 +65,7 @@ def poly_div(a: dict, f: dict, bound) -> dict:
 
     Repeatedly takes the least exponent e left in the remainder and subtracts
     c*q^(e - v)*f, c = r_e/f_v, v = min(f); stops once e - v reaches `bound`.
+    Coefficients are Fractions or Gauss values.
     """
     v = min(f)
     r = {e: c for e, c in a.items() if c}
@@ -39,7 +79,7 @@ def poly_div(a: dict, f: dict, bound) -> dict:
         for ef, cf in f.items():
             if ef != v:
                 k = e - v + ef
-                r[k] = r.get(k, F(0)) - c * cf
+                r[k] = r.get(k, 0) - c * cf
                 if not r[k]:
                     del r[k]
     return out

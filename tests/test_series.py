@@ -24,7 +24,7 @@ from qstrings.series import (
     require_order,
 )
 
-from oracles import int_coeffs, partition_counts, pochhammer_product, poly_div
+from oracles import Gauss, int_coeffs, partition_counts, pochhammer_product, poly_div, poly_mul
 
 # frozen from the brute-force product oracle (tests/oracles.py)
 PENTAGONAL_14 = [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1, 0]
@@ -59,6 +59,18 @@ class TestGaussianRational:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             GaussianRational(1) / GaussianRational(0)
+
+    @pytest.mark.parametrize("x", [1, -3, F(1, 3), F(-7, 2)])
+    def test_hash_agrees_with_equal_real_values(self, x):
+        g = GaussianRational(x)
+        assert g == x and hash(g) == hash(x)
+        assert len({g, x}) == 1
+        assert {x: "v"}[g] == "v"
+
+    def test_hash_of_non_real_values(self):
+        g = GaussianRational(F(1, 2), -3)
+        assert hash(g) == hash(GaussianRational(F(2, 4), F(-6, 2)))
+        assert len({g, GaussianRational(F(1, 2), -3), F(1, 2)}) == 2
 
 
 class TestMonomial:
@@ -117,6 +129,52 @@ class TestAddMul:
         z = QSeries.zero()
         a = QSeries({F(0): 1}, F(3))
         assert (z * a).is_exact_zero
+
+    # the integer bound ceil(trunc * den) on the operands' common lattice 1/den
+
+    def test_mul_drops_term_at_trunc(self):
+        a = QSeries({F(0): 1, F(2, 5): 1}, F(1))
+        b = QSeries({F(0): 1, F(3, 5): 1}, INF)
+        p = a * b
+        assert p.trunc == F(1)
+        assert p.terms == {F(0): GaussianRational(1), F(2, 5): GaussianRational(1),
+                           F(3, 5): GaussianRational(1)}
+
+    def test_mul_trunc_off_both_lattices(self):
+        # 1/5 and 1/7 lattices, trunc 2/3 = 23.3/35: 23/35 = 4/5 - 1/7 stays
+        a = QSeries({F(0): 1, F(4, 5): 1}, F(17, 21))
+        b = QSeries({F(-1, 7): 1, F(0): 1}, INF)
+        p = a * b
+        assert p.trunc == F(2, 3)
+        assert p.terms == {F(-1, 7): GaussianRational(1), F(0): GaussianRational(1),
+                           F(23, 35): GaussianRational(1)}
+
+    def test_mul_negative_trunc_off_both_lattices(self):
+        # trunc -2/3 = -23.3/35: -24/35 stays, -23/35 goes
+        a = QSeries({F(-4, 5): 1, F(-2, 5): 1}, F(-8, 21))
+        b = QSeries({F(-2, 7): 1, F(1, 7): 1}, INF)
+        p = a * b
+        assert p.trunc == F(-2, 3)
+        assert p.terms == {F(-38, 35): GaussianRational(1), F(-24, 35): GaussianRational(1)}
+
+    def test_mul_operand_without_terms(self):
+        b = QSeries({F(1, 5): 3, F(1): 1}, INF)
+        p = QSeries({}, F(2)) * b
+        assert p.terms == {} and p.trunc == F(11, 5)
+        p = QSeries({}, F(2)) * QSeries({}, F(1, 3))
+        assert p.terms == {} and p.trunc == F(7, 3)
+
+    @pytest.mark.parametrize("b1, want", [
+        (GaussianRational(-1, 1), GaussianRational(0, 2)),  # real parts cancel
+        (GaussianRational(1, -1), GaussianRational(2, 0)),  # imaginary parts cancel
+        (GaussianRational(-1, -1), None),  # both cancel: no term stored
+    ])
+    def test_mul_partial_cancellation(self, b1, want):
+        a = QSeries({F(0): 1, F(1, 5): 1}, INF)
+        b = QSeries({F(0): GaussianRational(1, 1), F(1, 5): b1}, INF)
+        p = a * b
+        assert p.terms.get(F(1, 5)) == want
+        assert p.terms[F(0)] == GaussianRational(1, 1) and p.terms[F(2, 5)] == b1
 
 
 class TestInverse:
@@ -180,6 +238,15 @@ class TestDivision:
         q = QSeries.one(F(8)) / QSeries({F(0): 1, F(1): -1}, INF)
         assert q.trunc == F(8)
         assert q.terms == {F(k): GaussianRational(1) for k in range(8)}
+
+    @pytest.mark.parametrize("lead, trunc, ks", [
+        (F(0), F(2, 3), range(5)),  # 2/3 = 4.7/7: 4/7 stays
+        (F(-1), F(-2, 3), range(3)),  # -2/3 = -4.7/7: -5/7 stays
+    ])
+    def test_trunc_off_the_lattice(self, lead, trunc, ks):
+        q = QSeries({lead: 1}, trunc) / QSeries({F(0): 1, F(1, 7): -1}, INF)
+        assert q.trunc == trunc
+        assert q.terms == {lead + F(k, 7): GaussianRational(1) for k in ks}
 
 
 class TestSubstitutions:
@@ -298,37 +365,96 @@ def test_inverse_is_two_sided(a):
     assert right.compare(one, right.trunc) is None
 
 
+# nonzero coefficients with non-unit denominators, non-real about half the time
+_parts = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+gaussians = st.tuples(_parts, st.one_of(st.just(F(0)), _parts)).filter(any).map(lambda c: Gauss(*c))
+
+
+def as_series(terms: dict, trunc) -> QSeries:
+    return QSeries({e: GaussianRational(c.re, c.im) for e, c in terms.items()}, trunc)
+
+
+def as_gauss(s: QSeries) -> dict:
+    return {e: Gauss(c.re, c.im) for e, c in s.terms.items()}
+
+
+def beyond_trunc(draw, trunc, den) -> dict:
+    """Terms at or above `trunc`: they stand for a truncated series' unknown
+    terms, which a result exact below its own trunc cannot depend on."""
+    if trunc == INF:
+        return {}
+    ks = draw(st.dictionaries(st.integers(0, 4 * den), gaussians, max_size=3))
+    return {trunc + F(k, den): c for k, c in ks.items()}
+
+
+@st.composite
+def mul_operand(draw):
+    """(s, terms of s plus unknown terms beyond its trunc) on a lattice 1/den;
+    lattices 1/5 .. 1/13 are coprime, so a product's lattice reaches 1/5005."""
+    den = draw(st.sampled_from([1, 5, 7, 11, 13]))
+    exps = st.integers(min_value=-3 * den, max_value=6 * den).map(lambda k: F(k, den))
+    terms = draw(st.dictionaries(exps, gaussians, max_size=6))
+    off_lattice = st.tuples(st.integers(-9, 24), st.sampled_from([3, 4])).map(lambda t: F(*t))
+    trunc = draw(st.one_of(st.just(INF), exps, off_lattice))
+    known = {e: c for e, c in terms.items() if e < trunc}
+    return as_series(known, trunc), known | beyond_trunc(draw, trunc, den)
+
+
+def gaussian_poly_mul(a: dict, b: dict, bound) -> dict:
+    """a*b below `bound` for Gauss coefficients, as four real oracle products."""
+    def part(d, name):
+        return {e: getattr(c, name) for e, c in d.items() if getattr(c, name)}
+
+    rr, ii = poly_mul(part(a, "re"), part(b, "re"), bound), poly_mul(part(a, "im"), part(b, "im"), bound)
+    ri, ir = poly_mul(part(a, "re"), part(b, "im"), bound), poly_mul(part(a, "im"), part(b, "re"), bound)
+    out = {}
+    for e in rr.keys() | ii.keys() | ri.keys() | ir.keys():
+        c = Gauss(rr.get(e, F(0)) - ii.get(e, F(0)), ri.get(e, F(0)) + ir.get(e, F(0)))
+        if c:
+            out[e] = c
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(mul_operand(), mul_operand())
+def test_mul_matches_poly_mul_oracle(x, y):
+    (a, a_full), (b, b_full) = x, y
+    p = a * b
+    assert p.trunc == min(a.trunc + b.ord_bound(), b.trunc + a.ord_bound())
+    assert all(p.terms.values()) and all(e < p.trunc for e in p.terms)
+    # the oracle sees the terms beyond each trunc too, so agreement below
+    # p.trunc shows that the contract is provable
+    assert as_gauss(p) == gaussian_poly_mul(a_full, b_full, p.trunc)
+
+
 @st.composite
 def division_operands(draw):
-    """(a, f, a beyond its trunc, f beyond its trunc) on one lattice 1/den.
+    """(a, f, a beyond its trunc, f beyond its trunc), each on its own lattice.
 
     The "beyond" dicts stand for the unknown terms at or above each trunc;
     a quotient exact below its trunc cannot depend on them.
     """
-    den = draw(st.sampled_from([1, 2, 3, 5, 7]))
-    exps = st.integers(min_value=-3 * den, max_value=6 * den).map(lambda k: F(k, den))
-    nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
-
-    def operand(lead):
-        terms = draw(st.dictionaries(exps, nonzero, max_size=5))
-        if lead is not None:  # the divisor's least term, so ord f = lead
+    def operand(divisor):
+        den = draw(st.sampled_from([1, 2, 3, 5, 7]))
+        exps = st.integers(min_value=-3 * den, max_value=6 * den).map(lambda k: F(k, den))
+        terms = draw(st.dictionaries(exps, gaussians, max_size=5))
+        lead = None
+        if divisor:  # the divisor's least term, so ord f = lead
+            lead = draw(exps)
             terms = {e: c for e, c in terms.items() if e > lead}
-            terms[lead] = draw(nonzero)
+            terms[lead] = draw(st.one_of(
+                st.sampled_from([Gauss(F(2)), Gauss(F(1), F(1)), Gauss(F(1, 2)), Gauss(F(0), F(-1))]),
+                gaussians))
         lo = max(terms, default=F(-3)) if lead is None else lead
         trunc = draw(st.one_of(st.just(INF),
                                st.integers(1, 8 * den).map(lambda k: lo + F(k, den))))
         if draw(st.integers(0, 2)) == 0:  # a truncation that hides some drawn terms
             trunc = min(trunc, draw(exps.filter(lambda e: lead is None or e > lead)))
-        beyond = {} if trunc == INF else {
-            trunc + F(k, den): c
-            for k, c in draw(st.dictionaries(st.integers(0, 4 * den), nonzero, max_size=3)).items()
-        }
-        s = QSeries(terms, trunc)
-        return s, {e: c for e, c in terms.items() if e < trunc} | beyond
+        known = {e: c for e, c in terms.items() if e < trunc}
+        return as_series(known, trunc), known | beyond_trunc(draw, trunc, den)
 
-    a, a_full = operand(None)
-    v = draw(exps)
-    f, f_full = operand(v)
+    a, a_full = operand(False)
+    f, f_full = operand(True)
     return a, f, a_full, f_full
 
 
@@ -345,8 +471,7 @@ def test_division_matches_long_division_oracle(operands):
     assert q.trunc == min(a.trunc - v, a.ord_bound() + f.trunc - 2 * v)
     # the oracle sees the terms beyond each trunc too, so agreement below
     # q.trunc shows that the contract is provable
-    want = poly_div(a_full, f_full, q.trunc)
-    assert {e: c.as_fraction() for e, c in q.terms.items()} == want
+    assert as_gauss(q) == poly_div(a_full, f_full, q.trunc)
 
 
 @settings(max_examples=40, deadline=None)
