@@ -6,7 +6,14 @@ so E(r,s) >= P(r) + S(s) with separable parabolas
 P(r) = base*a*C(r,2) + r*x.qexp and S(s) = base*c*C(s,2) + s*y.qexp;
 walking each variable from its arm edge until the parabola bound passes the
 window (and the walk is past the parabola vertex) enumerates every
-contributing pair exactly, in rational arithmetic.
+contributing pair exactly.
+
+The walk runs on plain ints: with D the lcm of the denominators of base,
+x.qexp and y.qexp, every exponent is the int E(r,s)*D, the window
+e < order + pad(base) becomes E*D < ceil(window*D), and both vertex tests
+are integer cross-multiplications or floor divisions.  Each coefficient is
+summed as an (re, im) pair of ints keyed by the int exponent;
+``series._from_lattice`` builds the stored series once per output term.
 
 The remaining builders construct the closed right-hand sides that express
 f_{a,b,c} through Appell-Lerch sums plus quotients of theta functions.
@@ -17,10 +24,10 @@ gymnastics.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from math import ceil, lcm
 
-from .series import GaussianRational, Monomial, QSeries, Rat, pad
+from .series import Monomial, QSeries, Rat, _from_lattice, pad
 from .appell import appell_m
 from .theta import (
     comb2,
@@ -32,6 +39,7 @@ from .theta import (
 
 F = Fraction
 MINUS_ONE = Monomial(2, F(0))
+_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^k as (re, im)
 
 
 def hecke_f(a: int, b: int, c: int, x: Monomial, y: Monomial, base: Rat, order: Rat) -> QSeries:
@@ -39,64 +47,60 @@ def hecke_f(a: int, b: int, c: int, x: Monomial, y: Monomial, base: Rat, order: 
     if min(a, c) < 1 or b < 1:
         raise ValueError("a, b, c must be positive integers")
     base = F(base)
+    if base <= 0:
+        raise ValueError("base must be positive")
     order = F(order)
     win = order + pad(base)
-    xq, yq = x.qexp, y.qexp
-    terms: dict = {}
-
-    def put(e, k):
-        cf = GaussianRational.i_power(k)
-        s = terms.get(e)
-        s = cf if s is None else s + cf
-        if s:
-            terms[e] = s
-        else:
-            terms.pop(e, None)
-
-    def E(r, s):
-        return base * (a * comb2(r) + b * r * s + c * comb2(s)) + r * xq + s * yq
-
-    def P(r):
-        return base * a * comb2(r) + r * xq
-
-    def S(s):
-        return base * c * comb2(s) + s * yq
-
-    def arm_min(f, vertex, up: bool):
-        if up:
-            n = max(0, math.floor(vertex)), max(0, math.ceil(vertex))
-        else:
-            n = min(-1, math.floor(vertex)), min(-1, math.ceil(vertex))
-        return min(f(n[0]), f(n[1]))
-
-    p_vertex = F(1, 2) - xq / (base * a)
-    s_vertex = F(1, 2) - yq / (base * c)
-
+    # every exponent in units of 1/D: E(r,s)*D =
+    # Ba*C(r,2) + Bb*r*s + Bc*C(s,2) + r*X + s*Y, all ints
+    D = lcm(base.denominator, x.qexp.denominator, y.qexp.denominator)
+    B, X, Y = int(base * D), int(x.qexp * D), int(y.qexp * D)
+    Ba, Bb, Bc = B * a, B * b, B * c
+    W = ceil(win * D)  # e < win iff e*D < W
+    # the unit of the (r, s) term is i^k, k = (2 + x.unit_k)*r + (2 + y.unit_k)*s
+    kx, ky = 2 + x.unit_k, 2 + y.unit_k
+    acc: dict = {}
+    # the s-parabola Bc*C(s,2) + s*Y is least on an arm at the integers either
+    # side of its vertex (Bc - 2Y) / 2Bc, moved onto the arm
+    n0, n1 = (Bc - 2 * Y) // (2 * Bc), -((2 * Y - Bc) // (2 * Bc))
     for up in (True, False):
-        smin = arm_min(S, s_vertex, up)
-        r = 0 if up else -1
-        step = 1 if up else -1
+        if up:
+            step, r0, k0 = 1, 0, 0
+            arm = {max(0, n0), max(0, n1)}
+        else:
+            step, r0, k0 = -1, -1, 2  # the negative quadrant enters with a minus sign
+            arm = {min(-1, n0), min(-1, n1)}
+        smin = min(Bc * comb2(n) + n * Y for n in arm)
+        r = r0
         while True:
-            past_p = (r >= p_vertex) if up else (r <= p_vertex)
-            if P(r) + smin >= win:
-                if past_p:
+            pr = Ba * comb2(r) + r * X
+            if pr + smin >= W:
+                # past the r-parabola's vertex (Ba - 2X) / 2Ba, every later r is out too
+                if (2 * Ba * r >= Ba - 2 * X) if up else (2 * Ba * r <= Ba - 2 * X):
                     break
             else:
-                sv = F(1, 2) - (yq + base * b * r) / (base * c)
-                s = 0 if up else -1
+                lin = Bb * r + Y
+                # s is past the vertex of E(r, .) iff s >= sv (up) or s <= sv (down)
+                t = Bc - 2 * lin
+                sv = -(-t // (2 * Bc)) if up else t // (2 * Bc)
+                kr = kx * r + k0
+                s = r0
                 while True:
-                    e = E(r, s)
-                    if e < win:
-                        k = 2 * (r + s) + x.unit_k * r + y.unit_k * s
-                        if not up:
-                            k += 2  # negative quadrant enters with minus sign
-                        put(e, k)
+                    e = pr + s * lin + Bc * (s * (s - 1) // 2)
+                    if e < W:
+                        dre, dim = _UNITS[(kr + ky * s) & 3]
+                        cf = acc.get(e)
+                        if cf is None:
+                            acc[e] = [dre, dim]
+                        else:
+                            cf[0] += dre
+                            cf[1] += dim
                     elif (s >= sv) if up else (s <= sv):
                         break
                     s += step
             r += step
 
-    return QSeries(terms, win).truncate(order)
+    return _from_lattice(acc, D, win).truncate(order)
 
 
 def hecke_shift_rhs(a: int, b: int, c: int, x: Monomial, y: Monomial, base: Rat,
@@ -155,6 +159,8 @@ def g_1b1(x: Monomial, y: Monomial, base: Rat, b: int, z1: Monomial, z0: Monomia
     if b < 2:
         raise ValueError("b must be >= 2")
     base = F(base)
+    if base <= 0:
+        raise ValueError("base must be positive")
     order = F(order)
     B = base * (b * b - 1)
     e = base * (comb2(b + 1) - 1)
@@ -171,6 +177,8 @@ def h_nn1(n: int, x: Monomial, y: Monomial, base: Rat, z1: Monomial, z0: Monomia
     if n < 2:
         raise ValueError("n must be >= 2")
     base = F(base)
+    if base <= 0:
+        raise ValueError("base must be positive")
     order = F(order)
     X1 = Monomial(2, base * (n - 1)) * y * x.inverse()
     X0 = Monomial(0, base * comb2(n)) * x * ((-y) ** (-n))

@@ -528,13 +528,13 @@ class QSeries:
                 f"comparison to order {upto} needs truncs >= it "
                 f"(have {self.trunc}, {other.trunc})"
             )
-        for e in sorted(set(self.terms) | set(other.terms)):
-            if e >= upto:
-                break
-            a, b = self.terms.get(e, QI_ZERO), other.terms.get(e, QI_ZERO)
-            if a != b:
-                return Mismatch(e, a, b)
-        return None
+        a, b = self.terms, other.terms
+        diff = [e for e, c in a.items() if e < upto and b.get(e, QI_ZERO) != c]
+        diff += [e for e, c in b.items() if e < upto and e not in a and c]
+        if not diff:
+            return None
+        e = min(diff)
+        return Mismatch(e, a.get(e, QI_ZERO), b.get(e, QI_ZERO))
 
     def __repr__(self):
         return f"QSeries({format_series(self, max_terms=8)})"

@@ -774,10 +774,10 @@ def run_case(case: IdentityCase, order: Optional[Fraction] = None) -> CaseResult
         lhs = case.lhs(T)
         rhs = case.rhs(T)
         for side in (lhs, rhs):
-            bad = [e for e in side.support() if case.lattice_den % e.denominator != 0]
+            bad = [e for e in side.terms if case.lattice_den % e.denominator != 0]
             if bad:
                 raise AssertionError(
-                    f"exponent {bad[0]} off the /{case.lattice_den} lattice"
+                    f"exponent {min(bad)} off the /{case.lattice_den} lattice"
                 )
         mm = lhs.compare(rhs, T)
     except Exception as exc:

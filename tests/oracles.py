@@ -132,6 +132,56 @@ def jtheta_sum_bruteforce(x_coeff: int, x_exp: Fraction, base: Fraction, bound: 
     return {e: F(re) for e, (re, _im) in parts.items()}
 
 
+def hecke_double_sum(a: int, b: int, c: int, xu: Gauss, xe: Fraction, yu: Gauss, ye: Fraction,
+                     base: Fraction, bound: Fraction, both: bool = True) -> dict:
+    """f_{a,b,c}(x, y, q^base) below `bound` as {exponent: Gauss}, with
+    x = xu*q^xe and y = yu*q^ye: the sum over r, s >= 0 minus the sum over
+    r, s < 0 (left out when not `both`) of (-1)^(r+s) x^r y^s q^(base*Q(r,s)),
+    Q(r,s) = a*C(r,2) + b*r*s + c*C(s,2).
+
+    On both quadrants b*r*s >= 0, so E(r,s) >= P(r) + S(s) with
+    P(r) = base*a*C(r,2) + r*xe and S(s) = base*c*C(s,2) + s*ye. The box
+    |r| <= R, |s| <= Rs is taken wide enough that P(r) + min S >= bound for
+    every |r| > R (likewise for s), and all of it is summed.
+    """
+    def low(k, e):  # the least real value of base*k*C(t,2) + t*e
+        h = base * k / 2
+        return -(e - h) ** 2 / (4 * h)
+
+    def radius(k, e, rest):  # |t| > R gives base*k*C(t,2) + t*e >= bound - rest
+        h = base * k / 2
+        R = 0
+        while R < abs(e) / h + 1 or h * R * R - (h + abs(e)) * R < bound - rest:
+            R += 1
+        return R
+
+    R = radius(a, xe, low(c, ye))
+    Rs = radius(c, ye, low(a, xe))
+
+    def powers(u, n):  # {t: (-u)^t for |t| <= n}, by repeated multiplication
+        out = {0: Gauss(F(1))}
+        step, back = -u, Gauss(F(1)) / -u
+        for t in range(1, n + 1):
+            out[t] = out[t - 1] * step
+            out[-t] = out[1 - t] * back
+        return out
+
+    xp, yp = powers(xu, R), powers(yu, Rs)
+    out: dict = {}
+    for r in range(-R, R + 1):
+        for s in range(-Rs, Rs + 1):
+            if r >= 0 and s >= 0:
+                sign = 1
+            elif r < 0 and s < 0 and both:
+                sign = -1
+            else:
+                continue
+            e = base * (a * F(r * (r - 1), 2) + b * r * s + c * F(s * (s - 1), 2)) + r * xe + s * ye
+            if e < bound:
+                out[e] = out.get(e, Gauss(F(0))) + xp[r] * yp[s] * sign
+    return {e: v for e, v in out.items() if v}
+
+
 def partition_counts(n: int) -> list:
     """p(0..n) by the classic coin-DP."""
     p = [0] * (n + 1)

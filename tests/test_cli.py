@@ -1,8 +1,16 @@
 """CLI behavior: exit codes, formats, round trips."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
+import pytest
+
+import qstrings
 from qstrings.cli import main
 from qstrings.series import format_series, series_from_json_terms
 
@@ -43,6 +51,18 @@ class TestEval:
         rebuilt = series_from_json_terms(records, order)
         code2, out2, _ = run_cli(capsys, "eval", "J[1]^2", "--order", "10")
         assert format_series(rebuilt) == out2.strip()
+
+    @pytest.mark.parametrize("expr", ["f(1,2,1; q,q; -1)", "f(1,2,1; q,q; 0)",
+                                      "g(2; q,q; -1,-1; -1)"])
+    def test_nonpositive_base_exit_3(self, expr):
+        # a separate process with a timeout: the walk at a negative base used
+        # to run forever, which must fail this test rather than hang the suite
+        src = str(Path(qstrings.__file__).resolve().parents[1])
+        r = subprocess.run([sys.executable, "-m", "qstrings.cli", "eval", expr, "--order", "5"],
+                           env={**os.environ, "PYTHONPATH": src},
+                           capture_output=True, text=True, timeout=60)
+        assert r.returncode == 3
+        assert "base must be positive" in r.stderr
 
     def test_fractional_lattice_eval(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "eta(1)^(-2) * eta(1/2)",
@@ -111,3 +131,31 @@ class TestVerifyAndList:
         assert {r["case_id"] for r in rows} == {
             "kp/KP2A", "kp/KP3A", "kp/KP3B", "kp/KP3C", "kp/KP4B"
         }
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
+
+def golden_argv(key):
+    """The CLI arguments behind a golden.json key (the arguments joined by spaces)."""
+    cmd, rest = key.split(" ", 1)
+    if cmd == "eval":
+        expr, opts = rest.split(" --", 1)
+        return [cmd, expr, *("--" + opts).split()]
+    return key.split()
+
+
+def test_hecke_path_outputs_match_golden_digests(capsys):
+    # the benchmark's expected stdout digests for every f(...) request and
+    # every string function at order 50: all of them go through hecke_f
+    golden = json.loads(GOLDEN.read_text())
+    keys = [k for k in golden if k.startswith("eval f(")]
+    strings = [k for k in golden if k.startswith("string ") and " --order 50 " in k]
+    assert (len(keys), len(strings)) == (15, 80)
+    wrong = []
+    for key in keys + strings:
+        code = main(golden_argv(key))
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        if code != 0 or digest != golden[key]["sha256"]:
+            wrong.append(key)
+    assert not wrong, wrong

@@ -3,19 +3,22 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import Gauss, hecke_double_sum
 from qstrings.hecke import (
     acdivb_rhs,
     g_1b1,
     genfn_rhs,
+    h_nn1,
     hecke_f,
     hecke_flip_rhs,
     hecke_shift_rhs,
     master_fnp_rhs,
     singshift_rhs,
 )
-from qstrings.series import GaussianRational, Monomial
-from qstrings.theta import J, Jbar, Jm, comb2
+from qstrings.series import GaussianRational, Monomial, margin_scale
+from qstrings.theta import J, Jbar, Jm
 
 q = Monomial.q
 mq = Monomial.mq
@@ -26,24 +29,21 @@ def assert_equal(a, b, upto):
     assert m is None, m
 
 
-def bruteforce_quadrant_sum(a, b, c, xq, yq, bound, both=True):
-    """Independent direct enumeration with a dumb fixed box."""
-    terms = {}
-    R = 40
-    for r in range(-R, R + 1):
-        for s in range(-R, R + 1):
-            if r >= 0 and s >= 0:
-                sg = 1
-            elif r < 0 and s < 0:
-                sg = -1 if both else 0
-            else:
-                continue
-            if not sg:
-                continue
-            e = F(a * comb2(r) + b * r * s + c * comb2(s)) + r * xq + s * yq
-            if e < bound:
-                terms[e] = terms.get(e, 0) + sg * (-1) ** (r + s)
-    return {e: v for e, v in terms.items() if v}
+def i_power(k):
+    u = Gauss(F(1))
+    for _ in range(k):
+        u = u * Gauss(F(0), F(1))
+    return u
+
+
+def oracle(a, b, c, x, y, base, bound, both=True):
+    """hecke_double_sum at the Monomials x, y."""
+    return hecke_double_sum(a, b, c, i_power(x.unit_k), x.qexp, i_power(y.unit_k), y.qexp,
+                            F(base), F(bound), both)
+
+
+def as_gauss(s):
+    return {e: Gauss(c.re, c.im) for e, c in s.terms.items()}
 
 
 class TestHeckeF:
@@ -64,16 +64,23 @@ class TestHeckeF:
             (2, 2, 1, F(1, 2), F(3, 5)),
         ]:
             s = hecke_f(a, b, c, q(x), q(y), 1, 14)
-            d = bruteforce_quadrant_sum(a, b, c, x, y, F(14))
-            got = {e: c_.as_fraction() for e, c_ in s.terms.items()}
-            assert got == d, (a, b, c, x, y)
+            assert as_gauss(s) == oracle(a, b, c, q(x), q(y), 1, 14), (a, b, c, x, y)
 
     def test_negative_quadrant_matters(self):
         s = hecke_f(1, 2, 1, q(1), q(1), 1, 10)
-        only_pos = bruteforce_quadrant_sum(1, 2, 1, F(1), F(1), F(10), both=False)
-        diff = {e for e in set(only_pos) | set(s.support())
-                if only_pos.get(e, 0) != (s[e].as_fraction() if e < s.trunc else 0)}
+        only_pos = oracle(1, 2, 1, q(1), q(1), 1, 10, both=False)
+        got = as_gauss(s)
+        diff = {e for e in set(only_pos) | set(got) if only_pos.get(e) != got.get(e)}
         assert diff and min(diff) < 10
+
+    @pytest.mark.parametrize("base", [0, -1, F(-1, 2)])
+    def test_nonpositive_base_raises(self, base):
+        # at base <= 0 hecke_f's parabolas do not open upward: its walk would never end
+        for build in (lambda: hecke_f(1, 2, 1, q(1), q(1), base, 5),
+                      lambda: g_1b1(q(1), q(1), base, 2, mq(0), mq(0), 5),
+                      lambda: h_nn1(2, q(1), q(1), base, mq(0), mq(0), 5)):
+            with pytest.raises(ValueError, match="base must be positive"):
+                build()
 
     def test_window_stability(self):
         for (a, b, c, x, y, base) in [
@@ -84,6 +91,34 @@ class TestHeckeF:
             lo = hecke_f(a, b, c, x, y, base, 20)
             hi = hecke_f(a, b, c, x, y, base, 30).truncate(20)
             assert lo.terms == hi.terms and lo.trunc == hi.trunc
+
+
+lattice_exps = st.sampled_from([1, 2, 3, 5, 7]).flatmap(
+    lambda d: st.integers(-3 * d, 3 * d).map(lambda k: F(k, d)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 4),
+       st.integers(0, 3), lattice_exps, st.integers(0, 3), lattice_exps,
+       st.sampled_from([F(1), F(2), F(3), F(1, 2), F(2, 3)]),
+       st.integers(-40, 40).map(lambda k: F(k, 4)))
+# the r-parabola 2*C(r,2) - r is 0 at r = 0 and least, -1, at its vertex
+# r = 1: with no slack the walk must not stop at r = 0
+@example(1, 1, 1, 0, F(-1), 0, F(0), F(2), F(0))
+# with no slack the window 1/4 is off the lattice and holds the term q^0
+@example(1, 2, 1, 0, F(1), 0, F(1), F(1), F(1, 4))
+def test_hecke_f_matches_double_sum_oracle(a, b, c, xk, xe, yk, ye, base, order):
+    x, y = Monomial(xk, xe), Monomial(yk, ye)
+    s = hecke_f(a, b, c, x, y, base, order)
+    assert s.trunc == order
+    assert as_gauss(s) == oracle(a, b, c, x, y, base, order)
+    # the enumeration is exact without any slack: scale 0 makes the window
+    # the order itself, so a term just below an order off the lattice tests
+    # the window bound; doubled slack moves nothing either
+    for k in (0, 2):
+        with margin_scale(k):
+            wide = hecke_f(a, b, c, x, y, base, order)
+        assert wide.terms == s.terms and wide.trunc == s.trunc
 
 
 SHIFT_SAMPLES = [

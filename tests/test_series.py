@@ -307,6 +307,28 @@ class TestCompare:
         m = a.compare(b, 10)
         assert m == Mismatch(F(5), GaussianRational(0), GaussianRational(1))
 
+    def test_least_of_several_mismatches(self):
+        G = GaussianRational
+        a = QSeries({F(0): 1, F(3, 2): 2, F(4): 1, F(7): 5}, F(10))
+        common = {F(0): 1, F(7): 6}
+        # 1/3 is in b only, 4 in a only, 3/2 and 7 differ in both
+        b = QSeries({**common, F(1, 3): G(0, 1), F(3, 2): 3}, F(10))
+        assert a.compare(b, 10) == Mismatch(F(1, 3), G(0), G(0, 1))
+        assert b.compare(a, 10) == Mismatch(F(1, 3), G(0, 1), G(0))
+        b = QSeries({**common, F(3, 2): 3}, F(10))
+        assert a.compare(b, 10) == Mismatch(F(3, 2), G(2), G(3))
+        assert a.compare(b, F(3, 2)) is None
+        b = QSeries({**common, F(3, 2): 2}, F(10))
+        assert a.compare(b, 10) == Mismatch(F(4), G(1), G(0))
+        assert b.compare(a, 10) == Mismatch(F(4), G(0), G(1))
+
+    def test_mismatches_at_or_above_upto_ignored(self):
+        a = QSeries({F(0): 1, F(5): 1}, F(10))
+        b = QSeries({F(0): 1, F(6): 2}, F(10))
+        assert a.compare(b, 5) is None
+        assert b.compare(a, 5) is None
+        assert a.compare(b, F(11, 2)) == Mismatch(F(5), GaussianRational(1), GaussianRational(0))
+
     def test_insufficient_order(self):
         a = QSeries.one(F(3))
         with pytest.raises(InsufficientOrder):

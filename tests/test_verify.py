@@ -53,6 +53,13 @@ class TestRunner:
         assert r.status == "mismatch"
         assert r.mismatch.exponent == 5
 
+    def test_off_lattice_exponent_names_the_least(self):
+        off = QSeries({F(7, 3): 1, F(0): 1, F(1, 2): 1, F(5, 2): 1}, F(10))
+        case = IdentityCase("off-lattice", "theta", lambda T: off, lambda T: off, 1, F(5), "")
+        r = run_case(case)
+        assert r.status == "error"
+        assert r.error == "AssertionError: exponent 1/2 off the /1 lattice"
+
     def test_builder_error_captured(self):
         def boom(T):
             raise ValueError("deliberate")
