@@ -7,10 +7,11 @@ rho = x.unit * z.unit expands geometrically forward for d > 0, is rewritten
 as -sum_{t>=1} rho^-t q^(-t*d) for d < 0, and is the constant 1/(1-rho) for
 d = 0 with rho != 1.
 
-The r-range is cut exactly: the term for r contributes nothing below
-m+(r) = base*C(r,2) + r*z.qexp (the d < 0 branch starts even higher), and
-m+ is a rational-coefficient parabola in r, so walking both arms from its
-vertex until m+(r) >= window enumerates every contributing r.
+Every range is cut exactly, in closed form: the term for r contributes
+nothing below m+(r) = base*C(r,2) + r*z.qexp (the d < 0 branch starts even
+higher), so the r with m+(r) below the window are ``theta.parabola_range``
+of that parabola, and each geometric series stops at the first t with
+m+(r) + t*|d| at or above the window, t = ceil((window - m+(r)) / |d|).
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import math
 from fractions import Fraction
 
 from .series import GaussianRational, Monomial, QI_ONE, QSeries, Rat, pad, require_order
-from .theta import ThetaZeroDenominator, comb2, is_theta_zero, jtheta, jtheta_valuation
+from .theta import (ThetaZeroDenominator, comb2, is_theta_zero, jtheta, jtheta_valuation,
+                    parabola_range)
 
 
 class PoleAtXZ(Exception):
@@ -41,21 +43,6 @@ def appell_m(x: Monomial, base: Rat, z: Monomial, order: Rat) -> QSeries:
     o_z = jtheta_valuation(z, base)
     win_s = order + max(o_z, Fraction(0)) + pad(base)
 
-    def m_plus(r: int) -> Fraction:
-        return base * comb2(r) + r * z.qexp
-
-    # all integers r with m_plus(r) < win_s, walking outward from the vertex
-    vertex = Fraction(1, 2) - z.qexp / base
-    rs = []
-    r = math.ceil(vertex)
-    while m_plus(r) < win_s:
-        rs.append(r)
-        r += 1
-    r = math.ceil(vertex) - 1
-    while m_plus(r) < win_s:
-        rs.append(r)
-        r -= 1
-
     terms: dict = {}
 
     def put(e: Fraction, c: GaussianRational):
@@ -68,21 +55,17 @@ def appell_m(x: Monomial, base: Rat, z: Monomial, order: Rat) -> QSeries:
 
     sigma = Fraction(0)
     rho_k = (x.unit_k + z.unit_k) % 4  # rho = i^rho_k
-    for r in rs:
-        e_r = m_plus(r)
+    for r in parabola_range(base, z.qexp, win_s):
+        e_r = base * comb2(r) + r * z.qexp
         sigma = min(sigma, e_r)
         lead_k = 2 * r + z.unit_k * r  # (-1)^r z.unit^r = i^lead_k
         d = base * (r - 1) + x.qexp + z.qexp
         if d > 0:
-            t = 0
-            while e_r + t * d < win_s:
+            for t in range(math.ceil((win_s - e_r) / d)):
                 put(e_r + t * d, GaussianRational.i_power(lead_k + rho_k * t))
-                t += 1
         elif d < 0:
-            t = 1
-            while e_r - t * d < win_s:
+            for t in range(1, math.ceil((win_s - e_r) / -d)):
                 put(e_r - t * d, -GaussianRational.i_power(lead_k - rho_k * t))
-                t += 1
         else:
             put(e_r, GaussianRational.i_power(lead_k) / (QI_ONE - GaussianRational.i_power(rho_k)))
 

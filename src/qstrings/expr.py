@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import inf as INF
 from typing import List, Tuple, Union
 
 from .series import GaussianRational, Monomial, QSeries
@@ -170,12 +171,6 @@ def _lex(src: str) -> List[Token]:
 
 
 # -- parser ----------------------------------------------------------------------
-
-KNOWN_FUNCTIONS = {
-    "j", "jbar", "J", "Jbar", "Jm", "eta", "m", "f", "g", "h",
-    "C", "calC", "theta_side",
-}
-
 
 class _Parser:
     def __init__(self, toks: List[Token]):
@@ -458,6 +453,7 @@ SIGNATURES = {
     "calC": ("int", "int", "int"),
     "theta_side": ("int", "int", "int"),
 }
+KNOWN_FUNCTIONS = {*SIGNATURES, "J"}  # J takes one argument or two
 
 
 def _call(node: Call, order: Fraction, path: str) -> QSeries:
@@ -517,6 +513,13 @@ def _call(node: Call, order: Fraction, path: str) -> QSeries:
     raise EvalError(f"unhandled function {name}", path)
 
 
+def _cut(s: QSeries, order: Fraction) -> QSeries:
+    """`s` truncated `order` past its least exponent if it is exact with
+    several terms: the quotient by such a series has infinitely many terms,
+    and the cut gives it a truncation while keeping its leading term."""
+    return s.truncate(s.ord + order) if s.trunc == INF and len(s.terms) > 1 else s
+
+
 def _eval_series(node: Node, order: Fraction, path: str) -> QSeries:
     try:
         v = _eval_const(node, path)
@@ -532,6 +535,8 @@ def _eval_series(node: Node, order: Fraction, path: str) -> QSeries:
         if e.denominator != 1:
             raise EvalError("fractional powers apply only to monomials", path)
         base = _eval_series(node.base, order, path)
+        if e < 0:
+            base = _cut(base, order)
         try:
             return base ** e.numerator
         except Exception as exc:
@@ -546,7 +551,8 @@ def _eval_series(node: Node, order: Fraction, path: str) -> QSeries:
                 return lhs - rhs
             if node.op == "*":
                 return lhs * rhs
-            return lhs / rhs
+            # an inexact dividend already gives the quotient a truncation
+            return lhs / (_cut(rhs, order) if lhs.trunc == INF else rhs)
         except Exception as exc:
             raise EvalError(f"{type(exc).__name__}: {exc}", f"{path}/{node.op}@{node.pos}") from exc
     raise EvalError(f"cannot evaluate {type(node).__name__}", path)

@@ -3,15 +3,16 @@
 ``hecke_f`` evaluates the double sum by direct enumeration over the two
 same-sign quadrants.  On each quadrant the cross term b*r*s is nonnegative,
 so E(r,s) >= P(r) + S(s) with separable parabolas
-P(r) = base*a*C(r,2) + r*x.qexp and S(s) = base*c*C(s,2) + s*y.qexp;
-walking each variable from its arm edge until the parabola bound passes the
-window (and the walk is past the parabola vertex) enumerates every
-contributing pair exactly.
+P(r) = base*a*C(r,2) + r*x.qexp and S(s) = base*c*C(s,2) + s*y.qexp.
+Only the r with P(r) + min S below the window can contribute, and for each
+such r the s with E(r,s) below it are exactly the lattice points under a
+parabola in s; ``theta.parabola_range`` gives both ranges in closed form,
+each cut to its quadrant, so every contributing pair is enumerated exactly
+and no other.
 
-The walk runs on plain ints: with D the lcm of the denominators of base,
-x.qexp and y.qexp, every exponent is the int E(r,s)*D, the window
-e < order + pad(base) becomes E*D < ceil(window*D), and both vertex tests
-are integer cross-multiplications or floor divisions.  Each coefficient is
+The enumeration runs on plain ints: with D the lcm of the denominators of
+base, x.qexp and y.qexp, every exponent is the int E(r,s)*D and the window
+e < order + pad(base) becomes E*D < ceil(window*D).  Each coefficient is
 summed as an (re, im) pair of ints keyed by the int exponent;
 ``series._from_lattice`` builds the stored series once per output term.
 
@@ -34,12 +35,18 @@ from .theta import (
     is_theta_zero,
     jtheta,
     jtheta_valuation,
+    parabola_range,
     theta_quotient,
 )
 
 F = Fraction
 MINUS_ONE = Monomial(2, F(0))
 _UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^k as (re, im)
+
+
+def _on_arm(rng: range, up: bool) -> range:
+    """The part of `rng` at or above 0 (up) or below 0."""
+    return range(max(rng.start, 0), rng.stop) if up else range(rng.start, min(rng.stop, 0))
 
 
 def hecke_f(a: int, b: int, c: int, x: Monomial, y: Monomial, base: Rat, order: Rat) -> QSeries:
@@ -65,40 +72,25 @@ def hecke_f(a: int, b: int, c: int, x: Monomial, y: Monomial, base: Rat, order: 
     n0, n1 = (Bc - 2 * Y) // (2 * Bc), -((2 * Y - Bc) // (2 * Bc))
     for up in (True, False):
         if up:
-            step, r0, k0 = 1, 0, 0
-            arm = {max(0, n0), max(0, n1)}
-        else:
-            step, r0, k0 = -1, -1, 2  # the negative quadrant enters with a minus sign
-            arm = {min(-1, n0), min(-1, n1)}
+            k0, arm = 0, {max(0, n0), max(0, n1)}
+        else:  # the negative quadrant enters with a minus sign
+            k0, arm = 2, {min(-1, n0), min(-1, n1)}
         smin = min(Bc * comb2(n) + n * Y for n in arm)
-        r = r0
-        while True:
+        # r can contribute only if P(r) + smin < W
+        for r in _on_arm(parabola_range(Ba, X, W - smin), up):
             pr = Ba * comb2(r) + r * X
-            if pr + smin >= W:
-                # past the r-parabola's vertex (Ba - 2X) / 2Ba, every later r is out too
-                if (2 * Ba * r >= Ba - 2 * X) if up else (2 * Ba * r <= Ba - 2 * X):
-                    break
-            else:
-                lin = Bb * r + Y
-                # s is past the vertex of E(r, .) iff s >= sv (up) or s <= sv (down)
-                t = Bc - 2 * lin
-                sv = -(-t // (2 * Bc)) if up else t // (2 * Bc)
-                kr = kx * r + k0
-                s = r0
-                while True:
-                    e = pr + s * lin + Bc * (s * (s - 1) // 2)
-                    if e < W:
-                        dre, dim = _UNITS[(kr + ky * s) & 3]
-                        cf = acc.get(e)
-                        if cf is None:
-                            acc[e] = [dre, dim]
-                        else:
-                            cf[0] += dre
-                            cf[1] += dim
-                    elif (s >= sv) if up else (s <= sv):
-                        break
-                    s += step
-            r += step
+            lin = Bb * r + Y
+            kr = kx * r + k0
+            # E(r, s) < W exactly for these s
+            for s in _on_arm(parabola_range(Bc, lin, W - pr), up):
+                e = pr + s * lin + Bc * (s * (s - 1) // 2)
+                dre, dim = _UNITS[(kr + ky * s) & 3]
+                cf = acc.get(e)
+                if cf is None:
+                    acc[e] = [dre, dim]
+                else:
+                    cf[0] += dre
+                    cf[1] += dim
 
     return _from_lattice(acc, D, win).truncate(order)
 

@@ -303,10 +303,6 @@ class QSeries:
     def one(trunc: Trunc = INF) -> "QSeries":
         return QSeries.const(1, trunc)
 
-    @staticmethod
-    def q_power(e: Rat) -> "QSeries":
-        return Monomial.q(e).as_series()
-
     # -- basic queries -----------------------------------------------------
 
     @property

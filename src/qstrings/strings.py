@@ -171,11 +171,11 @@ def C_full(lbl: StringLabel, order: Rat, oracle: bool = False) -> QSeries:
     return inner.shift(Monomial(0, s))
 
 
-def normalized_theta_form(lbl: StringLabel, order: Rat, oracle: bool = False) -> QSeries:
+def normalized_theta_form(lbl: StringLabel, order: Rat) -> QSeries:
     """q^{-(m^2-ell^2)/(4N)} J_1^3 calC: the side tabulated by the level theorems."""
     order = F(order)
     e = -F(lbl.m ** 2 - lbl.ell ** 2, 4 * lbl.N)
-    inner = (calC_oracle if oracle else calC_hecke)(lbl, order - e)
+    inner = calC_hecke(lbl, order - e)
     j13 = Jm(1, order - e) ** 3
     return (inner * j13).shift(Monomial(0, e)).truncate(order)
 

@@ -3,10 +3,12 @@
 Every theta series is built from its defining two-sided sum
 j(x; q^base) = sum over n of (-1)^n q^(base*C(n,2)) x^n, which has
 O(sqrt(order/base)) terms below any order and needs no reduction of x into
-a fundamental strip.  ``jtheta(x, base, order)`` is the entry point: it
-returns the exact zero when x is an integral power of the modulus and the
-sum otherwise, for all four units +-1, +-i.  ``Jm`` and ``eta`` are the
-pentagonal case J_m = j(q^m; q^{3m}).
+a fundamental strip.  The n it runs over are one closed-form range,
+``parabola_range``, which also cuts the Appell-Lerch and Hecke-type sums.
+``jtheta(x, base, order)`` is the entry point: it returns the exact zero
+when x is an integral power of the modulus and the sum otherwise, for all
+four units +-1, +-i.  ``Jm`` and ``eta`` are the pentagonal case
+J_m = j(q^m; q^{3m}).
 
 The Pochhammer products and the triple-product form ``jtheta_prod`` compute
 the same series a second, independent way; they serve only as the other
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import inf as INF
+from math import inf as INF, isqrt, lcm
 from typing import Optional, Sequence, Tuple, Union
 
 from .series import (
@@ -58,6 +60,30 @@ ThetaFactor = Tuple[Monomial, Rat]  # (argument, modulus exponent): j(x; q^base)
 def comb2(n: int) -> int:
     """Binomial(n, 2) for any integer n."""
     return n * (n - 1) // 2
+
+
+def parabola_range(a: Rat, b: Rat, w: Rat) -> range:
+    """The integers n with a*C(n,2) + b*n < w, for a > 0, as a range.
+
+    Over the common denominator L of a, b and w the condition reads
+    A*n*(n-1) + 2*B*n < 2*W in ints, with real roots (c -+ sqrt(disc)) / 2A,
+    c = A - 2B and disc = c^2 + 8AW.  With s = isqrt(disc) each end of the
+    range is one of two adjacent integers, and one exact test picks it.
+    """
+    L = lcm(a.denominator, b.denominator, w.denominator)
+    A, B, W = int(a * L), int(b * L), int(w * L)
+    c, d = A - 2 * B, 2 * A
+    disc = c * c + 8 * A * W
+    if disc < 0:
+        return range(0)
+    s = isqrt(disc)
+    lo = (c - s) // d  # the first integer of the range, or one before it
+    if A * lo * (lo - 1) + 2 * (B * lo - W) >= 0:
+        lo += 1
+    hi = (c + s) // d  # the last integer of the range, or one past it
+    if A * hi * (hi - 1) + 2 * (B * hi - W) < 0:
+        hi += 1
+    return range(lo, hi)
 
 
 def pochhammer(x: Monomial, base: Rat, n: Optional[int], order: Rat) -> QSeries:
@@ -100,12 +126,8 @@ def jtheta_sum(x: Monomial, base: Rat, order: Rat) -> QSeries:
     order = Fraction(order)
     win = order + pad(base)
     terms: dict = {}
-
-    def f(n: int) -> Fraction:
-        return base * comb2(n) + n * x.qexp
-
-    def put(n: int):
-        e = f(n)
+    for n in parabola_range(base, x.qexp, win):
+        e = base * comb2(n) + n * x.qexp
         c = GaussianRational.i_power(2 * n + x.unit_k * n)  # (-1)^n * unit^n
         s = terms.get(e)
         s = c if s is None else s + c
@@ -113,16 +135,6 @@ def jtheta_sum(x: Monomial, base: Rat, order: Rat) -> QSeries:
             terms[e] = s
         else:
             terms.pop(e, None)
-
-    vertex = Fraction(1, 2) - x.qexp / base
-    n = math.ceil(vertex)
-    while f(n) < win:
-        put(n)
-        n += 1
-    n = math.ceil(vertex) - 1
-    while f(n) < win:
-        put(n)
-        n -= 1
     return QSeries(terms, win).truncate(order)
 
 

@@ -806,10 +806,6 @@ def run_suite(suite: str = "all", order: Optional[Fraction] = None,
 # -- rendering ---------------------------------------------------------------
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def report_to_json(report: VerifyReport, timings: bool = False) -> str:
     rows = []
     for r in report.results:
@@ -817,12 +813,12 @@ def report_to_json(report: VerifyReport, timings: bool = False) -> str:
             "case_id": r.case.id,
             "suite": r.case.suite,
             "status": r.status,
-            "order": _frac_str(r.order),
+            "order": str(r.order),
             "paper_ref": r.case.paper_ref,
         }
         if r.status == "mismatch":
             row["mismatch"] = {
-                "exponent": _frac_str(r.mismatch.exponent),
+                "exponent": str(r.mismatch.exponent),
                 "lhs": format_coeff(r.mismatch.left),
                 "rhs": format_coeff(r.mismatch.right),
             }

@@ -182,6 +182,47 @@ def hecke_double_sum(a: int, b: int, c: int, xu: Gauss, xe: Fraction, yu: Gauss,
     return {e: v for e, v in out.items() if v}
 
 
+def appell_numerator(xu: Gauss, xe: Fraction, zu: Gauss, ze: Fraction, base: Fraction,
+                     bound: Fraction) -> dict:
+    """j(z; q^base) * m(x, q^base, z) below `bound` as {exponent: Gauss},
+    with x = xu*q^xe and z = zu*q^ze: the sum over r of
+    (-1)^r z^r q^(base*C(r,2)) / (1 - rho q^d), rho = xu*zu and
+    d = base*(r-1) + xe + ze.  Each quotient is expanded term by term: as
+    sum over t >= 0 of rho^t q^(t*d) for d > 0, as -sum over t >= 1 of
+    rho^-t q^(-t*d) for d < 0, and as the constant 1/(1 - rho) for d = 0.
+
+    The term for r has no exponent below e_r = base*C(r,2) + r*ze.  The box
+    |r| <= R is taken wide enough that e_r >= bound for every |r| > R, and
+    all of it is summed.
+    """
+    h = base / 2
+    R = 0
+    while R < abs(ze) / h + 1 or h * R * R - (h + abs(ze)) * R < bound:
+        R += 1
+    rho = xu * zu
+    out: dict = {}
+    lead = Gauss(F(1))  # (-zu)^r, starting at r = -R
+    for _ in range(R):
+        lead = lead / -zu
+    for r in range(-R, R + 1):
+        e_r = base * F(r * (r - 1), 2) + r * ze
+        d = base * (r - 1) + xe + ze
+        if d == 0:
+            if e_r < bound:
+                out[e_r] = out.get(e_r, Gauss(F(0))) + lead / (1 - rho)
+        else:
+            # the first term's exponent and coefficient, then the common ratio
+            if d > 0:
+                e, c, step, ratio = e_r, lead, d, rho
+            else:
+                e, c, step, ratio = e_r - d, -lead / rho, -d, Gauss(F(1)) / rho
+            while e < bound:
+                out[e] = out.get(e, Gauss(F(0))) + c
+                e, c = e + step, c * ratio
+        lead = lead * -zu
+    return {e: v for e, v in out.items() if v}
+
+
 def partition_counts(n: int) -> list:
     """p(0..n) by the classic coin-DP."""
     p = [0] * (n + 1)

@@ -3,10 +3,13 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qstrings.appell import PoleAtXZ, appell_m
-from qstrings.series import Monomial, QSeries
+from qstrings.series import Monomial, QSeries, margin_scale
 from qstrings.theta import ThetaZeroDenominator
+
+from oracles import Gauss, appell_numerator, jtheta_sum_gaussian
 
 q = Monomial.q
 mq = Monomial.mq
@@ -111,3 +114,40 @@ class TestStability:
         a = appell_m(x, base, z, T)
         b = appell_m(x, base, z, T + 10).truncate(T)
         assert a.terms == b.terms and a.trunc == b.trunc
+
+
+UNITS = (Gauss(F(1)), Gauss(F(0), F(1)), Gauss(F(-1)), Gauss(F(0), F(-1)))  # i^k
+lattice_exps = st.sampled_from([1, 2, 3, 5, 7]).flatmap(
+    lambda d: st.integers(-3 * d, 3 * d).map(lambda k: F(k, d)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 3), lattice_exps, st.integers(0, 3), lattice_exps,
+       st.sampled_from([F(1), F(2), F(3), F(1, 2), F(2, 3)]),
+       st.integers(-12, 40).map(lambda k: F(k, 4)))
+def test_appell_m_matches_numerator_oracle(xk, xe, zk, ze, base, T):
+    # j(z; q^base) * m(x, q^base, z) is the defining sum over r; the theta
+    # factor comes from the brute-force oracle, so only m is under test
+    x, z = Monomial(xk, xe), Monomial(zk, ze)
+    j_low = jtheta_sum_gaussian(zk, ze, base, F(1))  # j has a term below 1
+    assume(j_low)  # else z is a zero of j
+    o_j = min(j_low)
+    try:
+        m = appell_m(x, base, z, T - o_j)
+    except PoleAtXZ:
+        assume(False)
+    # the ranges are exact without any slack, and doubled slack moves nothing
+    for k in (0, 2):
+        with margin_scale(k):
+            other = appell_m(x, base, z, T - o_j)
+        assert other.terms == m.terms and other.trunc == m.trunc
+    # m below T - o_j and j below T - ord(m) fix the product below T
+    o_m = m.ord_bound()
+    j = jtheta_sum_gaussian(zk, ze, base, T - min(o_m, 0))
+    prod: dict = {}
+    for ej, (re, im) in j.items():
+        for em, c in m.terms.items():
+            if ej + em < T:
+                prod[ej + em] = prod.get(ej + em, Gauss(F(0))) + Gauss(c.re, c.im) * Gauss(F(re), F(im))
+    prod = {e: v for e, v in prod.items() if v}
+    assert prod == appell_numerator(UNITS[xk], xe, UNITS[zk], ze, base, T)

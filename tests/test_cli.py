@@ -42,6 +42,11 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "1/j(q,q)")
         assert code == 3
 
+    def test_quotient_of_exact_polynomials(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "q^2/(1-q)", "--order", "6")
+        assert code == 0
+        assert out.strip() == "q^2 + q^3 + q^4 + q^5 + O(q^6)"
+
     def test_json_round_trip(self, capsys):
         order = F(10)
         code, out, _ = run_cli(capsys, "eval", "J[1]^2", "--order", "10",
@@ -146,14 +151,15 @@ def golden_argv(key):
 
 
 def test_hecke_path_outputs_match_golden_digests(capsys):
-    # the benchmark's expected stdout digests for every f(...) request and
-    # every string function at order 50: all of them go through hecke_f
+    # the benchmark's expected stdout digest for every request it knows: the
+    # jtheta, appell, hecke, eta, J-quotient and theta_side evals and every
+    # string function, at orders 20 to 200
     golden = json.loads(GOLDEN.read_text())
-    keys = [k for k in golden if k.startswith("eval f(")]
-    strings = [k for k in golden if k.startswith("string ") and " --order 50 " in k]
-    assert (len(keys), len(strings)) == (15, 80)
+    keys = [k for k in golden if k != "_run"]
+    assert sum(k.startswith("eval ") for k in keys) == 141
+    assert sum(k.startswith("string ") for k in keys) == 240
     wrong = []
-    for key in keys + strings:
+    for key in keys:
         code = main(golden_argv(key))
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         if code != 0 or digest != golden[key]["sha256"]:

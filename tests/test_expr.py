@@ -16,7 +16,7 @@ from qstrings.expr import (
     parse,
     pretty,
 )
-from qstrings.series import QSeries
+from qstrings.series import QSeries, format_series
 
 
 ROUND_TRIP_CORPUS = [
@@ -150,3 +150,19 @@ class TestEvaluate:
     def test_gaussian_scalars(self):
         s = evaluate_text("(1+i)*(1-i)", 5)
         assert s.compare(QSeries.const(2), 5) is None
+
+    def test_quotient_of_exact_polynomials(self):
+        # the divisor is cut at the working order, which fixes the truncation
+        assert format_series(evaluate_text("q^2/(1-q)", 6)) == "q^2 + q^3 + q^4 + q^5 + O(q^6)"
+        alternating = "1 - q + q^2 - q^3 + q^4 - q^5 + O(q^6)"
+        assert format_series(evaluate_text("1/(1+q)", 6)) == alternating
+        assert format_series(evaluate_text("(1+q)^(-1)", 6)) == alternating
+        # a divisor of positive valuation costs precision: the re-evaluation
+        # at a higher working order still reaches the order, also when the
+        # divisor starts at or above it
+        assert format_series(evaluate_text("(q+q^2)^(-2)", 2)) == "q^(-2) - 2q^(-1) + 3 - 4q + O(q^2)"
+        assert format_series(evaluate_text("1/(q^3+q^4)", 1)) == "q^(-3) - q^(-2) + q^(-1) - 1 + O(q^1)"
+
+    def test_corpus_evaluates(self):
+        for s in ROUND_TRIP_CORPUS:
+            assert evaluate_text(s, 6).trunc >= 6, s

@@ -103,7 +103,7 @@ lattice_exps = st.sampled_from([1, 2, 3, 5, 7]).flatmap(
        st.sampled_from([F(1), F(2), F(3), F(1, 2), F(2, 3)]),
        st.integers(-40, 40).map(lambda k: F(k, 4)))
 # the r-parabola 2*C(r,2) - r is 0 at r = 0 and least, -1, at its vertex
-# r = 1: with no slack the walk must not stop at r = 0
+# r = 1: with no slack the r-range must not stop at r = 0
 @example(1, 1, 1, 0, F(-1), 0, F(0), F(2), F(0))
 # with no slack the window 1/4 is off the lattice and holds the term q^0
 @example(1, 2, 1, 0, F(1), 0, F(1), F(1), F(1, 4))

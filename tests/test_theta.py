@@ -4,7 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qstrings.series import Monomial, QSeries
 from qstrings.theta import (
@@ -22,6 +22,7 @@ from qstrings.theta import (
     jtheta_prod,
     jtheta_sum,
     jtheta_valuation,
+    parabola_range,
     pochhammer,
     theta_quotient,
 )
@@ -511,3 +512,25 @@ def test_valuation_is_least_exponent(k, e, base):
     assume(not is_theta_zero(x, base))
     # f(0) = 0, so the least exponent is never positive and order 1 holds it
     assert jtheta_valuation(x, base) == jtheta(x, base, 1).ord
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(min_value=F(1, 7), max_value=5, max_denominator=7),
+       st.fractions(min_value=-6, max_value=6, max_denominator=7),
+       st.fractions(min_value=-10, max_value=20, max_denominator=7))
+# w = 1 lies on both roots, n = -1 and n = 2: the inequality is strict
+@example(F(1), F(0), F(1))
+# w = 0 on the roots n = 0 and n = 1, the least values: the range is empty
+@example(F(1), F(0), F(0))
+# no real root at all
+@example(F(1), F(0), F(-1))
+# one root on an integer (n = 3), the other, -13/5, between two
+@example(F(2, 3), F(1, 5), F(13, 5))
+def test_parabola_range_matches_bruteforce(a, b, w):
+    # for |n| >= R: a*C(n,2) + b*n >= a*n^2/2 - (a/2 + |b|)*|n|, which is
+    # increasing in |n| and >= w, so no n outside [-R, R] qualifies
+    R = 0
+    while R < F(1, 2) + abs(b) / a or a * R * R / 2 - (a / 2 + abs(b)) * R < w:
+        R += 1
+    inside = [n for n in range(-R, R + 1) if a * F(n * (n - 1), 2) + b * n < w]
+    assert list(parabola_range(a, b, w)) == inside
