@@ -46,7 +46,6 @@ from .strings import (
     kp_eta_side,
     kp_string_side,
     level_theta_side,
-    mps_rhs,
     s_exponent,
     symmetry_reduce,
 )
@@ -62,7 +61,7 @@ __all__ = [
     "acdivb_rhs", "g_1b1", "genfn_rhs", "h_nn1", "hecke_f", "hecke_flip_rhs",
     "hecke_shift_rhs", "master_fnp_rhs", "singshift_rhs",
     "C_full", "StringLabel", "calC_hecke", "calC_oracle", "kp_eta_side",
-    "kp_string_side", "level_theta_side", "mps_rhs", "s_exponent",
+    "kp_string_side", "level_theta_side", "s_exponent",
     "symmetry_reduce",
     "evaluate_text", "parse",
 ]

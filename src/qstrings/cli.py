@@ -9,6 +9,7 @@ label.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -114,7 +115,10 @@ def cmd_list(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: `parse_args` keeps no state between calls, so
+    `main` stays re-entrant."""
     ap = argparse.ArgumentParser(
         prog="qstrings",
         description="Exact q-series: theta functions, Appell-Lerch sums, "

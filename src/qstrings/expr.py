@@ -12,10 +12,11 @@ Grammar (LL(1), whitespace-insensitive)::
     args     := expr ((',' | ';') expr)*
 
 Rational exponents must be parenthesized (``q^(1/2)``); ``,`` and ``;`` are
-interchangeable argument separators.  ``i`` is the imaginary unit and is
-only legal as a monomial coefficient.
+interchangeable argument separators.  ``i`` is the imaginary unit.
 
-Function arguments are classified per the signature table:
+Every node evaluates to an exact or truncated series.  A function argument
+must come out as one exact term c*q^e, which ``FUNCTIONS`` reads as the kind
+of value its function takes:
 
     j(x, Q)          theta sum j(x; Q), Q a plain power of q
     jbar(x, Q)       j(-x; Q)
@@ -342,62 +343,16 @@ def pretty(node: Node, prec: int = 0) -> str:
     raise TypeError(f"not a node: {node!r}")
 
 
-# -- constant (scalar * q-power) evaluation ---------------------------------------
+# -- evaluation --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstValue:
-    coeff: GaussianRational
-    qexp: Fraction
-
-
-def _eval_const(node: Node, path: str) -> ConstValue:
-    """Evaluate a closed scalar-times-q-power expression; raises EvalError
-    when the subtree is not of that shape."""
-    if isinstance(node, Num):
-        return ConstValue(GaussianRational(node.value), F(0))
-    if isinstance(node, QVar):
-        return ConstValue(GaussianRational(1), F(1))
-    if isinstance(node, IVar):
-        return ConstValue(GaussianRational(0, 1), F(0))
-    if isinstance(node, Neg):
-        v = _eval_const(node.arg, path)
-        return ConstValue(-v.coeff, v.qexp)
-    if isinstance(node, Pow):
-        v = _eval_const(node.base, path)
-        e = node.exponent
-        if e.denominator == 1:
-            n = e.numerator
-            if n >= 0:
-                c = GaussianRational(1)
-                for _ in range(n):
-                    c = c * v.coeff
-            else:
-                if not v.coeff:
-                    raise EvalError("zero to a negative power", path)
-                c = GaussianRational(1)
-                for _ in range(-n):
-                    c = c / v.coeff
-            return ConstValue(c, v.qexp * n)
-        # fractional power: only legal on a bare q-power with unit 1
-        if v.coeff == GaussianRational(1):
-            return ConstValue(v.coeff, v.qexp * e)
-        raise EvalError("fractional power of a non-q-power", path)
-    if isinstance(node, BinOp):
-        l = _eval_const(node.left, path)
-        r = _eval_const(node.right, path)
-        if node.op == "*":
-            return ConstValue(l.coeff * r.coeff, l.qexp + r.qexp)
-        if node.op == "/":
-            if not r.coeff:
-                raise EvalError("division by zero", path)
-            return ConstValue(l.coeff / r.coeff, l.qexp - r.qexp)
-        # + and - stay scalar only on matching exponents
-        if l.qexp == r.qexp:
-            c = l.coeff + r.coeff if node.op == "+" else l.coeff - r.coeff
-            return ConstValue(c, l.qexp)
-        raise EvalError("sum is not a monomial", path)
-    raise EvalError("not a constant expression", path)
+def _term(s: QSeries, path: str) -> Tuple[GaussianRational, Fraction]:
+    """The coefficient and exponent of an exact series of at most one term."""
+    if s.trunc != INF or len(s.terms) > 1:
+        raise EvalError("expected a scalar times a power of q", path)
+    for e, c in s.terms.items():
+        return c, e
+    return GaussianRational(0), F(0)
 
 
 _UNIT_KS = {
@@ -408,109 +363,80 @@ _UNIT_KS = {
 }
 
 
-def _as_monomial(v: ConstValue, path: str) -> Monomial:
-    key = (v.coeff.re, v.coeff.im)
-    if key not in _UNIT_KS:
-        raise EvalError(f"coefficient {v.coeff} is not a fourth root of unity", path)
-    return Monomial(_UNIT_KS[key], v.qexp)
+def _as_monomial(s: QSeries, path: str) -> Monomial:
+    c, e = _term(s, path)
+    if (c.re, c.im) not in _UNIT_KS:
+        raise EvalError(f"coefficient {c} is not a fourth root of unity", path)
+    return Monomial(_UNIT_KS[c.re, c.im], e)
 
 
-def _as_rational(v: ConstValue, path: str) -> Fraction:
-    if v.qexp != 0:
+def _as_rational(s: QSeries, path: str) -> Fraction:
+    c, e = _term(s, path)
+    if e != 0:
         raise EvalError("expected a rational, found a q-power", path)
-    if v.coeff.im != 0:
+    if c.im != 0:
         raise EvalError("expected a rational, found an imaginary value", path)
-    return v.coeff.re
+    return c.re
 
 
-def _as_int(v: ConstValue, path: str) -> int:
-    r = _as_rational(v, path)
+def _as_int(s: QSeries, path: str) -> int:
+    r = _as_rational(s, path)
     if r.denominator != 1:
         raise EvalError(f"expected an integer, found {r}", path)
     return int(r)
 
 
-def _as_modulus(v: ConstValue, path: str) -> Fraction:
-    if v.coeff != GaussianRational(1) or v.qexp <= 0:
+def _as_modulus(s: QSeries, path: str) -> Fraction:
+    c, e = _term(s, path)
+    if c != GaussianRational(1) or e <= 0:
         raise EvalError("modulus must be a positive plain power of q", path)
-    return v.qexp
+    return e
 
 
-# -- evaluation --------------------------------------------------------------------
+_READERS = {"int": _as_int, "rat": _as_rational, "mono": _as_monomial, "mod": _as_modulus}
 
-# argument kinds: 'int', 'rat', 'mono', 'mod'
-SIGNATURES = {
-    "j": ("mono", "mod"),
-    "jbar": ("mono", "mod"),
-    "Jbar": ("rat", "rat"),
-    "Jm": ("rat",),
-    "eta": ("rat",),
-    "m": ("mono", "mod", "mono"),
-    "f": ("int", "int", "int", "mono", "mono", "rat"),
-    "g": ("int", "mono", "mono", "mono", "mono", "rat"),
-    "h": ("int", "mono", "mono", "mono", "mono", "rat"),
-    "C": ("int", "int", "int"),
-    "calC": ("int", "int", "int"),
-    "theta_side": ("int", "int", "int"),
+# (name, arity) -> (argument kinds, builder of the series exact below T). Each
+# builder looks its constructor up on the module at call time, so a wrapper
+# installed on the module attribute after import sees every call.
+FUNCTIONS = {
+    ("j", 2): (("mono", "mod"), lambda x, Q, T: theta.jtheta(x, Q, T)),
+    ("jbar", 2): (("mono", "mod"), lambda x, Q, T: theta.jtheta(-x, Q, T)),
+    ("J", 1): (("rat",), lambda m, T: theta.Jm(m, T)),
+    ("J", 2): (("rat", "rat"), lambda a, m, T: theta.J(a, m, T)),
+    ("Jbar", 2): (("rat", "rat"), lambda a, m, T: theta.Jbar(a, m, T)),
+    ("Jm", 1): (("rat",), lambda m, T: theta.Jm(m, T)),
+    ("eta", 1): (("rat",), lambda r, T: theta.eta(r, T)),
+    ("m", 3): (("mono", "mod", "mono"), lambda x, Q, z, T: appell.appell_m(x, Q, z, T)),
+    ("f", 6): (("int", "int", "int", "mono", "mono", "rat"),
+               lambda a, b, c, x, y, r, T: hecke.hecke_f(a, b, c, x, y, r, T)),
+    ("g", 6): (("int", "mono", "mono", "mono", "mono", "rat"),
+               lambda b, x, y, z1, z0, r, T: hecke.g_1b1(x, y, r, b, z1, z0, T)),
+    ("h", 6): (("int", "mono", "mono", "mono", "mono", "rat"),
+               lambda n, x, y, z1, z0, r, T: hecke.h_nn1(n, x, y, r, z1, z0, T)),
+    ("C", 3): (("int", "int", "int"),
+               lambda N, ell, m, T: strings.C_full(strings.StringLabel(N, ell, m), T)),
+    ("calC", 3): (("int", "int", "int"),
+                  lambda N, ell, m, T: strings.calC_hecke(strings.StringLabel(N, ell, m), T)),
+    ("theta_side", 3): (("int", "int", "int"), lambda N, ell, m, T:
+                        strings.level_theta_side(strings.StringLabel(N, ell, m), T)),
 }
-KNOWN_FUNCTIONS = {*SIGNATURES, "J"}  # J takes one argument or two
+KNOWN_FUNCTIONS = {name for name, _ in FUNCTIONS}
 
 
 def _call(node: Call, order: Fraction, path: str) -> QSeries:
     name, args = node.name, node.args
-    if name == "J":  # J[m] or J[a, m]
-        sig = ("rat",) * len(args) if len(args) in (1, 2) else None
-    else:
-        sig = SIGNATURES.get(name)
-    if sig is None or len(args) != len(sig):
-        want = len(SIGNATURES.get(name, ())) or "1 or 2"
+    if (name, len(args)) not in FUNCTIONS:
+        want = " or ".join(str(n) for f, n in FUNCTIONS if f == name)
         raise EvalError(f"{name} takes {want} arguments, got {len(args)}", path)
+    kinds, build = FUNCTIONS[name, len(args)]
     vals = []
-    for idx, (kind, a) in enumerate(zip(sig, args), start=1):
+    for idx, (kind, a) in enumerate(zip(kinds, args), start=1):
         apath = f"{path} -> argument {idx} of {name}"
-        v = _eval_const(a, apath)
-        if kind == "int":
-            vals.append(_as_int(v, apath))
-        elif kind == "rat":
-            vals.append(_as_rational(v, apath))
-        elif kind == "mono":
-            vals.append(_as_monomial(v, apath))
-        else:
-            vals.append(_as_modulus(v, apath))
+        vals.append(_READERS[kind](_eval_series(a, order, apath), apath))
     try:
-        if name == "j":
-            return theta.jtheta(vals[0], vals[1], order)
-        if name == "jbar":
-            return theta.jtheta(-vals[0], vals[1], order)
-        if name == "J":
-            if len(vals) == 1:
-                return theta.Jm(vals[0], order)
-            return theta.J(vals[0], vals[1], order)
-        if name == "Jbar":
-            return theta.Jbar(vals[0], vals[1], order)
-        if name == "Jm":
-            return theta.Jm(vals[0], order)
-        if name == "eta":
-            return theta.eta(vals[0], order)
-        if name == "m":
-            return appell.appell_m(vals[0], vals[1], vals[2], order)
-        if name == "f":
-            return hecke.hecke_f(vals[0], vals[1], vals[2], vals[3], vals[4], vals[5], order)
-        if name == "g":
-            return hecke.g_1b1(vals[1], vals[2], vals[5], vals[0], vals[3], vals[4], order)
-        if name == "h":
-            return hecke.h_nn1(vals[0], vals[1], vals[2], vals[5], vals[3], vals[4], order)
-        if name == "C":
-            return strings.C_full(strings.StringLabel(vals[0], vals[1], vals[2]), order)
-        if name == "calC":
-            return strings.calC_hecke(strings.StringLabel(vals[0], vals[1], vals[2]), order)
-        if name == "theta_side":
-            return strings.level_theta_side(strings.StringLabel(vals[0], vals[1], vals[2]), order)
-    except EvalError:
-        raise
+        return build(*vals, order)
     except Exception as exc:
         raise EvalError(f"{type(exc).__name__}: {exc}", path) from exc
-    raise EvalError(f"unhandled function {name}", path)
 
 
 def _cut(s: QSeries, order: Fraction) -> QSeries:
@@ -521,20 +447,24 @@ def _cut(s: QSeries, order: Fraction) -> QSeries:
 
 
 def _eval_series(node: Node, order: Fraction, path: str) -> QSeries:
-    try:
-        v = _eval_const(node, path)
-        return Monomial(0, v.qexp).as_series().scale(v.coeff)
-    except EvalError:
-        pass
+    if isinstance(node, Num):
+        return QSeries.const(node.value)
+    if isinstance(node, QVar):
+        return Monomial.q().as_series()
+    if isinstance(node, IVar):
+        return QSeries.const(GaussianRational(0, 1))
     if isinstance(node, Call):
         return _call(node, order, f"{path}/{node.name}@{node.pos}")
     if isinstance(node, Neg):
         return -_eval_series(node.arg, order, path)
     if isinstance(node, Pow):
         e = node.exponent
-        if e.denominator != 1:
-            raise EvalError("fractional powers apply only to monomials", path)
         base = _eval_series(node.base, order, path)
+        if e.denominator != 1:
+            if base.trunc != INF or list(base.terms.values()) != [GaussianRational(1)]:
+                raise EvalError("fractional powers apply only to plain powers of q", path)
+            (qexp,) = base.terms
+            return Monomial.q(qexp * e).as_series()
         if e < 0:
             base = _cut(base, order)
         try:

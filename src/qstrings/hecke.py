@@ -132,17 +132,15 @@ def hecke_flip_rhs(a: int, b: int, c: int, x: Monomial, y: Monomial, base: Rat, 
 # -- Appell-Lerch building blocks ---------------------------------------------
 
 
-def _theta_times_m(tx: Monomial, tbase: Fraction, mx: Monomial, mbase: Fraction,
-                   z: Monomial, order: Fraction) -> QSeries:
-    """j(tx; q^tbase) * m(mx, q^mbase, z), skipping the Appell sum entirely
-    when the theta coefficient vanishes (its zero is exact)."""
+def _theta_times(tx: Monomial, tbase: Fraction, other, order: Fraction) -> QSeries:
+    """j(tx; q^tbase) * other(T), where other(T) builds the second factor
+    exact below T; the second factor is skipped entirely when the theta
+    factor vanishes (its zero is exact)."""
     if is_theta_zero(tx, tbase):
         return QSeries.zero()
-    v = jtheta_valuation(tx, tbase)
-    mm = appell_m(mx, mbase, z, order - v)
-    o_m = mm.ord_bound()
-    coeff = jtheta(tx, tbase, order - min(o_m, F(0)) + pad(tbase))
-    return (coeff * mm).truncate(order)
+    rest = other(order - jtheta_valuation(tx, tbase))
+    coeff = jtheta(tx, tbase, order - min(rest.ord_bound(), F(0)) + pad(tbase))
+    return (coeff * rest).truncate(order)
 
 
 def g_1b1(x: Monomial, y: Monomial, base: Rat, b: int, z1: Monomial, z0: Monomial,
@@ -158,8 +156,8 @@ def g_1b1(x: Monomial, y: Monomial, base: Rat, b: int, z1: Monomial, z0: Monomia
     e = base * (comb2(b + 1) - 1)
     X1 = Monomial(0, e) * x * ((-y) ** (-b))
     X0 = Monomial(0, e) * y * ((-x) ** (-b))
-    t1 = _theta_times_m(y, base, X1, B, z1, order)
-    t0 = _theta_times_m(x, base, X0, B, z0, order)
+    t1 = _theta_times(y, base, lambda T: appell_m(X1, B, z1, T), order)
+    t0 = _theta_times(x, base, lambda T: appell_m(X0, B, z0, T), order)
     return (t1 + t0).truncate(order)
 
 
@@ -174,8 +172,8 @@ def h_nn1(n: int, x: Monomial, y: Monomial, base: Rat, z1: Monomial, z0: Monomia
     order = F(order)
     X1 = Monomial(2, base * (n - 1)) * y * x.inverse()
     X0 = Monomial(0, base * comb2(n)) * x * ((-y) ** (-n))
-    t1 = _theta_times_m(x, base * n, X1, base * (n - 1), z1, order)
-    t0 = _theta_times_m(y, base, X0, base * (n * n - n), z0, order)
+    t1 = _theta_times(x, base * n, lambda T: appell_m(X1, base * (n - 1), z1, T), order)
+    t0 = _theta_times(y, base, lambda T: appell_m(X0, base * (n * n - n), z0, T), order)
     return (t1 + t0).truncate(order)
 
 
@@ -272,20 +270,10 @@ def theta_1p(p: int, x: Monomial, y: Monomial, base: Rat, order: Rat) -> QSeries
     if p == 1:
         X1 = qb(2) * x * (y ** -2)
         X0 = qb(2) * y * (x ** -2)
-        zyx = y / x
-        acc = QSeries.zero()
-        if not is_theta_zero(y, b):
-            v = jtheta_valuation(y, b)
-            d1 = _delta_from_minus_one(X1, zyx, 3 * b, order - v)
-            o = d1.ord_bound()
-            acc = acc + jtheta(y, b, order - min(o, F(0)) + pad(b)) * d1
-        if not is_theta_zero(x, b):
-            v = jtheta_valuation(x, b)
-            d0 = _delta_from_minus_one(X0, zyx.inverse(), 3 * b, order - v)
-            o = d0.ord_bound()
-            acc = acc + jtheta(x, b, order - min(o, F(0)) + pad(b)) * d0
+        t1 = _theta_times(y, b, lambda T: _delta_from_minus_one(X1, y / x, 3 * b, T), order)
+        t0 = _theta_times(x, b, lambda T: _delta_from_minus_one(X0, x / y, 3 * b, T), order)
         j3 = (Monomial.q(3 * b), 9 * b)
-        acc = acc + theta_quotient(
+        acc = t1 + t0 + theta_quotient(
             num=[j3, j3, j3, (-(x / y), b), (qb(2) * x * y, 3 * b)],
             den=[(MINUS_ONE, 3 * b), (Monomial(2, b) * (y ** 2) / x, 3 * b),
                  (Monomial(2, b) * (x ** 2) / y, 3 * b)],

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .hecke import hecke_f
 from .series import Monomial, QSeries, Rat, pad, require_order
-from .theta import J, Jbar, Jm, eta
+from .theta import J, Jbar, Jm, theta_quotient
 
 F = Fraction
 
@@ -323,18 +323,6 @@ def mps_cor3_rhs(K: int, ell: int, base: Rat, order: Rat) -> QSeries:
     return _divide_by_j1_cubed(raw, order - s, base).shift(Monomial(0, s))
 
 
-def mps_rhs(variant: str, order: Rat, **params) -> QSeries:
-    """Dispatcher: variant in {'split', 'op2', 'op3'}."""
-    if variant == "split":
-        return mps_split_rhs(params["K"], params["m"], params["ell"],
-                             params.get("sign", 1), params.get("base", 1), order)
-    if variant == "op2":
-        return mps_cor2_rhs(params["K"], params["m"], params.get("base", 1), order)
-    if variant == "op3":
-        return mps_cor3_rhs(params["K"], params["ell"], params.get("base", 1), order)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
 # -- classical examples: eta-quotient sides ------------------------------------
 
 
@@ -353,16 +341,14 @@ def restricted_product(step: Rat, modulus: int, excluded, order: Rat) -> QSeries
 
 
 def eta_quotient(factors, order: Rat) -> QSeries:
-    """prod of eta(scale)^power for (scale, power) pairs, exact below order."""
-    order = F(order)
-    total = sum(F(s) * p / 24 for s, p in factors)
-    acc = QSeries.one()
+    """prod of eta(scale)^power for (scale, power) pairs, exact below order:
+    q^(sum of scale*power/24) times a quotient of J_scale = j(q^scale; q^(3 scale))."""
+    num, den = [], []
     for scale, power in factors:
         scale = F(scale)
-        deficit = order - total + F(scale, 24) * power
-        T = F(scale, 24) + max(deficit, scale) + pad(scale)
-        acc = acc * (eta(scale, T) ** power)
-    return require_order(acc, order, "eta quotient")
+        (num if power > 0 else den).extend([(Monomial.q(scale), 3 * scale)] * abs(power))
+    pre = Monomial(0, sum(F(s) * p for s, p in factors) / 24)
+    return theta_quotient(num, den, order, prefactor=pre)
 
 
 _KP_IDS = ("KP2A", "KP3A", "KP3B", "KP3C", "KP4B")

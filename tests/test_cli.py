@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import qstrings
-from qstrings.cli import main
+from qstrings.cli import build_parser, main
 from qstrings.series import format_series, series_from_json_terms
 
 
@@ -74,6 +74,23 @@ class TestEval:
                                "--order", "3")
         assert code == 0
         assert "q^(-1/16)" in out
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_main_serves_after_argparse_exit(self, capsys):
+        for argv in (["eval", "q", "--order", "-1"], ["nosuch"], ["eval"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+        code, out, _ = run_cli(capsys, "eval", "1 + q", "--order", "3", "--format", "json")
+        assert code == 0 and out.startswith("[")
+        # no option of an earlier call carries over
+        code, out, _ = run_cli(capsys, "eval", "1 + q", "--order", "3")
+        assert code == 0 and out.strip() == "1 + q + O(q^3)"
+        code, out, _ = run_cli(capsys, "eval", "1 + q")
+        assert code == 0 and out.strip() == "1 + q + O(q^30)"
 
 
 class TestString:

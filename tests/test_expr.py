@@ -2,11 +2,14 @@
 
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from qstrings.expr import (
+    KNOWN_FUNCTIONS,
     BinOp,
+    Call,
     EvalError,
     Neg,
     ParseError,
@@ -36,6 +39,18 @@ ROUND_TRIP_CORPUS = [
     "eta(1)^(-2)*eta(1/6)^(-1)*eta(1/12)^2",
     "jbar(q, q^4)*2 - jbar(-1, q)",
 ]
+
+# each corpus expression, a tab, and its printed value at order 6
+CORPUS_OUTPUTS = Path(__file__).parent / "data" / "expr_corpus.txt"
+
+
+def _call_names(node):
+    if isinstance(node, Call):
+        yield node.name
+    for child in vars(node).values():
+        for c in (child if isinstance(child, tuple) else (child,)):
+            if hasattr(c, "pos"):
+                yield from _call_names(c)
 
 
 class TestParser:
@@ -166,3 +181,34 @@ class TestEvaluate:
     def test_corpus_evaluates(self):
         for s in ROUND_TRIP_CORPUS:
             assert evaluate_text(s, 6).trunc >= 6, s
+
+    def test_corpus_outputs_unchanged(self):
+        rows = [line.split("\t") for line in CORPUS_OUTPUTS.read_text().splitlines()]
+        assert [src for src, _ in rows] == ROUND_TRIP_CORPUS
+        for src, text in rows:
+            assert format_series(evaluate_text(src, 6)) == text, src
+
+    def test_corpus_calls_every_function(self):
+        called = {name for src in ROUND_TRIP_CORPUS for name in _call_names(parse(src))}
+        assert called == KNOWN_FUNCTIONS
+
+    @pytest.mark.parametrize("src,message", [
+        ("C(2,1/2,0)", "expected an integer, found 1/2"),
+        ("Jm(q)", "expected a rational, found a q-power"),
+        ("Jm(i)", "expected a rational, found an imaginary value"),
+        ("j(2*q,q)", "coefficient 2 is not a fourth root of unity"),
+        ("j(q,3)", "modulus must be a positive plain power of q"),
+        ("j(q,q^0)", "modulus must be a positive plain power of q"),
+        ("j(q+q^2,q)", "expected a scalar times a power of q"),
+        ("f(1,2,1; q,q)", "f takes 6 arguments, got 5"),
+        ("J[1,2,3]", "J takes 1 or 2 arguments, got 3"),
+    ])
+    def test_argument_errors(self, src, message):
+        with pytest.raises(EvalError, match=message):
+            evaluate_text(src, 6)
+
+    def test_argument_monomial_after_cancellation(self):
+        # an argument is read off its value, not off the shape of its text
+        assert evaluate_text("j((1+q)-q, q)", 6).is_exact_zero
+        lhs = evaluate_text("j((q+q^2)-q^2, q^3) * Jm(3*q/q - 2)", 10)
+        assert lhs.compare(evaluate_text("J[1]^2", 10), 10) is None

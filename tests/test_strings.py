@@ -19,18 +19,20 @@ from qstrings.strings import (
     UnsupportedLevel,
     calC_hecke,
     calC_oracle,
+    eta_quotient,
     kp_eta_side,
     kp_string_side,
     level_theta_side,
     mps_cor2_rhs,
     mps_cor3_rhs,
-    mps_rhs,
     mps_split_rhs,
     normalized_theta_form,
     s_exponent,
     symmetry_reduce,
 )
 from qstrings.theta import J, Jbar, Jm
+
+from oracles import pochhammer_product, poly_div, poly_mul
 
 
 def assert_equal(a, b, upto):
@@ -231,13 +233,13 @@ class TestMps:
         rhs = mps_cor2_rhs(2, 0, 1, T)
         assert_equal(lhs, rhs, T)
 
-    def test_dispatcher_and_parity(self):
-        s = mps_rhs("op3", 10, K=2, ell=0)
+    def test_cor_rhs_and_parity(self):
+        s = mps_cor3_rhs(2, 0, 1, 10)
         assert s.trunc >= 10
         with pytest.raises(InvalidParity):
-            mps_rhs("op3", 10, K=2, ell=1)
+            mps_cor3_rhs(2, 1, 1, 10)
         with pytest.raises(InvalidParity):
-            mps_rhs("op2", 10, K=2, m=1)
+            mps_cor2_rhs(2, 1, 1, 10)
 
 
 class TestKpExamples:
@@ -250,6 +252,29 @@ class TestKpExamples:
         rhs = kp_eta_side(name, T)
         assert_equal(lhs, rhs, T)
         assert all(e.denominator <= den for e in lhs.support())
+
+    @pytest.mark.parametrize("factors", [
+        [(1, -2), (F(1, 2), 1)],
+        [(1, -2), (F(1, 6), -1), (F(1, 12), 2)],
+        [(1, -2)],
+        [(2, 3), (1, -1)],
+        [(F(1, 3), -3), (F(2, 5), 1)],
+    ])
+    @pytest.mark.parametrize("T", [F(6), F(7, 3)])
+    def test_eta_quotient_matches_product_oracle(self, factors, T):
+        # eta(s)^p = q^(s*p/24) (q^s; q^s)^p, each power by repeated products
+        # or long division of the brute-force product
+        pre = sum(F(s) * p for s, p in factors) / 24
+        bound = T - pre
+        acc = {F(0): F(1)}
+        for s, p in factors:
+            poch = pochhammer_product(F(1), F(s), F(s), bound)
+            for _ in range(abs(p)):
+                acc = poly_mul(acc, poch, bound) if p > 0 else poly_div(acc, poch, bound)
+        want = {e + pre: c for e, c in acc.items() if c}
+        got = eta_quotient(factors, T)
+        assert got.trunc == T
+        assert {e: c.as_fraction() for e, c in got.terms.items()} == want
 
     def test_oracle_path_agrees_too(self):
         T = F(4)
