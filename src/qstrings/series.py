@@ -472,6 +472,8 @@ class QSeries:
 
     def shift(self, mn: Monomial) -> "QSeries":
         """Multiply by a monomial: exponents shift, coefficients rotate."""
+        if not (mn.unit_k or mn.qexp):
+            return self
         u = mn.unit
         out = QSeries.__new__(QSeries)
         if mn.unit_k == 0:

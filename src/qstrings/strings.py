@@ -25,18 +25,29 @@ verification harness:
 
 * ``calC_hecke`` evaluates the same function through the Hecke-type double
   sum f_{1,1+N,1}(q^{1+(m+l)/2}, q^{1-(m-l)/2}, q) / J_1^3.
+
+Every Hecke-form side is one call of ``_hecke_string``, the window plan for
+q^s * sum of pre * f_{a,b,c}(x, y, q^base) / J_base^3: ``calC_hecke`` and the
+even-level splittings ``mps_split_rhs``, ``mps_cor2_rhs`` and ``mps_cor3_rhs``.
+``normalized_theta_form`` is q^e f_{1,1+N,1}(x, y, q) itself.  The
+Kac-Peterson examples are two tables: ``_KP_ETA`` (q-shift, eta factors and
+theta numerators for one ``theta_quotient``) and ``_KP_STRINGS``
+((coefficient, N, ell, m) rows).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 from .hecke import hecke_f
 from .series import Monomial, QSeries, Rat, pad, require_order
 from .theta import J, Jbar, Jm, theta_quotient
 
 F = Fraction
+ONE = Monomial.one()
 
 
 class InvalidLabel(Exception):
@@ -153,14 +164,24 @@ def calC_oracle(lbl: StringLabel, order: Rat) -> QSeries:
     return _divide_by_j1_cubed(raw, order)
 
 
+def _hecke_string(abc, terms, base: Rat, s: Rat, order: Fraction) -> QSeries:
+    """q^s * (sum of pre * f_{a,b,c}(x, y, q^base) over (x, y, pre) in terms) / J_base^3,
+    exact below order: the one window plan behind every Hecke-form string side."""
+    T = order - s
+    win = T + pad(base)
+    raw = reduce(add, (hecke_f(*abc, x, y, base, win - pre.qexp).shift(pre) for x, y, pre in terms))
+    return _divide_by_j1_cubed(raw, T, base).shift(Monomial(0, s))
+
+
+def _calC_args(lbl: StringLabel):
+    """(x, y) with f_{1,1+N,1}(x, y, q) = J_1^3 calC."""
+    return Monomial.q(1 + F(lbl.m + lbl.ell, 2)), Monomial.q(1 - F(lbl.m - lbl.ell, 2))
+
+
 def calC_hecke(lbl: StringLabel, order: Rat) -> QSeries:
     """The normalized string function via f_{1,1+N,1} / J_1^3."""
-    order = F(order)
-    x = Monomial.q(1 + F(lbl.m + lbl.ell, 2))
-    y = Monomial.q(1 - F(lbl.m - lbl.ell, 2))
-    win = order + pad(1)
-    raw = hecke_f(1, 1 + lbl.N, 1, x, y, 1, win)
-    return _divide_by_j1_cubed(raw, order)
+    x, y = _calC_args(lbl)
+    return _hecke_string((1, 1 + lbl.N, 1), [(x, y, ONE)], 1, 0, F(order))
 
 
 def C_full(lbl: StringLabel, order: Rat, oracle: bool = False) -> QSeries:
@@ -172,12 +193,12 @@ def C_full(lbl: StringLabel, order: Rat, oracle: bool = False) -> QSeries:
 
 
 def normalized_theta_form(lbl: StringLabel, order: Rat) -> QSeries:
-    """q^{-(m^2-ell^2)/(4N)} J_1^3 calC: the side tabulated by the level theorems."""
+    """q^{-(m^2-ell^2)/(4N)} J_1^3 calC = q^e f_{1,1+N,1}(x, y, q): the side
+    tabulated by the level theorems."""
     order = F(order)
     e = -F(lbl.m ** 2 - lbl.ell ** 2, 4 * lbl.N)
-    inner = calC_hecke(lbl, order - e)
-    j13 = Jm(1, order - e) ** 3
-    return (inner * j13).shift(Monomial(0, e)).truncate(order)
+    x, y = _calC_args(lbl)
+    return hecke_f(1, 1 + lbl.N, 1, x, y, 1, order - e).shift(Monomial(0, e))
 
 
 def symmetry_reduce(lbl: StringLabel) -> StringLabel:
@@ -284,119 +305,81 @@ def mps_split_rhs(K: int, m: int, ell: int, sign: int, base: Rat, order: Rat) ->
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     lbl = StringLabel(2 * K, ell, m)
-    base = F(base)
-    order = F(order)
-    s = base * s_exponent(lbl)
     uk = 0 if sign == 1 else 2
-    x1 = Monomial(uk, base * (1 + F(K + ell, 2)))
-    y1 = Monomial(0, base * (1 + F(m + ell, 2)))
-    x2 = Monomial(uk, base * (1 + F(3 * K - ell, 2)))
-    y2 = Monomial(0, base * (1 + K + F(m - ell, 2)))
-    cross = Monomial(uk, base * F(K - ell, 2))
-    win = order - s + pad(base)
-    raw = (hecke_f(K + 1, K + 1, 1, x1, y1, base, win)
-           + hecke_f(K + 1, K + 1, 1, x2, y2, base, win - cross.qexp).shift(cross))
-    return _divide_by_j1_cubed(raw, order - s, base).shift(Monomial(0, s))
+    terms = [
+        (Monomial(uk, base * (1 + F(K + ell, 2))), Monomial(0, base * (1 + F(m + ell, 2))), ONE),
+        (Monomial(uk, base * (1 + F(3 * K - ell, 2))), Monomial(0, base * (1 + K + F(m - ell, 2))),
+         Monomial(uk, base * F(K - ell, 2))),
+    ]
+    return _hecke_string((K + 1, K + 1, 1), terms, base, base * s_exponent(lbl), F(order))
 
 
 def mps_cor2_rhs(K: int, m: int, base: Rat, order: Rat) -> QSeries:
     """C_{m,K}^{2K} as a single f_{K+1,K+1,1}; needs m = K (mod 2)."""
     lbl = StringLabel(2 * K, K, m)
-    base = F(base)
-    order = F(order)
-    s = base * s_exponent(lbl)
-    x = Monomial(0, base * (K + 1))
-    y = Monomial(0, base * (1 + F(m + K, 2)))
-    raw = hecke_f(K + 1, K + 1, 1, x, y, base, order - s + pad(base))
-    return _divide_by_j1_cubed(raw, order - s, base).shift(Monomial(0, s))
+    terms = [(Monomial(0, base * (K + 1)), Monomial(0, base * (1 + F(m + K, 2))), ONE)]
+    return _hecke_string((K + 1, K + 1, 1), terms, base, base * s_exponent(lbl), F(order))
 
 
 def mps_cor3_rhs(K: int, ell: int, base: Rat, order: Rat) -> QSeries:
     """C_{K,ell}^{2K} as a single f_{K+1,K+1,1}; needs K = ell (mod 2)."""
     lbl = StringLabel(2 * K, ell, K)
-    base = F(base)
-    order = F(order)
-    s = base * s_exponent(lbl)
-    x = Monomial(0, base * (1 + F(K + ell, 2)))
-    y = Monomial(0, base * (1 - F(K - ell, 2)))
-    raw = hecke_f(K + 1, K + 1, 1, x, y, base, order - s + pad(base))
-    return _divide_by_j1_cubed(raw, order - s, base).shift(Monomial(0, s))
+    terms = [(Monomial(0, base * (1 + F(K + ell, 2))), Monomial(0, base * (1 - F(K - ell, 2))), ONE)]
+    return _hecke_string((K + 1, K + 1, 1), terms, base, base * s_exponent(lbl), F(order))
 
 
-# -- classical examples: eta-quotient sides ------------------------------------
+# -- classical examples ----------------------------------------------------------
 
 
-def restricted_product(step: Rat, modulus: int, excluded, order: Rat) -> QSeries:
-    """prod over n >= 1 with n mod `modulus` not excluded of (1 - q^(step*n))."""
-    step = F(step)
-    order = F(order)
-    win = order + pad(step)
-    acc = QSeries.one(win)
-    n = 1
-    while step * n < win:
-        if n % modulus not in excluded:
-            acc = (acc * QSeries({F(0): 1, step * n: -1}, win)).truncate(win)
-        n += 1
-    return acc.truncate(order)
-
-
-def eta_quotient(factors, order: Rat) -> QSeries:
-    """prod of eta(scale)^power for (scale, power) pairs, exact below order:
-    q^(sum of scale*power/24) times a quotient of J_scale = j(q^scale; q^(3 scale))."""
-    num, den = [], []
+def eta_quotient(factors, order: Rat, shift: Rat = 0, thetas=()) -> QSeries:
+    """q^shift * prod of j(x; q^b) over (x, b) in thetas * prod of eta(scale)^power,
+    exact below order: one theta_quotient with each J_scale = j(q^scale; q^(3 scale))
+    repeated |power| times and prefactor q^(shift + sum of scale*power/24)."""
+    num, den = list(thetas), []
     for scale, power in factors:
         scale = F(scale)
         (num if power > 0 else den).extend([(Monomial.q(scale), 3 * scale)] * abs(power))
-    pre = Monomial(0, sum(F(s) * p for s, p in factors) / 24)
+    pre = Monomial(0, shift + sum(F(sc) * p for sc, p in factors) / 24)
     return theta_quotient(num, den, order, prefactor=pre)
 
 
-_KP_IDS = ("KP2A", "KP3A", "KP3B", "KP3C", "KP4B")
+# name: (q-shift, eta (scale, power) factors, theta numerators).  KP3A-C carry
+# a restricted product prod over n mod 5 not in E of (1 - q^(t n)); by the
+# triple product it is j(q^t; q^(5t)) for E = {2, 3} and j(q^(2t); q^(5t))
+# for E = {1, 4}.
+_KP_ETA = {
+    "KP2A": (0, [(1, -2), (F(1, 2), 1)], ()),
+    "KP3A": (F(27, 40), [(1, -2)], [(Monomial.q(3), 15)]),
+    "KP3B": (F(1, 120), [(1, -2)], [(Monomial.q(F(2, 3)), F(5, 3))]),
+    "KP3C": (F(3, 40), [(1, -2)], [(Monomial.q(F(1, 3)), F(5, 3))]),
+    "KP4B": (0, [(1, -2), (F(1, 6), -1), (F(1, 12), 2)], ()),
+}
+
+# name: (coefficient, N, ell, m) rows of the string-function combination
+_KP_STRINGS = {
+    "KP2A": ((1, 2, 0, 0), (-1, 2, 0, 2)),
+    "KP3A": ((1, 3, 0, 2),),
+    "KP3B": ((1, 3, 0, 0), (-1, 3, 0, 2)),
+    "KP3C": ((1, 3, 1, 1), (-1, 3, 1, 3)),
+    "KP4B": ((1, 4, 0, 0), (-2, 4, 0, 2), (1, 4, 0, 4), (2, 4, 2, 0), (-2, 4, 2, 2)),
+}
+
+
+def _kp_row(table: dict, name: str):
+    try:
+        return table[name]
+    except KeyError:
+        raise ValueError(f"unknown example {name!r}; expected one of {tuple(table)}") from None
 
 
 def kp_eta_side(name: str, order: Rat) -> QSeries:
     """The classical eta-quotient / restricted-product sides."""
-    order = F(order)
-    if name == "KP2A":
-        return eta_quotient([(1, -2), (F(1, 2), 1)], order)
-    if name == "KP3A":
-        sh = Monomial(0, F(27, 40))
-        inner = eta_quotient([(1, -2)], order - sh.qexp + F(1, 12) + pad(1))
-        prod = restricted_product(3, 5, {2, 3}, order - sh.qexp + F(1, 12) + pad(1))
-        return (inner * prod).shift(sh).truncate(order)
-    if name == "KP3B":
-        sh = Monomial(0, F(1, 120))
-        win = order - sh.qexp + F(1, 12) + pad(F(1, 3))
-        inner = eta_quotient([(1, -2)], win)
-        prod = restricted_product(F(1, 3), 5, {1, 4}, win)
-        return (inner * prod).shift(sh).truncate(order)
-    if name == "KP3C":
-        sh = Monomial(0, F(3, 40))
-        win = order - sh.qexp + F(1, 12) + pad(F(1, 3))
-        inner = eta_quotient([(1, -2)], win)
-        prod = restricted_product(F(1, 3), 5, {2, 3}, win)
-        return (inner * prod).shift(sh).truncate(order)
-    if name == "KP4B":
-        return eta_quotient([(1, -2), (F(1, 6), -1), (F(1, 12), 2)], order)
-    raise ValueError(f"unknown example {name!r}; expected one of {_KP_IDS}")
+    shift, factors, thetas = _kp_row(_KP_ETA, name)
+    return eta_quotient(factors, order, shift, thetas)
 
 
 def kp_string_side(name: str, order: Rat, oracle: bool = False) -> QSeries:
     """The matching string-function combinations."""
     order = F(order)
-
-    def C(N, ell, m):
-        return C_full(StringLabel(N, ell, m), order, oracle=oracle)
-
-    if name == "KP2A":
-        return (C(2, 0, 0) - C(2, 0, 2)).truncate(order)
-    if name == "KP3A":
-        return C(3, 0, 2).truncate(order)
-    if name == "KP3B":
-        return (C(3, 0, 0) - C(3, 0, 2)).truncate(order)
-    if name == "KP3C":
-        return (C(3, 1, 1) - C(3, 1, 3)).truncate(order)
-    if name == "KP4B":
-        return (C(4, 0, 0) - C(4, 0, 2).scale(2) + C(4, 0, 4)
-                + C(4, 2, 0).scale(2) - C(4, 2, 2).scale(2)).truncate(order)
-    raise ValueError(f"unknown example {name!r}; expected one of {_KP_IDS}")
+    return reduce(add, (C_full(StringLabel(N, ell, m), order, oracle=oracle).scale(c)
+                        for c, N, ell, m in _kp_row(_KP_STRINGS, name))).truncate(order)

@@ -26,6 +26,7 @@ from typing import Callable, Optional
 from . import strings
 from .appell import appell_m
 from .hecke import (
+    MINUS_ONE,
     acdivb_rhs,
     genfn_rhs,
     hecke_f,
@@ -64,7 +65,6 @@ from .theta import (
 F = Fraction
 q = Monomial.q
 mq = Monomial.mq
-MINUS_ONE = Monomial(2, F(0))
 
 SUITES = (
     "notation",
@@ -661,21 +661,15 @@ def _register_strings():
                   den=8 * N * (N + 2), order=20,
                   ref="label symmetry of the full string function")
 
+    def norm(lbl, T):
+        e = -F(lbl.m ** 2 - lbl.ell ** 2, 4 * lbl.N)
+        return calC_hecke(lbl, T - e).shift(Monomial(0, e))
+
     for (N, ell, m) in [(2, 0, 2), (4, 2, 2)]:
         lbl = StringLabel(N, ell, m)
-
-        def norm(T, lbl=lbl):
-            e = -F(lbl.m ** 2 - lbl.ell ** 2, 4 * lbl.N)
-            return calC_hecke(lbl, T - e).shift(Monomial(0, e))
-
-        red = strings.symmetry_reduce(lbl)
-
-        def norm_red(T, red=red):
-            e = -F(red.m ** 2 - red.ell ** 2, 4 * red.N)
-            return calC_hecke(red, T - e).shift(Monomial(0, e))
-
         _case(f"symmetry/canonical/N{N}l{ell}m{m}", "strings_symmetries",
-              norm, norm_red, den=4 * N, order=20,
+              (lambda T, lbl=lbl: norm(lbl, T)),
+              (lambda T, red=strings.symmetry_reduce(lbl): norm(red, T)), den=4 * N, order=20,
               ref="normalized series agrees with its canonical representative")
 
 

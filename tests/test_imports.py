@@ -1,6 +1,8 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no private
+module-level name goes unused by the package.
 
-`__init__.py` is left out: it imports names to re-export them.
+`__init__.py` is left out of the import check: it imports names to
+re-export them.
 """
 
 import ast
@@ -34,3 +36,39 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def private_definitions(source: str) -> list:
+    """(line, name) of each `_`-prefixed, non-dunder function, class or
+    assignment at module level."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return [(line, name) for line, name in out
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))]
+
+
+def loaded_names(source: str) -> set:
+    """Every name read as a plain name or an attribute."""
+    tree = ast.parse(source)
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def test_checker_finds_private_names():
+    src = "__all__ = []\n_A = 1\nB = 2\n\ndef _f():\n    return _A\n\nclass _C:\n    pass\n"
+    assert private_definitions(src) == [(2, "_A"), (5, "_f"), (8, "_C")]
+    assert {"_A", "_f", "_C"} & loaded_names(src) == {"_A"}
+    assert "_g" in loaded_names("m._g()\n")
+
+
+def test_every_private_name_is_used():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    loaded = set().union(*(loaded_names(src) for src in sources.values()))
+    unused = [(module, line, name) for module, src in sources.items()
+              for line, name in private_definitions(src) if name not in loaded]
+    assert unused == []

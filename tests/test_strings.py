@@ -32,7 +32,7 @@ from qstrings.strings import (
 )
 from qstrings.theta import J, Jbar, Jm
 
-from oracles import pochhammer_product, poly_div, poly_mul
+from oracles import pochhammer_product, poly_div, poly_mul, product_expand
 
 
 def assert_equal(a, b, upto):
@@ -275,6 +275,34 @@ class TestKpExamples:
         got = eta_quotient(factors, T)
         assert got.trunc == T
         assert {e: c.as_fraction() for e, c in got.terms.items()} == want
+
+    @pytest.mark.parametrize("name,shift,t,excluded", [
+        ("KP3A", F(27, 40), F(3), {2, 3}),
+        ("KP3B", F(1, 120), F(1, 3), {1, 4}),
+        ("KP3C", F(3, 40), F(1, 3), {2, 3}),
+    ])
+    @pytest.mark.parametrize("T", [F(6), F(7, 3)])
+    def test_restricted_products_match_product_oracle(self, name, shift, t, excluded, T):
+        # q^shift eta(1)^(-2) prod over n mod 5 not in E of (1 - q^(t n)),
+        # expanded factor by factor and divided twice by (q; q)_inf
+        pre = shift - F(1, 12)
+        bound = T - pre
+        n_max = int(bound / t) + 1
+        acc = product_expand([(1, t * n) for n in range(1, n_max + 1) if n % 5 not in excluded],
+                             bound)
+        poch = pochhammer_product(F(1), F(1), F(1), bound)
+        acc = poly_div(poly_div(acc, poch, bound), poch, bound)
+        want = {e + pre: c for e, c in acc.items() if c}
+        got = kp_eta_side(name, T)
+        assert got.trunc == T
+        assert {e: c.as_fraction() for e, c in got.terms.items()} == want
+
+    @pytest.mark.parametrize("side", [kp_eta_side, kp_string_side])
+    def test_unknown_example(self, side):
+        with pytest.raises(ValueError, match="unknown example 'KP9'") as err:
+            side("KP9", 6)
+        for name in ("KP2A", "KP3A", "KP3B", "KP3C", "KP4B"):
+            assert name in str(err.value)
 
     def test_oracle_path_agrees_too(self):
         T = F(4)
