@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .series import GaussianRational, Monomial, QI_ONE, QSeries, Rat, pad, require_order
+from .series import (UNIT_PAIRS, GaussianRational, Monomial, QI_ONE, QSeries, Rat, _pair, pad,
+                     require_order)
 from .theta import (ThetaZeroDenominator, comb2, is_theta_zero, jtheta, jtheta_valuation,
                     parabola_range)
 
@@ -43,33 +44,35 @@ def appell_m(x: Monomial, base: Rat, z: Monomial, order: Rat) -> QSeries:
     o_z = jtheta_valuation(z, base)
     win_s = order + max(o_z, Fraction(0)) + pad(base)
 
+    # every exponent in units of 1/D: e_r = base*C(r,2) + r*z.qexp is
+    # Bc*C(r,2) + r*Z, d is Bc*(r-1) + X + Z, and e < win_s is e*D < W
+    D = math.lcm(base.denominator, x.qexp.denominator, z.qexp.denominator)
+    Bc, X, Z, W = int(base * D), int(x.qexp * D), int(z.qexp * D), math.ceil(win_s * D)
     terms: dict = {}
-
-    def put(e: Fraction, c: GaussianRational):
-        s = terms.get(e)
-        s = c if s is None else s + c
-        if s:
-            terms[e] = s
-        else:
-            terms.pop(e, None)
-
-    sigma = Fraction(0)
+    sigma = 0
     rho_k = (x.unit_k + z.unit_k) % 4  # rho = i^rho_k
     for r in parabola_range(base, z.qexp, win_s):
-        e_r = base * comb2(r) + r * z.qexp
+        e_r = Bc * comb2(r) + r * Z
         sigma = min(sigma, e_r)
         lead_k = 2 * r + z.unit_k * r  # (-1)^r z.unit^r = i^lead_k
-        d = base * (r - 1) + x.qexp + z.qexp
-        if d > 0:
-            for t in range(math.ceil((win_s - e_r) / d)):
-                put(e_r + t * d, GaussianRational.i_power(lead_k + rho_k * t))
-        elif d < 0:
-            for t in range(1, math.ceil((win_s - e_r) / -d)):
-                put(e_r - t * d, -GaussianRational.i_power(lead_k - rho_k * t))
+        d = Bc * (r - 1) + X + Z
+        if d > 0:  # i^(lead_k + rho_k*t) q^(e_r + t*d) for e_r + t*d < W
+            run = [(e_r + t * d, UNIT_PAIRS[(lead_k + rho_k * t) & 3]) for t in range(-((e_r - W) // d))]
+        elif d < 0:  # -i^(lead_k - rho_k*t) q^(e_r - t*d) for t >= 1
+            run = [(e_r - t * d, UNIT_PAIRS[(lead_k - rho_k * t + 2) & 3])
+                   for t in range(1, -((e_r - W) // -d))]
         else:
-            put(e_r, GaussianRational.i_power(lead_k) / (QI_ONE - GaussianRational.i_power(rho_k)))
+            run = [(e_r, _pair(GaussianRational.i_power(lead_k) / (QI_ONE - GaussianRational.i_power(rho_k))))]
+        for k, (dre, dim) in run:
+            s = terms.get(k)
+            if s is None:
+                terms[k] = [dre, dim]
+            else:
+                s[0] += dre
+                s[1] += dim
 
-    s = QSeries(terms, win_s)
+    s = QSeries.lattice(D, terms, win_s)
+    sigma = Fraction(sigma, D)
     win_d = max(o_z + base, order + 2 * o_z - min(sigma, Fraction(0)) + pad(base))
     denom = jtheta(z, base, win_d)
     return require_order(s / denom, order, "appell")

@@ -348,9 +348,9 @@ def pretty(node: Node, prec: int = 0) -> str:
 
 def _term(s: QSeries, path: str) -> Tuple[GaussianRational, Fraction]:
     """The coefficient and exponent of an exact series of at most one term."""
-    if s.trunc != INF or len(s.terms) > 1:
+    if s.trunc != INF or len(s.coeffs) > 1:
         raise EvalError("expected a scalar times a power of q", path)
-    for e, c in s.terms.items():
+    for e, c in s.items_sorted():
         return c, e
     return GaussianRational(0), F(0)
 
@@ -443,7 +443,7 @@ def _cut(s: QSeries, order: Fraction) -> QSeries:
     """`s` truncated `order` past its least exponent if it is exact with
     several terms: the quotient by such a series has infinitely many terms,
     and the cut gives it a truncation while keeping its leading term."""
-    return s.truncate(s.ord + order) if s.trunc == INF and len(s.terms) > 1 else s
+    return s.truncate(s.ord + order) if s.trunc == INF and len(s.coeffs) > 1 else s
 
 
 def _eval_series(node: Node, order: Fraction, path: str) -> QSeries:
@@ -461,9 +461,9 @@ def _eval_series(node: Node, order: Fraction, path: str) -> QSeries:
         e = node.exponent
         base = _eval_series(node.base, order, path)
         if e.denominator != 1:
-            if base.trunc != INF or list(base.terms.values()) != [GaussianRational(1)]:
+            if base.trunc != INF or list(base.coeffs.values()) != [(1, 0)]:
                 raise EvalError("fractional powers apply only to plain powers of q", path)
-            (qexp,) = base.terms
+            (qexp,) = base.support()
             return Monomial.q(qexp * e).as_series()
         if e < 0:
             base = _cut(base, order)

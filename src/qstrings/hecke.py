@@ -13,8 +13,8 @@ and no other.
 The enumeration runs on plain ints: with D the lcm of the denominators of
 base, x.qexp and y.qexp, every exponent is the int E(r,s)*D and the window
 e < order + pad(base) becomes E*D < ceil(window*D).  Each coefficient is
-summed as an (re, im) pair of ints keyed by the int exponent;
-``series._from_lattice`` builds the stored series once per output term.
+summed as an (re, im) pair of ints keyed by the int exponent, and those
+pairs are the stored series on the lattice 1/D (``QSeries.lattice``).
 
 The remaining builders construct the closed right-hand sides that express
 f_{a,b,c} through Appell-Lerch sums plus quotients of theta functions.
@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, lcm
 
-from .series import Monomial, QSeries, Rat, _from_lattice, pad
+from .series import UNIT_PAIRS, Monomial, QSeries, Rat, pad
 from .appell import appell_m
 from .theta import (
     comb2,
@@ -41,7 +41,6 @@ from .theta import (
 
 F = Fraction
 MINUS_ONE = Monomial(2, F(0))
-_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^k as (re, im)
 
 
 def _on_arm(rng: range, up: bool) -> range:
@@ -84,7 +83,7 @@ def hecke_f(a: int, b: int, c: int, x: Monomial, y: Monomial, base: Rat, order: 
             # E(r, s) < W exactly for these s
             for s in _on_arm(parabola_range(Bc, lin, W - pr), up):
                 e = pr + s * lin + Bc * (s * (s - 1) // 2)
-                dre, dim = _UNITS[(kr + ky * s) & 3]
+                dre, dim = UNIT_PAIRS[(kr + ky * s) & 3]
                 cf = acc.get(e)
                 if cf is None:
                     acc[e] = [dre, dim]
@@ -92,7 +91,7 @@ def hecke_f(a: int, b: int, c: int, x: Monomial, y: Monomial, base: Rat, order: 
                     cf[0] += dre
                     cf[1] += dim
 
-    return _from_lattice(acc, D, win).truncate(order)
+    return QSeries.lattice(D, acc, order)
 
 
 def hecke_shift_rhs(a: int, b: int, c: int, x: Monomial, y: Monomial, base: Rat,

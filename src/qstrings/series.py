@@ -12,13 +12,20 @@ to share between threads.  Arithmetic propagates the best provable
 truncation and never silently claims more precision than its inputs
 support.
 
-Multiplication and series division run on plain ints: both operands go on
-their common exponent lattice 1/den (den the lcm of their exponent
-denominators), each exponent e becomes the int e*den, the truncation the
-int bound ceil(trunc*den), and each coefficient an (re, im) pair whose parts
-are ints when integral (mixed int/Fraction arithmetic keeps the rest exact).
-Fractions and GaussianRationals are built only at the storage boundary,
-once per output term.
+Every series is stored on an integer exponent lattice, as FLINT's fmpq_poly
+stores integer numerators over one common denominator: an int ``den`` and a
+dict ``coeffs`` mapping the int k to the coefficient of q^(k/den) as an
+(re, im) pair, each part an int when integral and a Fraction only when not
+(mixed int/Fraction arithmetic keeps such parts exact).  ``den`` need not
+be minimal.  An operation on two series first moves both onto the lcm of
+their dens, and compares exponents with trunc through the int bound
+ceil(trunc*den), so addition, multiplication, division, shifts,
+substitutions, truncation and comparison all run on ints.  The
+constructors of the other modules build their lattice terms directly with
+``QSeries.lattice``.  Fractions and GaussianRationals appear only at the
+boundary: the Fraction-keyed constructor, ``__getitem__``, ``terms`` (a
+view built on every read), ``items_sorted``, ``support``, ``ord``,
+``Mismatch`` and the JSON and text forms.
 """
 
 from __future__ import annotations
@@ -28,8 +35,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import ceil, inf as INF, lcm
-from typing import Mapping, Union
+from math import gcd, inf as INF, lcm
+from typing import Mapping, Sequence, Union
 
 Rat = Union[int, Fraction]
 Trunc = Union[Fraction, float]  # a Fraction, or INF for exact values
@@ -204,6 +211,7 @@ _I_POWERS = (
 
 QI_ZERO = GaussianRational(0)
 QI_ONE = _I_POWERS[0]
+UNIT_PAIRS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^k as (re, im)
 
 
 @dataclass(frozen=True)
@@ -254,7 +262,7 @@ class Monomial:
         return self ** (-1)
 
     def as_series(self) -> "QSeries":
-        return QSeries({self.qexp: self.unit}, INF)
+        return _new(self.qexp.denominator, {self.qexp.numerator: UNIT_PAIRS[self.unit_k]}, INF)
 
     def __str__(self):
         u = {0: "", 1: "i*", 2: "-", 3: "-i*"}[self.unit_k]
@@ -275,29 +283,52 @@ class Mismatch:
 
 
 class QSeries:
-    """Sparse exact q-series: finite exponent -> coefficient map + trunc."""
+    """Sparse exact q-series on the exponent lattice 1/den.
 
-    __slots__ = ("terms", "trunc")
+    ``coeffs`` maps an int k to the (re, im) pair of the coefficient
+    re + im*i of q^(k/den); only nonzero coefficients with k/den < trunc are
+    stored, and neither den nor the pairs are ever changed after
+    construction.
+    """
 
-    def __init__(self, terms: Mapping[Fraction, GaussianRational], trunc: Trunc):
-        t = {}
+    __slots__ = ("den", "coeffs", "trunc")
+
+    def __init__(self, terms: Mapping[Rat, object], trunc: Trunc):
+        trunc = trunc if trunc == INF else Fraction(trunc)
+        known = {}
         for e, c in terms.items():
             if not isinstance(c, GaussianRational):
                 c = GaussianRational(c)
             if c and e < trunc:
-                t[Fraction(e)] = c
-        self.terms = t
-        self.trunc = trunc if trunc == INF else Fraction(trunc)
+                known[Fraction(e)] = c
+        den = lcm(*(e.denominator for e in known))
+        self.den = den
+        self.coeffs = {e.numerator * (den // e.denominator): (_part(c.re), _part(c.im))
+                       for e, c in known.items()}
+        self.trunc = trunc
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def lattice(den: int, coeffs: Mapping[int, Sequence[Rat]], trunc: Trunc) -> "QSeries":
+        """The sum of (re + im*i) q^(k/den) over k: (re, im) in `coeffs`, below
+        `trunc`; zero coefficients are dropped and integral parts become ints."""
+        trunc = trunc if trunc == INF else Fraction(trunc)
+        bound = _bound(trunc, den)
+        out = {}
+        for k, (re, im) in coeffs.items():
+            if (re or im) and k < bound:
+                out[k] = (re if re.__class__ is int or re.denominator != 1 else re.numerator,
+                          im if im.__class__ is int or im.denominator != 1 else im.numerator)
+        return _new(den, out, trunc)
+
+    @staticmethod
     def zero() -> "QSeries":
-        return QSeries({}, INF)
+        return _new(1, {}, INF)
 
     @staticmethod
     def const(c, trunc: Trunc = INF) -> "QSeries":
-        return QSeries({Fraction(0): c if isinstance(c, GaussianRational) else GaussianRational(c)}, trunc)
+        return QSeries.lattice(1, {0: _pair(c)}, trunc)
 
     @staticmethod
     def one(trunc: Trunc = INF) -> "QSeries":
@@ -307,28 +338,38 @@ class QSeries:
 
     @property
     def is_exact_zero(self) -> bool:
-        return not self.terms and self.trunc == INF
+        return not self.coeffs and self.trunc == INF
 
     @property
     def ord(self):
         """Least stored exponent, or None when no term is known."""
-        return min(self.terms) if self.terms else None
+        return Fraction(min(self.coeffs), self.den) if self.coeffs else None
 
     def ord_bound(self) -> Trunc:
         """A lower bound for the exponent of any term, known or not."""
-        return self.ord if self.terms else self.trunc
+        return self.ord if self.coeffs else self.trunc
 
     def __getitem__(self, e: Rat) -> GaussianRational:
         e = Fraction(e)
         if e >= self.trunc:
             raise InsufficientOrder(f"coefficient at q^{e} is beyond trunc {self.trunc}")
-        return self.terms.get(e, QI_ZERO)
+        k = e * self.den
+        return _gauss(self.coeffs.get(k.numerator) if k.denominator == 1 else None)
+
+    @property
+    def terms(self) -> dict:
+        """The stored terms as a new {Fraction exponent: GaussianRational} dict,
+        built on every read; changing it leaves the series as it was."""
+        den = self.den
+        return {Fraction(k, den): GaussianRational(re, im) for k, (re, im) in self.coeffs.items()}
 
     def items_sorted(self):
-        return sorted(self.terms.items())
+        den = self.den
+        return [(Fraction(k, den), GaussianRational(re, im))
+                for k, (re, im) in sorted(self.coeffs.items())]
 
     def support(self):
-        return sorted(self.terms)
+        return [Fraction(k, self.den) for k in sorted(self.coeffs)]
 
     # -- ring operations ---------------------------------------------------
 
@@ -336,19 +377,22 @@ class QSeries:
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = QSeries.const(other)
         trunc = min(self.trunc, other.trunc)
-        t = {e: c for e, c in self.terms.items() if e < trunc}
-        for e, c in other.terms.items():
-            if e >= trunc:
+        den, a, b = _rebase(self, other)
+        bound = _bound(trunc, den)
+        t = {k: c for k, c in a.items() if k < bound}
+        for k, c in b.items():
+            if k >= bound:
                 continue
-            s = t.get(e, QI_ZERO) + c
-            if s:
-                t[e] = s
+            s = t.get(k)
+            if s is None:
+                t[k] = c
+                continue
+            re, im = s[0] + c[0], s[1] + c[1]
+            if re or im:
+                t[k] = (_part(re), _part(im))
             else:
-                t.pop(e, None)
-        out = QSeries.__new__(QSeries)
-        out.terms = t
-        out.trunc = trunc
-        return out
+                del t[k]
+        return _new(den, t, trunc)
 
     __radd__ = __add__
 
@@ -361,20 +405,16 @@ class QSeries:
         return (-self) + other
 
     def __neg__(self):
-        out = QSeries.__new__(QSeries)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        out.trunc = self.trunc
-        return out
+        return _new(self.den, {k: (-re, -im) for k, (re, im) in self.coeffs.items()}, self.trunc)
 
     def scale(self, c) -> "QSeries":
-        if not isinstance(c, GaussianRational):
-            c = GaussianRational(c)
-        if not c:
+        cr, ci = _pair(c)
+        if not (cr or ci):
             return QSeries.zero()
-        out = QSeries.__new__(QSeries)
-        out.terms = {e: v * c for e, v in self.terms.items()}
-        out.trunc = self.trunc
-        return out
+        if cr == 1 and not ci:
+            return self
+        return _new(self.den, {k: (_part(re * cr - im * ci), _part(re * ci + im * cr))
+                               for k, (re, im) in self.coeffs.items()}, self.trunc)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -383,7 +423,9 @@ class QSeries:
         if a.is_exact_zero or b.is_exact_zero:
             return QSeries.zero()
         trunc = min(tadd(a.trunc, b.ord_bound()), tadd(b.trunc, a.ord_bound()))
-        den, bound, la, lb = _on_lattice(trunc, a, b)
+        den, ca, cb = _rebase(a, b)
+        bound = _bound(trunc, den)
+        la, lb = _ascending(ca), _ascending(cb)
         acc: dict = {}
         if la and lb:
             kb_min = lb[0][0]
@@ -400,7 +442,7 @@ class QSeries:
                     else:
                         s[0] += ra * rb - ia * ib
                         s[1] += ra * ib + ia * rb
-        return _from_lattice(acc, den, trunc)
+        return QSeries.lattice(den, acc, trunc)
 
     __rmul__ = __mul__
 
@@ -427,42 +469,44 @@ class QSeries:
             raise ZeroLeadingTerm("division by a series with no term below its truncation")
         # trunc contract: min(a.trunc - v, ord(a) + f.trunc - 2v)
         trunc = min(tadd(a.trunc, -v), tadd(tadd(f.trunc, -2 * v), a.ord_bound()))
-        if len(f.terms) > 1 and a.trunc == INF and f.trunc == INF:
+        if len(f.coeffs) > 1 and a.trunc == INF and f.trunc == INF:
             # an exact series over an exact non-monomial has infinitely many terms
             raise SeriesError("truncate before dividing by an exact non-monomial series")
-        den, bound, la, lf = _on_lattice(trunc, a, f)
-        # f = c0 q^v (1 - sum of m q^d) with d > 0; a = f*Q read at q^(e+v):
-        # Q_e = a_(e+v)/c0 + sum of m Q_(e-d), all exponents in units of 1/den
-        kv = lf[0][0]
-        inv_c0 = QI_ONE / f.terms[v]
-        ur, ui = _part(inv_c0.re), _part(inv_c0.im)
-        tail = [(k - kv, ui * i - ur * r, -ur * i - ui * r) for k, r, i in lf[1:]]
-        # pending[k] collects Q_k; it is final once popped, since every
-        # contribution comes from a smaller exponent
-        pending = {k - kv: [ur * r - ui * i, ur * i + ui * r]
-                   for k, r, i in la if k - kv < bound}
+        den, ca, cf = _rebase(a, f)
+        bound = _bound(trunc, den)
+        lf = _ascending(cf)
+        # f = sum of f_d q^(v+d) over d >= 0 and a = f*Q, read at q^(e+v):
+        # Q_e = (a_(e+v) - sum over d > 0 of f_d Q_(e-d)) / f_0, all exponents
+        # in units of 1/den; only the division by f_0 can leave the ints
+        kv, r0, i0 = lf[0]
+        ur, ui = _pair(QI_ONE / GaussianRational(r0, i0))
+        tail = [(k - kv, r, i) for k, r, i in lf[1:]]
+        # pending[k] collects the numerator of Q_k; it is final once popped,
+        # since every contribution comes from a smaller exponent
+        pending = {k - kv: [r, i] for k, (r, i) in ca.items() if k - kv < bound}
         heap = list(pending)
         heapify(heap)
         acc: dict = {}
         while heap:
             k = heappop(heap)
-            c = pending.pop(k)
-            cr, ci = c
+            sr, si = pending.pop(k)
+            cr, ci = ur * sr - ui * si, ur * si + ui * sr
             if not (cr or ci):
                 continue
-            acc[k] = c
-            for d, mr, mi in tail:
+            cr, ci = _part(cr), _part(ci)
+            acc[k] = (cr, ci)
+            for d, fr, fi in tail:
                 k2 = k + d
                 if k2 >= bound:
                     break
                 s = pending.get(k2)
                 if s is None:
-                    pending[k2] = [mr * cr - mi * ci, mr * ci + mi * cr]
+                    pending[k2] = [fi * ci - fr * cr, -fr * ci - fi * cr]
                     heappush(heap, k2)
                 else:
-                    s[0] += mr * cr - mi * ci
-                    s[1] += mr * ci + mi * cr
-        return _from_lattice(acc, den, trunc)
+                    s[0] -= fr * cr - fi * ci
+                    s[1] -= fr * ci + fi * cr
+        return _new(den, acc, trunc)
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse 1/self; trunc contract: self.trunc - 2*ord(self)."""
@@ -474,47 +518,50 @@ class QSeries:
         """Multiply by a monomial: exponents shift, coefficients rotate."""
         if not (mn.unit_k or mn.qexp):
             return self
-        u = mn.unit
-        out = QSeries.__new__(QSeries)
+        e = mn.qexp
+        den = lcm(self.den, e.denominator)
+        m, d = den // self.den, e.numerator * (den // e.denominator)
+        items = self.coeffs.items()
         if mn.unit_k == 0:
-            out.terms = {e + mn.qexp: c for e, c in self.terms.items()}
-        else:
-            out.terms = {e + mn.qexp: c * u for e, c in self.terms.items()}
-        out.trunc = tadd(self.trunc, mn.qexp)
-        return out
+            t = {k * m + d: c for k, c in items}
+        elif mn.unit_k == 1:  # times i
+            t = {k * m + d: (-im, re) for k, (re, im) in items}
+        elif mn.unit_k == 2:
+            t = {k * m + d: (-re, -im) for k, (re, im) in items}
+        else:  # times -i
+            t = {k * m + d: (im, -re) for k, (re, im) in items}
+        return _new(den, t, tadd(self.trunc, e))
 
     def substitute_power(self, r: Rat) -> "QSeries":
         """q -> q**r with r > 0: scales every exponent and the truncation."""
         r = Fraction(r)
         if r <= 0:
             raise NonPositiveRatio(f"q -> q^{r} needs r > 0")
-        out = QSeries.__new__(QSeries)
-        out.terms = {e * r: c for e, c in self.terms.items()}
-        out.trunc = tmul(self.trunc, r)
-        return out
+        # k/den * p/s = k*(p/g) / (den/g * s), g = gcd(p, den)
+        g = gcd(r.numerator, self.den)
+        p = r.numerator // g
+        return _new(self.den // g * r.denominator, {k * p: c for k, c in self.coeffs.items()},
+                    tmul(self.trunc, r))
 
     def substitute_q_neg(self) -> "QSeries":
         """q -> -q on an integer-exponent series."""
         if self.trunc != INF and Fraction(self.trunc).denominator != 1:
             raise FractionalExponent(f"trunc {self.trunc} is not an integer")
+        den = self.den
         t = {}
-        for e, c in self.terms.items():
-            if e.denominator != 1:
-                raise FractionalExponent(f"exponent {e} is not an integer")
-            t[e] = c if e.numerator % 2 == 0 else -c
-        out = QSeries.__new__(QSeries)
-        out.terms = t
-        out.trunc = self.trunc
-        return out
+        for k, (re, im) in self.coeffs.items():
+            n, rest = divmod(k, den)
+            if rest:
+                raise FractionalExponent(f"exponent {Fraction(k, den)} is not an integer")
+            t[n] = (-re, -im) if n % 2 else (re, im)
+        return _new(1, t, self.trunc)
 
     def truncate(self, order: Trunc) -> "QSeries":
-        if self.is_exact_zero:
+        if self.is_exact_zero or order >= self.trunc:
             return self
-        trunc = min(self.trunc, order if order == INF else Fraction(order))
-        out = QSeries.__new__(QSeries)
-        out.terms = {e: c for e, c in self.terms.items() if e < trunc}
-        out.trunc = trunc
-        return out
+        trunc = Fraction(order)
+        bound = _bound(trunc, self.den)
+        return _new(self.den, {k: c for k, c in self.coeffs.items() if k < bound}, trunc)
 
     # -- comparison ----------------------------------------------------------
 
@@ -526,50 +573,63 @@ class QSeries:
                 f"comparison to order {upto} needs truncs >= it "
                 f"(have {self.trunc}, {other.trunc})"
             )
-        a, b = self.terms, other.terms
-        diff = [e for e, c in a.items() if e < upto and b.get(e, QI_ZERO) != c]
-        diff += [e for e, c in b.items() if e < upto and e not in a and c]
+        den, a, b = _rebase(self, other)
+        bound = _bound(upto, den)
+        diff = [k for k, c in a.items() if k < bound and b.get(k) != c]
+        diff += [k for k in b if k < bound and k not in a]
         if not diff:
             return None
-        e = min(diff)
-        return Mismatch(e, a.get(e, QI_ZERO), b.get(e, QI_ZERO))
+        k = min(diff)
+        return Mismatch(Fraction(k, den), _gauss(a.get(k)), _gauss(b.get(k)))
 
     def __repr__(self):
         return f"QSeries({format_series(self, max_terms=8)})"
 
 
-def _part(x: Fraction) -> Rat:
-    """x as an int when integral: the kernels then run on ints, and mixed
-    int/Fraction arithmetic keeps the other parts exact."""
-    return x.numerator if x.denominator == 1 else x
-
-
-def _on_lattice(trunc: Trunc, *series: QSeries):
-    """Put `series` on their common exponent lattice 1/den.
-
-    Returns den, the integer bound ceil(trunc*den) (INF stays INF), and for
-    each series its terms as ascending (k, re, im) with exponent k/den and
-    coefficient parts as `_part` gives them.
-    """
-    den = lcm(*{e.denominator for s in series for e in s.terms})
-    bound = INF if trunc == INF else ceil(trunc * den)
-    lists = [sorted((e.numerator * (den // e.denominator), _part(c.re), _part(c.im))
-                    for e, c in s.terms.items()) for s in series]
-    return (den, bound, *lists)
-
-
-def _from_lattice(acc: dict, den: int, trunc: Trunc) -> QSeries:
-    """The series with terms k/den: re + im*i for k: (re, im) in acc, zeros
-    dropped; empties acc."""
+def _new(den: int, coeffs: dict, trunc: Trunc) -> QSeries:
+    """A series around `coeffs` as given: nonzero (re, im) tuples below trunc."""
     out = QSeries.__new__(QSeries)
-    terms = {}
-    while acc:
-        k, (re, im) = acc.popitem()  # frees each pair as its term is built: lower peak memory
-        if re or im:
-            terms[Fraction(k, den)] = GaussianRational(re, im)
-    out.terms = terms
+    out.den = den
+    out.coeffs = coeffs
     out.trunc = trunc
     return out
+
+
+def _part(x: Rat) -> Rat:
+    """x as an int when integral: the kernels then run on ints, and mixed
+    int/Fraction arithmetic keeps the other parts exact."""
+    return x if x.__class__ is int or x.denominator != 1 else x.numerator
+
+
+def _pair(c) -> tuple:
+    """A scalar (int, Fraction or GaussianRational) as an (re, im) pair."""
+    if not isinstance(c, GaussianRational):
+        c = GaussianRational(c)
+    return _part(c.re), _part(c.im)
+
+
+def _gauss(c) -> GaussianRational:
+    """The stored pair `c` (None for no term) as a GaussianRational."""
+    return QI_ZERO if c is None else GaussianRational(*c)
+
+
+def _bound(trunc: Trunc, den: int):
+    """The int bound of `trunc` on the lattice 1/den: k/den < trunc iff
+    k < bound (INF stays INF)."""
+    return INF if trunc == INF else -(-trunc.numerator * den // trunc.denominator)
+
+
+def _rebase(*series: QSeries):
+    """den, the lcm of the series' lattice denominators, and each series'
+    coeffs with its keys moved onto the lattice 1/den."""
+    den = lcm(*(s.den for s in series))
+    return (den, *(s.coeffs if s.den == den else {k * (den // s.den): c for k, c in s.coeffs.items()}
+                   for s in series))
+
+
+def _ascending(coeffs: dict) -> list:
+    """coeffs as (k, re, im) triples in ascending k."""
+    return [(k, re, im) for k, (re, im) in sorted(coeffs.items())]
 
 
 def require_order(s: QSeries, order: Rat, what: str) -> QSeries:

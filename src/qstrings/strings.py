@@ -37,6 +37,7 @@ theta numerators for one ``theta_quotient``) and ``_KP_STRINGS``
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -84,37 +85,34 @@ def s_exponent(lbl: StringLabel) -> Fraction:
     return -F(1, 8) + F((lbl.ell + 1) ** 2, 4 * (lbl.N + 2)) - F(lbl.m ** 2, 4 * lbl.N)
 
 
-def _cone_sum(N: int, ell: int, m: int, win: Fraction) -> dict:
-    """All terms of the double-cone sum with exponent below `win`."""
+def _cone_sum(N: int, ell: int, m: int, win: Fraction) -> QSeries:
+    """All terms of the double-cone sum with exponent below `win`.
+
+    Every exponent E(i, j) is a half-integer, so the walk runs on the ints
+    E2 = 2E and compares them with W = ceil(2*win), the series' lattice 1/2.
+    """
     terms: dict = {}
+    W = math.ceil(2 * win)
 
-    def put(e: Fraction, sign: int):
-        s = terms.get(e, 0) + sign
-        if s:
-            terms[e] = s
-        else:
-            terms.pop(e, None)
+    def E2(i: int, j: int) -> int:
+        return i * (i + m) + 2 * j * ((N + 2) * j + ell + 1) + i * (2 * (N + 2) * j + ell + 1)
 
-    def E(i: int, j: int) -> Fraction:
-        return (F(i * (i + m), 2) + j * ((N + 2) * j + ell + 1)
-                + F(i * (2 * (N + 2) * j + ell + 1), 2))
-
-    def ivertex(j: int) -> Fraction:
-        # stationary point of E(., j)
-        return -F(2 * (N + 2) * j + ell + m + 1, 2)
+    def iv2(j: int) -> int:
+        # twice the stationary point of E(., j)
+        return -(2 * (N + 2) * j + ell + m + 1)
 
     # cone+ : j >= 0, i >= -j, positive orientation
     j = 0
     while True:
         edge = -j
-        iv = ivertex(j)
-        if E(edge, j) < win or edge < iv:
+        v = iv2(j)
+        if E2(edge, j) < W or 2 * edge < v:
             i = edge
             while True:
-                e = E(i, j)
-                if e < win:
-                    put(e, 1 if i % 2 == 0 else -1)
-                elif i >= iv:
+                e = E2(i, j)
+                if e < W:
+                    terms[e] = terms.get(e, 0) + (1 if i % 2 == 0 else -1)
+                elif 2 * i >= v:
                     break
                 i += 1
         elif 2 * j >= m - ell - 1:
@@ -125,28 +123,26 @@ def _cone_sum(N: int, ell: int, m: int, win: Fraction) -> dict:
     # cone- : j <= -1, i <= -j-1, negative orientation
     # edge value g(t) = E(t-1, -t) is a parabola in t = -j with vertex at
     # -(N + (m-ell+1)/2); an interior i-vertex exists only for
-    # t <= ((ell+m+1)/2 - 1)/(N+1)
+    # t <= ((ell+m+1)/2 - 1)/(N+1), that is 2t(N+1) <= ell+m-1
     t = 1
-    t0 = (F(ell + m + 1, 2) - 1) / (N + 1)
-    g_vertex = -(N + F(m - ell + 1, 2))
     while True:
         jj = -t
         edge = t - 1
-        iv = ivertex(jj)
-        if E(edge, jj) < win or iv < edge:
+        v = iv2(jj)
+        if E2(edge, jj) < W or v < 2 * edge:
             i = edge
             while True:
-                e = E(i, jj)
-                if e < win:
-                    put(e, -1 if i % 2 == 0 else 1)
-                elif i <= iv:
+                e = E2(i, jj)
+                if e < W:
+                    terms[e] = terms.get(e, 0) + (-1 if i % 2 == 0 else 1)
+                elif 2 * i <= v:
                     break
                 i -= 1
-        elif t > t0 and t >= g_vertex:
+        elif 2 * t * (N + 1) > ell + m - 1 and 2 * t >= -(2 * N + m - ell + 1):
             break
         t += 1
 
-    return terms
+    return QSeries.lattice(2, {e: (c, 0) for e, c in terms.items()}, win)
 
 
 def _divide_by_j1_cubed(raw: QSeries, order: Fraction, base: Rat = 1) -> QSeries:
@@ -159,9 +155,7 @@ def calC_oracle(lbl: StringLabel, order: Rat) -> QSeries:
     """The normalized string function from the weight-multiplicity sum."""
     order = F(order)
     win = order + pad(1)
-    terms = _cone_sum(lbl.N, lbl.ell, lbl.m, win)
-    raw = QSeries(terms, win)
-    return _divide_by_j1_cubed(raw, order)
+    return _divide_by_j1_cubed(_cone_sum(lbl.N, lbl.ell, lbl.m, win), order)
 
 
 def _hecke_string(abc, terms, base: Rat, s: Rat, order: Fraction) -> QSeries:

@@ -24,13 +24,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from math import inf as INF, isqrt, lcm
+from operator import mul
 from typing import Optional, Sequence, Tuple, Union
 
 from .series import (
+    UNIT_PAIRS,
     GaussianRational,
     Monomial,
-    QI_ONE,
     QSeries,
     Rat,
     pad,
@@ -99,16 +101,21 @@ def pochhammer(x: Monomial, base: Rat, n: Optional[int], order: Rat) -> QSeries:
     win = order + pad(base)
     if n is None and x.qexp < 0:
         raise DivergentProduct(f"(x; q^{base})_inf diverges for x = {x}")
+    # factor i is 1 - x q^(i*base), its exponent k/D on the lattice 1/D
+    D = lcm(base.denominator, x.qexp.denominator)
+    k, step, W = int(x.qexp * D), int(base * D), math.ceil(win * D)
+    ur, ui = UNIT_PAIRS[x.unit_k]
     acc = QSeries.one(INF)
     i = 0
-    while (n is None or i < n) and x.qexp + i * base < win:
-        e = x.qexp + i * base
-        d = {Fraction(0): QI_ONE}
-        d[e] = d.get(e, GaussianRational(0)) - x.unit
-        factor = QSeries(d, INF)
-        acc = (acc * factor).truncate(win)
-        if not acc.terms:
+    while (n is None or i < n) and k < W:
+        factor = {0: [1, 0]}
+        c = factor.setdefault(k, [0, 0])
+        c[0] -= ur
+        c[1] -= ui
+        acc = (acc * QSeries.lattice(D, factor, INF)).truncate(win)
+        if not acc.coeffs:
             return QSeries.zero()  # a vanishing factor kills the product exactly
+        k += step
         i += 1
     return acc.truncate(order)
 
@@ -125,17 +132,21 @@ def jtheta_sum(x: Monomial, base: Rat, order: Rat) -> QSeries:
         raise ValueError("base must be positive")
     order = Fraction(order)
     win = order + pad(base)
-    terms: dict = {}
+    # the exponent of term n is k/D, k = B*C(n,2) + n*X; its coefficient
+    # (-1)^n unit^n is i^((2 + unit_k)*n)
+    D = lcm(base.denominator, x.qexp.denominator)
+    B, X, kx = int(base * D), int(x.qexp * D), 2 + x.unit_k
+    acc: dict = {}
     for n in parabola_range(base, x.qexp, win):
-        e = base * comb2(n) + n * x.qexp
-        c = GaussianRational.i_power(2 * n + x.unit_k * n)  # (-1)^n * unit^n
-        s = terms.get(e)
-        s = c if s is None else s + c
-        if s:
-            terms[e] = s
+        k = B * comb2(n) + n * X
+        dre, dim = UNIT_PAIRS[kx * n & 3]
+        s = acc.get(k)
+        if s is None:
+            acc[k] = [dre, dim]
         else:
-            terms.pop(e, None)
-    return QSeries(terms, win).truncate(order)
+            s[0] += dre
+            s[1] += dim
+    return QSeries.lattice(D, acc, order)
 
 
 def jtheta_prod(x: Monomial, base: Rat, order: Rat) -> QSeries:
@@ -263,11 +274,12 @@ def theta_quotient(
     n_vals = [jtheta_valuation(x, b) for x, b in num]
     d_vals = [jtheta_valuation(x, b) for x, b in den]
     deficit = order - prefactor.qexp - sum(n_vals) + sum(d_vals)
-    acc = prefactor.as_series().scale(scalar)
-    for (x, b), v in zip(num, n_vals):
-        f = jtheta(x, b, v + max(deficit, Fraction(b)) + pad(b))
-        acc = acc * f
+
+    def factor(x: Monomial, b: Rat, v: Fraction) -> QSeries:
+        return jtheta(x, b, v + max(deficit, Fraction(b)) + pad(b))
+
+    acc = reduce(mul, (factor(x, b, v) for (x, b), v in zip(num, n_vals))) if num else QSeries.one()
     for (x, b), v in zip(den, d_vals):
-        f = jtheta(x, b, v + max(deficit, Fraction(b)) + pad(b))
-        acc = acc / f
-    return require_order(acc, order, "quotient")
+        acc = acc / factor(x, b, v)
+    # the exact monomial moves ord and trunc alike, so it can be applied last
+    return require_order(acc.shift(prefactor).scale(scalar), order, "quotient")

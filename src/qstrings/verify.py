@@ -768,10 +768,11 @@ def run_case(case: IdentityCase, order: Optional[Fraction] = None) -> CaseResult
         lhs = case.lhs(T)
         rhs = case.rhs(T)
         for side in (lhs, rhs):
-            bad = [e for e in side.terms if case.lattice_den % e.denominator != 0]
+            # k/den lies on the lattice 1/lattice_den iff den divides k*lattice_den
+            bad = [k for k in side.coeffs if k * case.lattice_den % side.den]
             if bad:
                 raise AssertionError(
-                    f"exponent {min(bad)} off the /{case.lattice_den} lattice"
+                    f"exponent {F(min(bad), side.den)} off the /{case.lattice_den} lattice"
                 )
         mm = lhs.compare(rhs, T)
     except Exception as exc:

@@ -85,6 +85,49 @@ def poly_div(a: dict, f: dict, bound) -> dict:
     return out
 
 
+def poly_add(a: dict, b: dict, bound) -> dict:
+    """a + b below `bound`, zero sums dropped."""
+    out = {e: c for e, c in a.items() if e < bound}
+    for e, c in b.items():
+        if e < bound:
+            out[e] = out[e] + c if e in out else c
+    return {e: c for e, c in out.items() if c}
+
+
+def poly_truncate(a: dict, bound) -> dict:
+    return {e: c for e, c in a.items() if e < bound}
+
+
+def poly_scale(a: dict, c) -> dict:
+    """c*a for a scalar c, zeros dropped."""
+    return {e: v * c for e, v in a.items() if v * c}
+
+
+def poly_first_mismatch(a: dict, b: dict, bound):
+    """(e, a_e, b_e) at the least exponent e < bound where a and b differ,
+    or None; a missing term reads as None."""
+    diff = [e for e in a.keys() | b.keys() if e < bound and a.get(e) != b.get(e)]
+    if not diff:
+        return None
+    e = min(diff)
+    return e, a.get(e), b.get(e)
+
+
+def poly_shift(a: dict, c, d: Fraction) -> dict:
+    """c*q^d*a: every exponent moves by d, every coefficient is multiplied by c."""
+    return {e + d: v * c for e, v in a.items()}
+
+
+def poly_substitute_power(a: dict, r: Fraction) -> dict:
+    """a(q^r): every exponent is multiplied by r."""
+    return {e * r: v for e, v in a.items()}
+
+
+def poly_substitute_q_neg(a: dict) -> dict:
+    """a(-q) for integer exponents: odd exponents change sign."""
+    return {e: -v if e.numerator % 2 else v for e, v in a.items()}
+
+
 def product_expand(factors, bound: Fraction) -> dict:
     """Expand a product of (1 - c*q^e) binomial factors below `bound`."""
     acc = {F(0): F(1)}

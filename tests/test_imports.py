@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and no private
-module-level name goes unused by the package.
+"""No module of the package imports a name it never uses, no private
+module-level name goes unused by the package, and no module but `series.py`
+reads a series' Fraction-keyed `terms` view.
 
 `__init__.py` is left out of the import check: it imports names to
 re-export them.
@@ -72,3 +73,20 @@ def test_every_private_name_is_used():
     unused = [(module, line, name) for module, src in sources.items()
               for line, name in private_definitions(src) if name not in loaded]
     assert unused == []
+
+
+def reads_of(source: str, attr: str) -> list:
+    """Lines that read the attribute `attr` of anything."""
+    return [n.lineno for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and n.attr == attr and isinstance(n.ctx, ast.Load)]
+
+
+def test_checker_finds_attribute_reads():
+    assert reads_of("x = s.terms\nlen(a.b.terms)\ns.terms = 1\nterms = 2\n", "terms") == [1, 2]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "series.py"])
+def test_terms_view_is_read_only_in_series(module):
+    # the view builds a Fraction and a GaussianRational per term: package
+    # code works on the int lattice (den, coeffs) instead
+    assert reads_of((PACKAGE / module).read_text(), "terms") == []

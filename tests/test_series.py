@@ -24,7 +24,21 @@ from qstrings.series import (
     require_order,
 )
 
-from oracles import Gauss, int_coeffs, partition_counts, pochhammer_product, poly_div, poly_mul
+from oracles import (
+    Gauss,
+    int_coeffs,
+    partition_counts,
+    pochhammer_product,
+    poly_add,
+    poly_div,
+    poly_first_mismatch,
+    poly_mul,
+    poly_scale,
+    poly_shift,
+    poly_substitute_power,
+    poly_substitute_q_neg,
+    poly_truncate,
+)
 
 # frozen from the brute-force product oracle (tests/oracles.py)
 PENTAGONAL_14 = [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1, 0]
@@ -511,6 +525,141 @@ def test_no_stored_zero_coefficients(a, b):
     for s in (a + b, a * b, a - b, (a * b) + (b * a)):
         assert all(c for c in s.terms.values())
         assert all(e < s.trunc for e in s.terms)
+
+
+# -- the lattice-native operations against the plain-dict oracles ------------
+#
+# Operands are built on their int lattice directly, so a series can sit on a
+# den that is not minimal (den 10 holding only even keys, or only multiples
+# of 10), and a pair of operands usually has different dens.
+
+_UNITS = (Gauss(F(1)), Gauss(F(0), F(1)), Gauss(F(-1)), Gauss(F(0), F(-1)))
+_MINUS_ONE = _UNITS[2]
+
+
+@st.composite
+def lattice_operand(draw):
+    """(s, its terms as {Fraction: Gauss}); one draw in ten is the exact zero."""
+    if draw(st.integers(0, 9)) == 0:
+        return QSeries.zero(), {}
+    den = draw(st.sampled_from([1, 2, 3, 5, 10, 12]))
+    step = draw(st.sampled_from([d for d in (1, 2, 3, 5, 10, 12) if den % d == 0]))
+    keys = st.integers(-3 * den // step, 6 * den // step).map(lambda j: j * step)
+    coeffs = draw(st.dictionaries(keys, gaussians, max_size=6))
+    off_lattice = st.tuples(st.integers(-9, 24), st.sampled_from([4, 7])).map(lambda t: F(*t))
+    trunc = draw(st.one_of(st.just(INF), keys.map(lambda k: F(k, den)), off_lattice))
+    s = QSeries.lattice(den, {k: (c.re, c.im) for k, c in coeffs.items()}, trunc)
+    assert s.den == den
+    return s, {F(k, den): c for k, c in coeffs.items() if F(k, den) < trunc}
+
+
+orders = st.one_of(st.just(INF), st.fractions(min_value=-4, max_value=7, max_denominator=12))
+
+
+def check_stored(s: QSeries, want: dict, trunc) -> None:
+    """`s` holds exactly the terms `want` and the truncation `trunc`: its
+    `terms` view equals `want` (keys reduced Fractions), every stored pair is
+    nonzero with int parts where integral, and the view is a copy."""
+    assert s.trunc == trunc
+    assert as_gauss(s) == want
+    assert all(e < trunc for e in want)
+    assert all(re or im for re, im in s.coeffs.values())
+    assert all(p.__class__ is int or p.denominator != 1 for c in s.coeffs.values() for p in c)
+    view = s.terms
+    view.clear()
+    view[F(-99)] = GaussianRational(1)
+    assert as_gauss(s) == want
+
+
+def relattice(s: QSeries, m: int) -> QSeries:
+    """`s` with every key and its den multiplied by m: the same series."""
+    return QSeries.lattice(s.den * m, {k * m: c for k, c in s.coeffs.items()}, s.trunc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_operand(), lattice_operand())
+def test_add_sub_neg_match_oracle(x, y):
+    (a, ta), (b, tb) = x, y
+    t = min(a.trunc, b.trunc)
+    check_stored(a, ta, a.trunc)
+    check_stored(a + b, poly_add(ta, tb, t), t)
+    check_stored(a - b, poly_add(ta, poly_scale(tb, _MINUS_ONE), t), t)
+    check_stored(-a, poly_scale(ta, _MINUS_ONE), a.trunc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_operand(), gaussians)
+def test_scale_matches_oracle(x, c):
+    a, ta = x
+    check_stored(a.scale(GaussianRational(c.re, c.im)), poly_scale(ta, c), a.trunc)
+    assert a.scale(0).is_exact_zero
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_operand(), orders)
+def test_truncate_matches_oracle(x, order):
+    a, ta = x
+    got = a.truncate(order)
+    if a.is_exact_zero:
+        assert got.is_exact_zero
+        return
+    t = min(a.trunc, order)
+    check_stored(got, poly_truncate(ta, t), t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_operand(), lattice_operand(), orders)
+def test_compare_matches_oracle(x, y, upto):
+    (a, ta), (b, tb) = x, y
+    upto = min(upto, a.trunc, b.trunc)
+    if upto == INF:
+        upto = F(100)
+    assert a.compare(relattice(a, 3), upto) is None
+    want = poly_first_mismatch(ta, tb, upto)
+    got = a.compare(b, upto)
+    if want is None:
+        assert got is None
+        return
+    e, left, right = want
+    assert got == Mismatch(e, *(GaussianRational(c.re, c.im) if c else GaussianRational(0)
+                                for c in (left, right)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_operand(), st.integers(0, 3), st.fractions(min_value=-3, max_value=3, max_denominator=14))
+def test_shift_matches_oracle(x, unit_k, qexp):
+    a, ta = x
+    check_stored(a.shift(Monomial(unit_k, qexp)), poly_shift(ta, _UNITS[unit_k], qexp), a.trunc + qexp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_operand(), st.fractions(min_value=F(1, 6), max_value=4, max_denominator=6))
+def test_substitute_power_matches_oracle(x, r):
+    a, ta = x
+    check_stored(a.substitute_power(r), poly_substitute_power(ta, r), a.trunc * r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_operand())
+def test_substitute_q_neg_matches_oracle(x):
+    a, ta = x
+    if any(e.denominator != 1 for e in ta) or (a.trunc != INF and a.trunc.denominator != 1):
+        with pytest.raises(FractionalExponent):
+            a.substitute_q_neg()
+        return
+    check_stored(a.substitute_q_neg(), poly_substitute_q_neg(ta), a.trunc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_operand(), lattice_operand())
+def test_mul_div_on_non_minimal_lattices(x, y):
+    (a, ta), (b, tb) = x, y
+    p = a * b
+    check_stored(p, gaussian_poly_mul(ta, tb, p.trunc), p.trunc)
+    if not tb or (a.trunc == INF and b.trunc == INF and len(tb) > 1):
+        return
+    q = a / b
+    check_stored(q, poly_div(ta, tb, q.trunc), q.trunc)
 
 
 class TestPrecision:

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qstrings.series import Monomial, QSeries
+from qstrings.series import GaussianRational, Monomial, QSeries, pad
 from qstrings.theta import (
     DivergentProduct,
     J,
@@ -261,6 +261,29 @@ class TestThetaQuotient:
                            prefactor=Monomial(2, F(5, 2)), scalar=F(1, 2))
         t = J(1, 3, T - F(5, 2)).shift(Monomial(2, F(5, 2))).scale(F(1, 2))
         assert_equal(s, t, T)
+
+
+    @pytest.mark.parametrize("num, den, order, prefactor, scalar", [
+        ([(q(1), 3), (mq(F(1, 2)), 2)], [(mq(0), 4)], 8, Monomial(1, F(1, 3)), -1),
+        ([], [(q(1), 3), (mq(F(2, 5)), 1)], 6, Monomial(2, F(-1, 5)), F(1, 2)),
+        ([(q(2), 6)] * 2, [], 10, Monomial.one(), 1),
+        ([(Monomial(1, F(1, 7)), 1)], [(Monomial(3, F(2, 7)), 2)], 5, Monomial(3, F(5, 7)),
+         GaussianRational(1, 2)),
+    ])
+    def test_matches_assembly_from_the_prefactor(self, num, den, order, prefactor, scalar):
+        # the assembly that starts from the one-term series scalar * prefactor
+        # and multiplies every factor into it, each at the same order
+        n_vals = [jtheta_valuation(x, b) for x, b in num]
+        d_vals = [jtheta_valuation(x, b) for x, b in den]
+        deficit = order - prefactor.qexp - sum(n_vals) + sum(d_vals)
+        want = prefactor.as_series().scale(scalar)
+        for (x, b), v in zip(num, n_vals):
+            want = want * jtheta(x, b, v + max(deficit, F(b)) + pad(b))
+        for (x, b), v in zip(den, d_vals):
+            want = want / jtheta(x, b, v + max(deficit, F(b)) + pad(b))
+        want = want.truncate(order)
+        got = theta_quotient(num, den, order, prefactor=prefactor, scalar=scalar)
+        assert got.terms == want.terms and got.trunc == want.trunc == order
 
 
 # -- the general theta-function laws at fixed sample points -------------------
