@@ -3,9 +3,9 @@
 m(x,q,z) = (1/j(z;q)) * sum over r of (-1)^r q^C(r,2) z^r / (1 - q^(r-1) x z).
 
 Each denominator 1/(1 - rho q^d) with d = base*(r-1) + x.qexp + z.qexp and
-rho = x.unit * z.unit expands geometrically forward for d > 0, is rewritten
-as -sum_{t>=1} rho^-t q^(-t*d) for d < 0, and is the constant 1/(1-rho) for
-d = 0 with rho != 1.
+rho the product of the units of x and z expands geometrically forward for
+d > 0, is rewritten as -sum_{t>=1} rho^-t q^(-t*d) for d < 0, and is the
+constant 1/(1-rho) for d = 0 with rho != 1.
 
 Every range is cut exactly, in closed form: the term for r contributes
 nothing below m+(r) = base*C(r,2) + r*z.qexp (the d < 0 branch starts even

@@ -43,7 +43,7 @@ from fractions import Fraction
 from math import inf as INF
 from typing import List, Tuple, Union
 
-from .series import GaussianRational, Monomial, QSeries
+from .series import UNIT_PAIRS, GaussianRational, Monomial, QSeries
 from . import appell, hecke, strings, theta
 
 F = Fraction
@@ -355,19 +355,11 @@ def _term(s: QSeries, path: str) -> Tuple[GaussianRational, Fraction]:
     return GaussianRational(0), F(0)
 
 
-_UNIT_KS = {
-    (F(1), F(0)): 0,
-    (F(0), F(1)): 1,
-    (F(-1), F(0)): 2,
-    (F(0), F(-1)): 3,
-}
-
-
 def _as_monomial(s: QSeries, path: str) -> Monomial:
     c, e = _term(s, path)
-    if (c.re, c.im) not in _UNIT_KS:
+    if (c.re, c.im) not in UNIT_PAIRS:
         raise EvalError(f"coefficient {c} is not a fourth root of unity", path)
-    return Monomial(_UNIT_KS[c.re, c.im], e)
+    return Monomial(UNIT_PAIRS.index((c.re, c.im)), e)
 
 
 def _as_rational(s: QSeries, path: str) -> Fraction:

@@ -242,10 +242,6 @@ class Monomial:
         """-q**e"""
         return Monomial(2, Fraction(e))
 
-    @property
-    def unit(self) -> GaussianRational:
-        return _I_POWERS[self.unit_k]
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(self.unit_k + other.unit_k, self.qexp + other.qexp)
 

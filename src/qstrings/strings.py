@@ -29,10 +29,13 @@ verification harness:
 Every Hecke-form side is one call of ``_hecke_string``, the window plan for
 q^s * sum of pre * f_{a,b,c}(x, y, q^base) / J_base^3: ``calC_hecke`` and the
 even-level splittings ``mps_split_rhs``, ``mps_cor2_rhs`` and ``mps_cor3_rhs``.
-``normalized_theta_form`` is q^e f_{1,1+N,1}(x, y, q) itself.  The
-Kac-Peterson examples are two tables: ``_KP_ETA`` (q-shift, eta factors and
-theta numerators for one ``theta_quotient``) and ``_KP_STRINGS``
-((coefficient, N, ell, m) rows).
+``normalized_theta_form`` is q^e f_{1,1+N,1}(x, y, q) itself.  Its closed
+theta forms at levels 1..4 are one table, ``_LEVEL_THETA``, keyed by the 15
+canonical labels of ``symmetry_reduce`` (the string functions are invariant
+under its three symmetries); ``level_theta_side`` evaluates the row of a
+label's canonical representative.  The Kac-Peterson examples are two tables:
+``_KP_ETA`` (q-shift, eta factors and theta numerators for one
+``theta_quotient``) and ``_KP_STRINGS`` ((coefficient, N, ell, m) rows).
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from operator import add
 
 from .hecke import hecke_f
 from .series import Monomial, QSeries, Rat, pad, require_order
-from .theta import J, Jbar, Jm, theta_quotient
+from .theta import Jm, jtheta, theta_quotient
 
 F = Fraction
 ONE = Monomial.one()
@@ -209,83 +212,44 @@ def symmetry_reduce(lbl: StringLabel) -> StringLabel:
 
 # -- closed theta forms for levels 1..4 ----------------------------------------
 
+_J1 = (Monomial.q(1), 3)  # J_1 = j(q; q^3)
 
-def _level2_row(ell: int, m: int, T: Fraction) -> QSeries:
-    half = Monomial(0, F(1, 2))
-    if (ell, m) in ((0, 0), (2, 2)):
-        return J(1, 2, T) * Jbar(3, 8, T)
-    if (ell, m) in ((0, 2), (2, 0)):
-        return (J(1, 2, T - half.qexp) * Jbar(1, 8, T - half.qexp)).shift(half)
-    return Jm(1, T) * Jm(2, T)  # ell = 1
-
-
-def _level3_theta(i: int, T: Fraction) -> QSeries:
-    j1 = Jm(1, T)
-    if i == 0:
-        return j1 * (J(8, 15, T) - J(2, 15, T - 1).shift(Monomial.q(1)))
-    if i == 1:
-        return j1 * J(6, 15, T)
-    if i == 2:
-        sh = Monomial(0, F(1, 3))
-        inner = Jm(1, T - sh.qexp) * (J(11, 15, T - sh.qexp)
-                                      + J(1, 15, T - sh.qexp - 1).shift(Monomial.q(1)))
-        return inner.shift(sh)
-    sh = Monomial(0, F(2, 3))
-    return (Jm(1, T - sh.qexp) * J(3, 15, T - sh.qexp)).shift(sh)
-
-
-_LEVEL3_MAP = {
-    (0, 0): 0, (0, 2): 3, (0, 4): 3,
-    (1, 1): 1, (1, 5): 1, (1, 3): 2,
-    (2, 0): 2, (2, 2): 1, (2, 4): 1,
-    (3, 1): 3, (3, 5): 3, (3, 3): 0,
-}
-
-
-def _level4_theta(i: int, T: Fraction) -> QSeries:
-    j1 = Jm(1, T)
-    if i == 0:
-        return (j1 * Jbar(3, 6, T) + j1 * J(1, 2, T)).scale(F(1, 2))
-    if i == 1:
-        return (j1 * Jbar(3, 6, T) - j1 * J(1, 2, T)).scale(F(1, 2))
-    if i == 2:
-        sh = Monomial(0, F(3, 4))
-        return (Jm(1, T - sh.qexp) * Jbar(6, 24, T - sh.qexp)).shift(sh)
-    if i == 3:
-        return j1 * Jbar(3, 8, T)
-    if i == 4:
-        sh = Monomial(0, F(1, 2))
-        return (Jm(1, T - sh.qexp) * Jbar(1, 8, T - sh.qexp)).shift(sh)
-    if i == 5:
-        sh = Monomial(0, F(1, 4))
-        return (Jm(1, T - sh.qexp) * Jbar(1, 6, T - sh.qexp)).shift(sh)
-    return J(1, 4, T) * J(6, 12, T)
-
-
-_LEVEL4_MAP = {
-    (0, 0): 0, (0, 2): 2, (0, 6): 2, (0, 4): 1,
-    (1, 1): 3, (1, 7): 3, (1, 3): 4, (1, 5): 4,
-    (2, 0): 5, (2, 4): 5, (2, 2): 6, (2, 6): 6,
-    (3, 1): 4, (3, 7): 4, (3, 3): 3, (3, 5): 3,
-    (4, 0): 1, (4, 2): 2, (4, 6): 2, (4, 4): 0,
+# canonical label: (scalar, s, A, ((sign, t, B), ...)), the form
+# scalar * q^s * j(A) * sum of sign * q^t * j(B), each factor a (Monomial, base)
+# pair j(x; q^base); every other label with 0 <= m < 2N shares its
+# symmetry_reduce's row
+_LEVEL_THETA = {
+    StringLabel(1, 0, 0): (1, 0, _J1, ((1, 0, _J1),)),
+    StringLabel(2, 0, 0): (1, 0, (Monomial.q(1), 2), ((1, 0, (Monomial.mq(3), 8)),)),
+    StringLabel(2, 0, 2): (1, F(1, 2), (Monomial.q(1), 2), ((1, 0, (Monomial.mq(1), 8)),)),
+    StringLabel(2, 1, 1): (1, 0, _J1, ((1, 0, (Monomial.q(2), 6)),)),
+    StringLabel(3, 0, 0): (1, 0, _J1, ((1, 0, (Monomial.q(8), 15)), (-1, 1, (Monomial.q(2), 15)))),
+    StringLabel(3, 0, 2): (1, F(2, 3), _J1, ((1, 0, (Monomial.q(3), 15)),)),
+    StringLabel(3, 1, 1): (1, 0, _J1, ((1, 0, (Monomial.q(6), 15)),)),
+    StringLabel(3, 1, 3): (1, F(1, 3), _J1, ((1, 0, (Monomial.q(11), 15)), (1, 1, (Monomial.q(1), 15)))),
+    StringLabel(4, 0, 0): (F(1, 2), 0, _J1, ((1, 0, (Monomial.mq(3), 6)), (1, 0, (Monomial.q(1), 2)))),
+    StringLabel(4, 0, 2): (1, F(3, 4), _J1, ((1, 0, (Monomial.mq(6), 24)),)),
+    StringLabel(4, 0, 4): (F(1, 2), 0, _J1, ((1, 0, (Monomial.mq(3), 6)), (-1, 0, (Monomial.q(1), 2)))),
+    StringLabel(4, 1, 1): (1, 0, _J1, ((1, 0, (Monomial.mq(3), 8)),)),
+    StringLabel(4, 1, 3): (1, F(1, 2), _J1, ((1, 0, (Monomial.mq(1), 8)),)),
+    StringLabel(4, 2, 0): (1, F(1, 4), _J1, ((1, 0, (Monomial.mq(1), 6)),)),
+    StringLabel(4, 2, 2): (1, 0, (Monomial.q(1), 4), ((1, 0, (Monomial.q(6), 12)),)),
 }
 
 
 def level_theta_side(lbl: StringLabel, order: Rat) -> QSeries:
     """The tabulated theta closed form for levels 1..4, 0 <= m < 2N."""
-    T = F(order)
-    N, ell, m = lbl.N, lbl.ell, lbl.m
-    if not 0 <= m < 2 * N:
-        raise InvalidLabel(f"tabulated rows need 0 <= m < {2 * N}, got {m}")
-    if N == 1:
-        return Jm(1, T) ** 2
-    if N == 2:
-        return _level2_row(ell, m, T)
-    if N == 3:
-        return _level3_theta(_LEVEL3_MAP[(ell, m)], T)
-    if N == 4:
-        return _level4_theta(_LEVEL4_MAP[(ell, m)], T)
-    raise UnsupportedLevel(f"no tabulated closed form for level {N}")
+    if not 0 <= lbl.m < 2 * lbl.N:
+        raise InvalidLabel(f"tabulated rows need 0 <= m < {2 * lbl.N}, got {lbl.m}")
+    try:
+        scalar, s, (a, b), terms = _LEVEL_THETA[symmetry_reduce(lbl)]
+    except KeyError:
+        raise UnsupportedLevel(f"no tabulated closed form for level {lbl.N}") from None
+    T = F(order) - s
+    # the unit i^(1 - sign) is the sign
+    inner = reduce(add, (jtheta(x, base, T - t).shift(Monomial(1 - sign, t))
+                         for sign, t, (x, base) in terms))
+    return (jtheta(a, b, T) * inner).shift(Monomial(0, s)).scale(scalar)
 
 
 # -- the even-level splitting identities ---------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
-from math import inf as INF, isqrt, lcm
+from math import isqrt, lcm
 from operator import mul
 from typing import Optional, Sequence, Tuple, Union
 
@@ -101,23 +101,22 @@ def pochhammer(x: Monomial, base: Rat, n: Optional[int], order: Rat) -> QSeries:
     win = order + pad(base)
     if n is None and x.qexp < 0:
         raise DivergentProduct(f"(x; q^{base})_inf diverges for x = {x}")
-    # factor i is 1 - x q^(i*base), its exponent k/D on the lattice 1/D
+    # factor i is 1 - x q^(i*base), its exponent k/D on the lattice 1/D; while
+    # k < 0 every term is kept, and the terms reach down to n*min(k0, 0)
     D = lcm(base.denominator, x.qexp.denominator)
-    k, step, W = int(x.qexp * D), int(base * D), math.ceil(win * D)
+    k0, step, W = int(x.qexp * D), int(base * D), math.ceil(win * D)
     ur, ui = UNIT_PAIRS[x.unit_k]
-    acc = QSeries.one(INF)
-    i = 0
-    while (n is None or i < n) and k < W:
-        factor = {0: [1, 0]}
-        c = factor.setdefault(k, [0, 0])
-        c[0] -= ur
-        c[1] -= ui
-        acc = (acc * QSeries.lattice(D, factor, INF)).truncate(win)
-        if not acc.coeffs:
+    acc = {0: [1, 0]}
+    for k in range(k0, W if n is None else min(W - n * min(k0, 0), k0 + n * step), step):
+        if k == 0 and not x.unit_k:
             return QSeries.zero()  # a vanishing factor kills the product exactly
-        k += step
-        i += 1
-    return acc.truncate(order)
+        for j in sorted(acc, reverse=k > 0):  # read each term before the one k above it changes
+            if k < 0 or j + k < W:
+                re, im = acc[j]
+                c = acc.setdefault(j + k, [0, 0])
+                c[0] -= ur * re - ui * im
+                c[1] -= ur * im + ui * re
+    return QSeries.lattice(D, acc, order)
 
 
 def is_theta_zero(x: Monomial, base: Rat) -> bool:

@@ -27,6 +27,8 @@ class Gauss:
         o = Gauss.of(other)
         return Gauss(self.re + o.re, self.im + o.im)
 
+    __radd__ = __add__
+
     def __neg__(self):
         return Gauss(-self.re, -self.im)
 
@@ -39,6 +41,8 @@ class Gauss:
     def __mul__(self, other):
         o = Gauss.of(other)
         return Gauss(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = Gauss.of(other)
@@ -129,10 +133,15 @@ def poly_substitute_q_neg(a: dict) -> dict:
 
 
 def product_expand(factors, bound: Fraction) -> dict:
-    """Expand a product of (1 - c*q^e) binomial factors below `bound`."""
+    """Expand a product of (1 - c*q^e) binomial factors below `bound`; c may
+    be a Gauss and e may be 0.  Each step drops the terms at or above
+    `bound`, which is exact when the factors with e < 0 come first and
+    bound > 0."""
     acc = {F(0): F(1)}
     for c, e in factors:
-        acc = poly_mul(acc, {F(0): F(1), F(e): -F(c)}, bound)
+        factor = {F(0): F(1)}
+        factor[F(e)] = factor.get(F(e), 0) - c
+        acc = poly_mul(acc, factor, bound)
     return acc
 
 

@@ -1,6 +1,7 @@
 """String functions: oracle vs production path, tables, symmetries, examples."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -17,6 +18,7 @@ from qstrings.strings import (
     InvalidParity,
     StringLabel,
     UnsupportedLevel,
+    _LEVEL_THETA,
     calC_hecke,
     calC_oracle,
     eta_quotient,
@@ -99,16 +101,23 @@ class TestOracle:
 
 
 class TestLevelTheorems:
-    @pytest.mark.parametrize("lbl", [
-        StringLabel(1, 0, 0), StringLabel(1, 1, 1),
-        StringLabel(2, 0, 0), StringLabel(2, 0, 2), StringLabel(2, 1, 3), StringLabel(2, 2, 0),
-        StringLabel(3, 0, 0), StringLabel(3, 1, 3), StringLabel(3, 2, 4), StringLabel(3, 3, 5),
-        StringLabel(4, 0, 4), StringLabel(4, 1, 1), StringLabel(4, 2, 2), StringLabel(4, 3, 7),
-        StringLabel(4, 4, 0),
-    ])
+    @pytest.mark.parametrize("lbl", list(all_labels()))
     def test_rows(self, lbl):
-        T = 25
-        assert_equal(normalized_theta_form(lbl, T), level_theta_side(lbl, T), T)
+        for T in (F(25), F(37, 3)):
+            got, want = level_theta_side(lbl, T), normalized_theta_form(lbl, T)
+            assert got.trunc == want.trunc == T
+            assert got.terms == want.terms
+
+    def test_table_is_keyed_by_canonical_labels(self):
+        assert len(_LEVEL_THETA) == 15
+        assert all(symmetry_reduce(key) == key for key in _LEVEL_THETA)
+        assert {symmetry_reduce(lbl) for lbl in all_labels()} == set(_LEVEL_THETA)
+
+    @pytest.mark.parametrize("N, ell, m", [(1, 1, -1), (2, 0, 4), (3, 1, 7), (4, 2, -2), (5, 1, 11)])
+    def test_m_outside_the_rows(self, N, ell, m):
+        msg = f"tabulated rows need 0 <= m < {2 * N}, got {m}"
+        with pytest.raises(InvalidLabel, match=f"^{re.escape(msg)}$"):
+            level_theta_side(StringLabel(N, ell, m), 10)
 
     def test_unsupported_level(self):
         with pytest.raises(UnsupportedLevel):

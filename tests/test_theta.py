@@ -27,7 +27,8 @@ from qstrings.theta import (
     theta_quotient,
 )
 
-from oracles import int_coeffs, jtheta_sum_bruteforce, jtheta_sum_gaussian, pochhammer_product
+from oracles import (Gauss, int_coeffs, jtheta_sum_bruteforce, jtheta_sum_gaussian, pochhammer_product,
+                     product_expand)
 
 q = Monomial.q
 mq = Monomial.mq
@@ -70,7 +71,6 @@ class TestPochhammer:
         s = pochhammer(q(F(1, 2)), F(3, 2), 4, 9)
         d = pochhammer_product(F(1), F(1, 2), F(3, 2), F(9))
         # brute force is the infinite product; redo with 4 factors
-        from oracles import product_expand
         d = product_expand([(F(1), F(1, 2) + i * F(3, 2)) for i in range(4)], F(9))
         assert {e: c.as_fraction() for e, c in s.terms.items()} == d
 
@@ -526,6 +526,40 @@ def test_Jm_matches_pochhammer_product(m, T):
     s = Jm(m, T)
     assert s.trunc == T
     assert {e: c.as_fraction() for e, c in s.terms.items()} == pochhammer_product(F(1), m, m, F(T))
+
+
+@st.composite
+def pochhammer_args(draw):
+    """(unit_k, qexp, base, n): qexp < 0 only for finite n, and now and then
+    a factor 1 - q^0 (qexp = -j*base, unit 1, j < n)."""
+    k, base = draw(UNITS), draw(BASES)
+    n = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=8)))
+    if n is not None and n > 0 and draw(st.booleans()):
+        return 0, -draw(st.integers(min_value=0, max_value=n - 1)) * base, base, n
+    low = 0 if n is None else -3
+    return k, draw(st.fractions(min_value=low, max_value=3, max_denominator=7)), base, n
+
+
+UNIT_COEFFS = (F(1), Gauss(F(0), F(1)), F(-1), Gauss(F(0), F(-1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pochhammer_args(), st.fractions(min_value=-3, max_value=12, max_denominator=6))
+@example((1, F(-8, 5), F(1, 2), 3), F(5))  # trunc 5, where the old product gave 43/10
+@example((0, F(-3), F(1, 2), 6), F(-5))  # (1 - q^-3)...(1 - q^-1/2): a factor past the window still counts
+@example((2, F(0), F(1), None), F(8))  # (-1; q)_inf: a constant factor 2
+@example((0, F(0), F(1), None), F(8))  # (1; q)_inf = 0
+def test_pochhammer_matches_product_expand(args, T):
+    k, e, base, n = args
+    s = pochhammer(Monomial(k, e), base, n, T)
+    count = n if n is not None else max(0, math.ceil((T - e) / base))
+    # product_expand is exact below a positive bound: the factors with e < 0 come first
+    want = product_expand([(UNIT_COEFFS[k], e + i * base) for i in range(count)], max(T, 1))
+    assert {x: Gauss(c.re, c.im) for x, c in s.terms.items()} == {x: Gauss.of(c) for x, c in want.items() if x < T}
+    zero = k == 0 and (e == 0 if n is None else any(e + i * base == 0 for i in range(n)))
+    assert s.trunc == T or zero and s.is_exact_zero
+    # with T <= 0 the window may end before the factor 1 - q^0
+    assert s.is_exact_zero or not zero or T <= 0
 
 
 @settings(max_examples=100, deadline=None)
