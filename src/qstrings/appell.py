@@ -5,7 +5,9 @@ m(x,q,z) = (1/j(z;q)) * sum over r of (-1)^r q^C(r,2) z^r / (1 - q^(r-1) x z).
 Each denominator 1/(1 - rho q^d) with d = base*(r-1) + x.qexp + z.qexp and
 rho the product of the units of x and z expands geometrically forward for
 d > 0, is rewritten as -sum_{t>=1} rho^-t q^(-t*d) for d < 0, and is the
-constant 1/(1-rho) for d = 0 with rho != 1.
+constant 1/(1-rho) for d = 0 with rho != 1.  d is linear in r, so at most
+one term has d = 0; its coefficient is half a Gaussian integer, the one
+term of the numerator sum over the coefficient denominator 2.
 
 Every range is cut exactly, in closed form: the term for r contributes
 nothing below m+(r) = base*C(r,2) + r*z.qexp (the d < 0 branch starts even
@@ -19,10 +21,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .series import (UNIT_PAIRS, GaussianRational, Monomial, QI_ONE, QSeries, Rat, _pair, pad,
-                     require_order)
+from .series import UNIT_PAIRS, Monomial, QSeries, Rat, pad, require_order
 from .theta import (ThetaZeroDenominator, comb2, is_theta_zero, jtheta, jtheta_valuation,
                     parabola_range)
+
+
+# rho_k: 2/(1 - i^rho_k) as an (re, im) pair; rho_k = 0 is a pole
+_TWICE_GEOMETRIC = {1: (1, 1), 2: (1, 0), 3: (1, -1)}
 
 
 class PoleAtXZ(Exception):
@@ -49,6 +54,7 @@ def appell_m(x: Monomial, base: Rat, z: Monomial, order: Rat) -> QSeries:
     D = math.lcm(base.denominator, x.qexp.denominator, z.qexp.denominator)
     Bc, X, Z, W = int(base * D), int(x.qexp * D), int(z.qexp * D), math.ceil(win_s * D)
     terms: dict = {}
+    half = QSeries.zero()
     sigma = 0
     rho_k = (x.unit_k + z.unit_k) % 4  # rho = i^rho_k
     for r in parabola_range(base, z.qexp, win_s):
@@ -61,8 +67,10 @@ def appell_m(x: Monomial, base: Rat, z: Monomial, order: Rat) -> QSeries:
         elif d < 0:  # -i^(lead_k - rho_k*t) q^(e_r - t*d) for t >= 1
             run = [(e_r - t * d, UNIT_PAIRS[(lead_k - rho_k * t + 2) & 3])
                    for t in range(1, -((e_r - W) // -d))]
-        else:
-            run = [(e_r, _pair(GaussianRational.i_power(lead_k) / (QI_ONE - GaussianRational.i_power(rho_k))))]
+        else:  # i^lead_k / (1 - rho), half a Gaussian integer; d is linear in r, so one r gets here
+            (ar, ai), (ur, ui) = _TWICE_GEOMETRIC[rho_k], UNIT_PAIRS[lead_k & 3]
+            half = QSeries.lattice(D, {e_r: (ar * ur - ai * ui, ar * ui + ai * ur)}, win_s, 2)
+            continue
         for k, (dre, dim) in run:
             s = terms.get(k)
             if s is None:
@@ -71,7 +79,7 @@ def appell_m(x: Monomial, base: Rat, z: Monomial, order: Rat) -> QSeries:
                 s[0] += dre
                 s[1] += dim
 
-    s = QSeries.lattice(D, terms, win_s)
+    s = QSeries.lattice(D, terms, win_s) + half
     sigma = Fraction(sigma, D)
     win_d = max(o_z + base, order + 2 * o_z - min(sigma, Fraction(0)) + pad(base))
     denom = jtheta(z, base, win_d)

@@ -453,9 +453,9 @@ def _eval_series(node: Node, order: Fraction, path: str) -> QSeries:
         e = node.exponent
         base = _eval_series(node.base, order, path)
         if e.denominator != 1:
-            if base.trunc != INF or list(base.coeffs.values()) != [(1, 0)]:
+            c, qexp = _term(base, path) if base.trunc == INF and len(base.coeffs) == 1 else (None, 0)
+            if c != GaussianRational(1):
                 raise EvalError("fractional powers apply only to plain powers of q", path)
-            (qexp,) = base.support()
             return Monomial.q(qexp * e).as_series()
         if e < 0:
             base = _cut(base, order)

@@ -14,7 +14,9 @@ The enumeration runs on plain ints: with D the lcm of the denominators of
 base, x.qexp and y.qexp, every exponent is the int E(r,s)*D and the window
 e < order + pad(base) becomes E*D < ceil(window*D).  Each coefficient is
 summed as an (re, im) pair of ints keyed by the int exponent, and those
-pairs are the stored series on the lattice 1/D (``QSeries.lattice``).
+pairs are the stored series on the lattice 1/D over the coefficient
+denominator 1 (``QSeries.lattice``); the half-integral coefficients of the
+closed forms enter through ``appell_m`` and the division by j(-1; q^m).
 
 The remaining builders construct the closed right-hand sides that express
 f_{a,b,c} through Appell-Lerch sums plus quotients of theta functions.

@@ -12,20 +12,23 @@ to share between threads.  Arithmetic propagates the best provable
 truncation and never silently claims more precision than its inputs
 support.
 
-Every series is stored on an integer exponent lattice, as FLINT's fmpq_poly
-stores integer numerators over one common denominator: an int ``den`` and a
-dict ``coeffs`` mapping the int k to the coefficient of q^(k/den) as an
-(re, im) pair, each part an int when integral and a Fraction only when not
-(mixed int/Fraction arithmetic keeps such parts exact).  ``den`` need not
-be minimal.  An operation on two series first moves both onto the lcm of
-their dens, and compares exponents with trunc through the int bound
-ceil(trunc*den), so addition, multiplication, division, shifts,
-substitutions, truncation and comparison all run on ints.  The
+Every series is stored on ints, as FLINT's fmpq_poly stores integer
+numerators over one common denominator, twice over: an int exponent
+denominator ``den``, an int coefficient denominator ``cden`` and a dict
+``coeffs`` mapping the int k to an (re, im) pair of ints, so that the
+coefficient of q^(k/den) is (re + im*i)/cden.  Neither ``den`` nor
+``cden`` need be minimal.  An operation on two series moves both onto the
+lcm of their dens and compares exponents with trunc through the int bound
+ceil(trunc*den); addition and comparison also move both onto the lcm of
+their cdens, multiplication multiplies the cdens, and division takes out
+the divisor's content (the gcd of its parts, Knuth, TAOCP vol. 2 §4.6.1)
+and sets the quotient's cden once.  So addition, multiplication, division,
+shifts, substitutions, truncation and comparison all run on ints.  The
 constructors of the other modules build their lattice terms directly with
 ``QSeries.lattice``.  Fractions and GaussianRationals appear only at the
-boundary: the Fraction-keyed constructor, ``__getitem__``, ``terms`` (a
-view built on every read), ``items_sorted``, ``support``, ``ord``,
-``Mismatch`` and the JSON and text forms.
+boundary: the Fraction-keyed constructor, scalar arguments,
+``__getitem__``, ``terms`` (a view built on every read), ``items_sorted``,
+``support``, ``ord``, ``Mismatch`` and the JSON and text forms.
 """
 
 from __future__ import annotations
@@ -281,13 +284,13 @@ class Mismatch:
 class QSeries:
     """Sparse exact q-series on the exponent lattice 1/den.
 
-    ``coeffs`` maps an int k to the (re, im) pair of the coefficient
-    re + im*i of q^(k/den); only nonzero coefficients with k/den < trunc are
-    stored, and neither den nor the pairs are ever changed after
-    construction.
+    ``coeffs`` maps an int k to the (re, im) pair of ints whose coefficient
+    (re + im*i)/cden is that of q^(k/den); only nonzero coefficients with
+    k/den < trunc are stored, and neither den, cden nor the pairs are ever
+    changed after construction.
     """
 
-    __slots__ = ("den", "coeffs", "trunc")
+    __slots__ = ("den", "coeffs", "trunc", "cden")
 
     def __init__(self, terms: Mapping[Rat, object], trunc: Trunc):
         trunc = trunc if trunc == INF else Fraction(trunc)
@@ -298,25 +301,24 @@ class QSeries:
             if c and e < trunc:
                 known[Fraction(e)] = c
         den = lcm(*(e.denominator for e in known))
+        cden = lcm(*(p.denominator for c in known.values() for p in (c.re, c.im)))
         self.den = den
-        self.coeffs = {e.numerator * (den // e.denominator): (_part(c.re), _part(c.im))
+        self.cden = cden
+        self.coeffs = {e.numerator * (den // e.denominator): (int(c.re * cden), int(c.im * cden))
                        for e, c in known.items()}
         self.trunc = trunc
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def lattice(den: int, coeffs: Mapping[int, Sequence[Rat]], trunc: Trunc) -> "QSeries":
-        """The sum of (re + im*i) q^(k/den) over k: (re, im) in `coeffs`, below
-        `trunc`; zero coefficients are dropped and integral parts become ints."""
+    def lattice(den: int, coeffs: Mapping[int, Sequence[int]], trunc: Trunc, cden: int = 1) -> "QSeries":
+        """The sum of ((re + im*i)/cden) q^(k/den) over k: (re, im) in `coeffs`,
+        below `trunc`, for int pairs and a positive int cden; zero pairs are
+        dropped."""
         trunc = trunc if trunc == INF else Fraction(trunc)
         bound = _bound(trunc, den)
-        out = {}
-        for k, (re, im) in coeffs.items():
-            if (re or im) and k < bound:
-                out[k] = (re if re.__class__ is int or re.denominator != 1 else re.numerator,
-                          im if im.__class__ is int or im.denominator != 1 else im.numerator)
-        return _new(den, out, trunc)
+        return _new(den, {k: (re, im) for k, (re, im) in coeffs.items() if (re or im) and k < bound},
+                    trunc, cden)
 
     @staticmethod
     def zero() -> "QSeries":
@@ -324,7 +326,8 @@ class QSeries:
 
     @staticmethod
     def const(c, trunc: Trunc = INF) -> "QSeries":
-        return QSeries.lattice(1, {0: _pair(c)}, trunc)
+        re, im, d = _scalar(c)
+        return QSeries.lattice(1, {0: (re, im)}, trunc, d)
 
     @staticmethod
     def one(trunc: Trunc = INF) -> "QSeries":
@@ -350,19 +353,18 @@ class QSeries:
         if e >= self.trunc:
             raise InsufficientOrder(f"coefficient at q^{e} is beyond trunc {self.trunc}")
         k = e * self.den
-        return _gauss(self.coeffs.get(k.numerator) if k.denominator == 1 else None)
+        return _gauss(self.coeffs.get(k.numerator) if k.denominator == 1 else None, self.cden)
 
     @property
     def terms(self) -> dict:
         """The stored terms as a new {Fraction exponent: GaussianRational} dict,
         built on every read; changing it leaves the series as it was."""
-        den = self.den
-        return {Fraction(k, den): GaussianRational(re, im) for k, (re, im) in self.coeffs.items()}
+        den, cden = self.den, self.cden
+        return {Fraction(k, den): _gauss(c, cden) for k, c in self.coeffs.items()}
 
     def items_sorted(self):
-        den = self.den
-        return [(Fraction(k, den), GaussianRational(re, im))
-                for k, (re, im) in sorted(self.coeffs.items())]
+        den, cden = self.den, self.cden
+        return [(Fraction(k, den), _gauss(c, cden)) for k, c in sorted(self.coeffs.items())]
 
     def support(self):
         return [Fraction(k, self.den) for k in sorted(self.coeffs)]
@@ -373,7 +375,8 @@ class QSeries:
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = QSeries.const(other)
         trunc = min(self.trunc, other.trunc)
-        den, a, b = _rebase(self, other)
+        cden = lcm(self.cden, other.cden)
+        den, a, b = _rebase(self, other, cden=cden)
         bound = _bound(trunc, den)
         t = {k: c for k, c in a.items() if k < bound}
         for k, c in b.items():
@@ -385,10 +388,10 @@ class QSeries:
                 continue
             re, im = s[0] + c[0], s[1] + c[1]
             if re or im:
-                t[k] = (_part(re), _part(im))
+                t[k] = (re, im)
             else:
                 del t[k]
-        return _new(den, t, trunc)
+        return _new(den, t, trunc, cden)
 
     __radd__ = __add__
 
@@ -401,16 +404,11 @@ class QSeries:
         return (-self) + other
 
     def __neg__(self):
-        return _new(self.den, {k: (-re, -im) for k, (re, im) in self.coeffs.items()}, self.trunc)
+        return _new(self.den, {k: (-re, -im) for k, (re, im) in self.coeffs.items()}, self.trunc,
+                    self.cden)
 
     def scale(self, c) -> "QSeries":
-        cr, ci = _pair(c)
-        if not (cr or ci):
-            return QSeries.zero()
-        if cr == 1 and not ci:
-            return self
-        return _new(self.den, {k: (_part(re * cr - im * ci), _part(re * ci + im * cr))
-                               for k, (re, im) in self.coeffs.items()}, self.trunc)
+        return _times(self, *_scalar(c))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -438,7 +436,7 @@ class QSeries:
                     else:
                         s[0] += ra * rb - ia * ib
                         s[1] += ra * ib + ia * rb
-        return QSeries.lattice(den, acc, trunc)
+        return QSeries.lattice(den, acc, trunc, a.cden * b.cden)
 
     __rmul__ = __mul__
 
@@ -456,9 +454,11 @@ class QSeries:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            if not isinstance(other, GaussianRational):
-                other = GaussianRational(other)
-            return self.scale(QI_ONE / other)
+            re, im, d = _scalar(other)
+            if not (re or im):
+                raise ZeroDivisionError("division by zero in Q(i)")
+            # 1/c = d*(re - im*i)/(re^2 + im^2)
+            return _times(self, d * re, -d * im, re * re + im * im)
         a, f = self, other
         v = f.ord
         if v is None:
@@ -471,25 +471,50 @@ class QSeries:
         den, ca, cf = _rebase(a, f)
         bound = _bound(trunc, den)
         lf = _ascending(cf)
-        # f = sum of f_d q^(v+d) over d >= 0 and a = f*Q, read at q^(e+v):
-        # Q_e = (a_(e+v) - sum over d > 0 of f_d Q_(e-d)) / f_0, all exponents
-        # in units of 1/den; only the division by f_0 can leave the ints
-        kv, r0, i0 = lf[0]
-        ur, ui = _pair(QI_ONE / GaussianRational(r0, i0))
-        tail = [(k - kv, r, i) for k, r, i in lf[1:]]
+        # a = A/a.cden and f = g*P/f.cden for int pairs A and P, g the content
+        # of f's pairs, so a/f = (m*A/P) / (a.cden*gq) with m/gq = f.cden/g in
+        # lowest terms
+        g = 0
+        for _, fr, fi in lf:
+            g = gcd(g, fr, fi)
+            if g == 1:
+                break
+        c = gcd(f.cden, g)
+        m, gq = f.cden // c, g // c
+        kv, ur, ui = lf[0]
+        ur, ui = ur // g, ui // g
+        tail = [(k - kv, fr // g, fi // g) for k, fr, fi in lf[1:]]
+        # P = sum of P_d q^(v+d) over d >= 0 and m*A = P*Q, read at q^(e+v):
+        # Q_e = (m*A_(e+v) - sum over d > 0 of P_d Q_(e-d)) / u, u = P_0, all
+        # exponents in units of 1/den.  1/u = w/N for the Gaussian integer
+        # w = conj(u)/h and the int N = |u|^2/h, h = gcd(re u, im u); N is 1
+        # when u is a unit.  Every numerator, pending or final, is over N^p:
+        # p rises by one whenever a quotient numerator is not divisible by N
+        h = gcd(ur, ui)
+        wr, wi, N = ur // h, -ui // h, (ur * ur + ui * ui) // h
         # pending[k] collects the numerator of Q_k; it is final once popped,
         # since every contribution comes from a smaller exponent
-        pending = {k - kv: [r, i] for k, (r, i) in ca.items() if k - kv < bound}
+        pending = {k - kv: [re * m, im * m] for k, (re, im) in ca.items() if k - kv < bound}
         heap = list(pending)
         heapify(heap)
         acc: dict = {}
+        p = 0
         while heap:
             k = heappop(heap)
             sr, si = pending.pop(k)
-            cr, ci = ur * sr - ui * si, ur * si + ui * sr
+            cr, ci = wr * sr - wi * si, wr * si + wi * sr
             if not (cr or ci):
                 continue
-            cr, ci = _part(cr), _part(ci)
+            if N != 1:
+                if cr % N or ci % N:
+                    p += 1
+                    for s in pending.values():
+                        s[0] *= N
+                        s[1] *= N
+                    for j, (xr, xi) in acc.items():
+                        acc[j] = (xr * N, xi * N)
+                else:
+                    cr, ci = cr // N, ci // N
             acc[k] = (cr, ci)
             for d, fr, fi in tail:
                 k2 = k + d
@@ -502,7 +527,7 @@ class QSeries:
                 else:
                     s[0] -= fr * cr - fi * ci
                     s[1] -= fr * ci + fi * cr
-        return _new(den, acc, trunc)
+        return _new(den, acc, trunc, a.cden * gq * N ** p)
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse 1/self; trunc contract: self.trunc - 2*ord(self)."""
@@ -526,7 +551,7 @@ class QSeries:
             t = {k * m + d: (-re, -im) for k, (re, im) in items}
         else:  # times -i
             t = {k * m + d: (im, -re) for k, (re, im) in items}
-        return _new(den, t, tadd(self.trunc, e))
+        return _new(den, t, tadd(self.trunc, e), self.cden)
 
     def substitute_power(self, r: Rat) -> "QSeries":
         """q -> q**r with r > 0: scales every exponent and the truncation."""
@@ -537,7 +562,7 @@ class QSeries:
         g = gcd(r.numerator, self.den)
         p = r.numerator // g
         return _new(self.den // g * r.denominator, {k * p: c for k, c in self.coeffs.items()},
-                    tmul(self.trunc, r))
+                    tmul(self.trunc, r), self.cden)
 
     def substitute_q_neg(self) -> "QSeries":
         """q -> -q on an integer-exponent series."""
@@ -550,14 +575,14 @@ class QSeries:
             if rest:
                 raise FractionalExponent(f"exponent {Fraction(k, den)} is not an integer")
             t[n] = (-re, -im) if n % 2 else (re, im)
-        return _new(1, t, self.trunc)
+        return _new(1, t, self.trunc, self.cden)
 
     def truncate(self, order: Trunc) -> "QSeries":
         if self.is_exact_zero or order >= self.trunc:
             return self
         trunc = Fraction(order)
         bound = _bound(trunc, self.den)
-        return _new(self.den, {k: c for k, c in self.coeffs.items() if k < bound}, trunc)
+        return _new(self.den, {k: c for k, c in self.coeffs.items() if k < bound}, trunc, self.cden)
 
     # -- comparison ----------------------------------------------------------
 
@@ -569,44 +594,60 @@ class QSeries:
                 f"comparison to order {upto} needs truncs >= it "
                 f"(have {self.trunc}, {other.trunc})"
             )
-        den, a, b = _rebase(self, other)
+        cden = lcm(self.cden, other.cden)
+        den, a, b = _rebase(self, other, cden=cden)
         bound = _bound(upto, den)
         diff = [k for k, c in a.items() if k < bound and b.get(k) != c]
         diff += [k for k in b if k < bound and k not in a]
         if not diff:
             return None
         k = min(diff)
-        return Mismatch(Fraction(k, den), _gauss(a.get(k)), _gauss(b.get(k)))
+        return Mismatch(Fraction(k, den), _gauss(a.get(k), cden), _gauss(b.get(k), cden))
 
     def __repr__(self):
         return f"QSeries({format_series(self, max_terms=8)})"
 
 
-def _new(den: int, coeffs: dict, trunc: Trunc) -> QSeries:
-    """A series around `coeffs` as given: nonzero (re, im) tuples below trunc."""
+def _new(den: int, coeffs: dict, trunc: Trunc, cden: int = 1) -> QSeries:
+    """A series around `coeffs` as given: nonzero (re, im) int tuples below trunc."""
     out = QSeries.__new__(QSeries)
     out.den = den
     out.coeffs = coeffs
     out.trunc = trunc
+    out.cden = cden
     return out
 
 
-def _part(x: Rat) -> Rat:
-    """x as an int when integral: the kernels then run on ints, and mixed
-    int/Fraction arithmetic keeps the other parts exact."""
-    return x if x.__class__ is int or x.denominator != 1 else x.numerator
-
-
-def _pair(c) -> tuple:
-    """A scalar (int, Fraction or GaussianRational) as an (re, im) pair."""
+def _scalar(c) -> tuple:
+    """A scalar (int, Fraction or GaussianRational) as ints (re, im, d), d > 0,
+    with c = (re + im*i)/d."""
+    if c.__class__ is int:
+        return c, 0, 1
     if not isinstance(c, GaussianRational):
         c = GaussianRational(c)
-    return _part(c.re), _part(c.im)
+    re, im = c.re, c.im
+    d = lcm(re.denominator, im.denominator)
+    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
 
 
-def _gauss(c) -> GaussianRational:
-    """The stored pair `c` (None for no term) as a GaussianRational."""
-    return QI_ZERO if c is None else GaussianRational(*c)
+def _times(s: QSeries, cr: int, ci: int, d: int) -> QSeries:
+    """`s` times the scalar (cr + ci*i)/d, d > 0."""
+    if not (cr or ci):
+        return QSeries.zero()
+    g = gcd(cr, ci, d)
+    cr, ci, d = cr // g, ci // g, d // g
+    if ci == 0 and cr == d:
+        return s
+    return _new(s.den, {k: (re * cr - im * ci, re * ci + im * cr) for k, (re, im) in s.coeffs.items()},
+                s.trunc, s.cden * d)
+
+
+def _gauss(c, cden: int) -> GaussianRational:
+    """The stored pair `c` (None for no term) over `cden` as a GaussianRational."""
+    if c is None:
+        return QI_ZERO
+    return GaussianRational(c[0], c[1]) if cden == 1 else GaussianRational(Fraction(c[0], cden),
+                                                                         Fraction(c[1], cden))
 
 
 def _bound(trunc: Trunc, den: int):
@@ -615,12 +656,20 @@ def _bound(trunc: Trunc, den: int):
     return INF if trunc == INF else -(-trunc.numerator * den // trunc.denominator)
 
 
-def _rebase(*series: QSeries):
+def _rebase(*series: QSeries, cden: int = 0):
     """den, the lcm of the series' lattice denominators, and each series'
-    coeffs with its keys moved onto the lattice 1/den."""
+    coeffs with its keys moved onto the lattice 1/den and, for a cden that
+    every series' cden divides (0: none), its pairs onto cden: equal series
+    then have equal coeffs."""
     den = lcm(*(s.den for s in series))
-    return (den, *(s.coeffs if s.den == den else {k * (den // s.den): c for k, c in s.coeffs.items()}
-                   for s in series))
+    out = [den]
+    for s in series:
+        m, c = den // s.den, cden // s.cden
+        if c > 1:
+            out.append({k * m: (re * c, im * c) for k, (re, im) in s.coeffs.items()})
+        else:
+            out.append(s.coeffs if m == 1 else {k * m: v for k, v in s.coeffs.items()})
+    return out
 
 
 def _ascending(coeffs: dict) -> list:

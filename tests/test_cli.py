@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qstrings
+from oracles import Gauss, poly_div
 from qstrings.cli import build_parser, main
 from qstrings.series import format_series, series_from_json_terms
 
@@ -56,6 +57,20 @@ class TestEval:
         rebuilt = series_from_json_terms(records, order)
         code2, out2, _ = run_cli(capsys, "eval", "J[1]^2", "--order", "10")
         assert format_series(rebuilt) == out2.strip()
+
+    @pytest.mark.parametrize("expr, num, divisor", [
+        ("1/(2+q)", {F(0): 1}, {F(0): 2, F(1): 1}),
+        ("1/((1+i)+q)", {F(0): 1}, {F(0): Gauss(F(1), F(1)), F(1): 1}),
+        ("(2+q)^(-2)", {F(0): 1}, {F(0): 4, F(1): 4, F(2): 1}),
+    ])
+    def test_non_unit_divisor_at_order_200(self, capsys, expr, num, divisor):
+        code, out, _ = run_cli(capsys, "eval", expr, "--order", "200", "--format", "json")
+        assert code == 0
+        got = series_from_json_terms(json.loads(out), F(200)).terms
+        want = poly_div({e: Gauss.of(c) for e, c in num.items()},
+                        {e: Gauss.of(c) for e, c in divisor.items()}, F(200))
+        assert {e: Gauss(c.re, c.im) for e, c in got.items()} == want
+        assert len(want) == 200
 
     @pytest.mark.parametrize("expr", ["f(1,2,1; q,q; -1)", "f(1,2,1; q,q; 0)",
                                       "g(2; q,q; -1,-1; -1)"])

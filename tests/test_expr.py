@@ -207,6 +207,15 @@ class TestEvaluate:
         with pytest.raises(EvalError, match=message):
             evaluate_text(src, 6)
 
+    @pytest.mark.parametrize("src, want", [
+        ("((2*q)/2)^(1/2)", "q^(1/2)"),
+        ("(q*(1/2)*2)^(3/2)", "q^(3/2)"),
+        ("(2*q^2/2)^(-1/2)", "q^(-1)"),
+    ])
+    def test_fractional_power_of_a_rescaled_q(self, src, want):
+        # the base is q^e stored over a coefficient denominator other than 1
+        assert format_series(evaluate_text(src, 6)) == f"{want} + O(q^6)"
+
     def test_argument_monomial_after_cancellation(self):
         # an argument is read off its value, not off the shape of its text
         assert evaluate_text("j((1+q)-q, q)", 6).is_exact_zero

@@ -3,7 +3,7 @@
 import sys
 import threading
 from fractions import Fraction as F
-from math import inf as INF
+from math import inf as INF, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -548,8 +548,12 @@ def lattice_operand(draw):
     coeffs = draw(st.dictionaries(keys, gaussians, max_size=6))
     off_lattice = st.tuples(st.integers(-9, 24), st.sampled_from([4, 7])).map(lambda t: F(*t))
     trunc = draw(st.one_of(st.just(INF), keys.map(lambda k: F(k, den)), off_lattice))
-    s = QSeries.lattice(den, {k: (c.re, c.im) for k, c in coeffs.items()}, trunc)
-    assert s.den == den
+    # the int pairs over a cden that is the least one times 1, 2 or 3
+    cden = draw(st.sampled_from([1, 2, 3])) * lcm(*(p.denominator for c in coeffs.values()
+                                                   for p in (c.re, c.im)))
+    s = QSeries.lattice(den, {k: (int(c.re * cden), int(c.im * cden)) for k, c in coeffs.items()},
+                        trunc, cden)
+    assert s.den == den and s.cden == cden
     return s, {F(k, den): c for k, c in coeffs.items() if F(k, den) < trunc}
 
 
@@ -559,12 +563,14 @@ orders = st.one_of(st.just(INF), st.fractions(min_value=-4, max_value=7, max_den
 def check_stored(s: QSeries, want: dict, trunc) -> None:
     """`s` holds exactly the terms `want` and the truncation `trunc`: its
     `terms` view equals `want` (keys reduced Fractions), every stored pair is
-    nonzero with int parts where integral, and the view is a copy."""
+    a nonzero tuple of two ints over a positive int cden, and the view is a
+    copy."""
     assert s.trunc == trunc
     assert as_gauss(s) == want
     assert all(e < trunc for e in want)
-    assert all(re or im for re, im in s.coeffs.values())
-    assert all(p.__class__ is int or p.denominator != 1 for c in s.coeffs.values() for p in c)
+    assert s.cden.__class__ is int and s.cden > 0
+    assert all(c.__class__ is tuple and len(c) == 2 and (c[0] or c[1]) for c in s.coeffs.values())
+    assert all(p.__class__ is int for c in s.coeffs.values() for p in c)
     view = s.terms
     view.clear()
     view[F(-99)] = GaussianRational(1)
@@ -572,8 +578,10 @@ def check_stored(s: QSeries, want: dict, trunc) -> None:
 
 
 def relattice(s: QSeries, m: int) -> QSeries:
-    """`s` with every key and its den multiplied by m: the same series."""
-    return QSeries.lattice(s.den * m, {k * m: c for k, c in s.coeffs.items()}, s.trunc)
+    """`s` with every key, every part, den and cden multiplied by m: the same
+    series."""
+    return QSeries.lattice(s.den * m, {k * m: (re * m, im * m) for k, (re, im) in s.coeffs.items()},
+                           s.trunc, s.cden * m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -660,6 +668,54 @@ def test_mul_div_on_non_minimal_lattices(x, y):
         return
     q = a / b
     check_stored(q, poly_div(ta, tb, q.trunc), q.trunc)
+
+
+# divisors whose primitive part (the divisor over the gcd of its int parts)
+# leads with a non-unit, times an int, a Gaussian or a rational content
+_NON_UNIT_LEADS = (Gauss(F(2)), Gauss(F(3)), Gauss(F(1), F(1)), Gauss(F(2), F(-1)))
+_CONTENTS = (Gauss(F(1)), Gauss(F(2)), Gauss(F(2), F(2)), Gauss(F(0), F(-3)), Gauss(F(1, 3)),
+             Gauss(F(3, 2), F(-1, 2)))
+gaussian_ints = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any).map(
+    lambda c: Gauss(F(c[0]), F(c[1])))
+
+
+@st.composite
+def non_unit_division_operands(draw):
+    """(a, f, a beyond its trunc, f beyond its trunc): f = content * P for a
+    Gaussian-integer P with a non-unit least coefficient, a on a cden that is
+    not minimal, each on a den of 1, 2, 5 or 12, truncs finite or INF."""
+    def keys(den):
+        return st.integers(-2 * den, 5 * den)
+
+    fden, aden = draw(st.sampled_from([1, 2, 5, 12])), draw(st.sampled_from([1, 2, 5, 12]))
+    lead = draw(keys(fden))
+    content = draw(st.sampled_from(_CONTENTS))
+    ptail = draw(st.dictionaries(st.integers(lead + 1, lead + 4 * fden), gaussian_ints, max_size=4))
+    f_terms = {F(k, fden): c * content for k, c in ptail.items()}
+    f_terms[F(lead, fden)] = draw(st.sampled_from(_NON_UNIT_LEADS)) * content
+    f_trunc = draw(st.one_of(st.just(INF), st.integers(1, 6 * fden).map(lambda k: F(lead + k, fden))))
+    a_coeffs = draw(st.dictionaries(keys(aden), gaussians, max_size=5))
+    finite = st.integers(-2 * aden, 6 * aden).map(lambda k: F(k, aden))
+    exact_divisor = f_trunc == INF and len([e for e in f_terms if e < f_trunc]) > 1
+    a_trunc = draw(finite if exact_divisor else st.one_of(st.just(INF), finite))
+    mult = draw(st.sampled_from([2, 3, 6]))
+    cden = mult * lcm(*(p.denominator for c in a_coeffs.values() for p in (c.re, c.im)))
+    a = QSeries.lattice(aden, {k: (int(c.re * cden), int(c.im * cden)) for k, c in a_coeffs.items()},
+                        a_trunc, cden)
+    a_known = {F(k, aden): c for k, c in a_coeffs.items() if F(k, aden) < a_trunc}
+    f_known = {e: c for e, c in f_terms.items() if e < f_trunc}
+    return (a, as_series(f_known, f_trunc), a_known | beyond_trunc(draw, a_trunc, aden),
+            f_known | beyond_trunc(draw, f_trunc, fden))
+
+
+@settings(max_examples=200, deadline=None)
+@given(non_unit_division_operands())
+def test_division_by_non_unit_leads_matches_oracle(operands):
+    a, f, a_full, f_full = operands
+    q = a / f
+    v = f.ord
+    assert q.trunc == min(a.trunc - v, a.ord_bound() + f.trunc - 2 * v)
+    check_stored(q, poly_div(a_full, f_full, q.trunc), q.trunc)
 
 
 class TestPrecision:

@@ -1,10 +1,11 @@
 """The verification harness itself: registry, runner, reports."""
 
+import hashlib
 import json
 from fractions import Fraction as F
 from pathlib import Path
 
-from qstrings.series import Monomial, QSeries, margin_scale, pad
+from qstrings.series import Monomial, QSeries, margin_scale, pad, series_to_json_terms
 from qstrings.theta import Jm
 from qstrings import verify
 from qstrings.verify import (
@@ -18,6 +19,19 @@ from qstrings.verify import (
 )
 
 MANIFEST = Path(__file__).parent / "data" / "case_manifest.txt"
+# case id, then the digests of its lhs and its rhs at the default order
+DIGESTS = Path(__file__).parent / "data" / "case_digests.txt"
+
+
+def side_digest(s: QSeries) -> str:
+    """sha256 of a series' JSON terms and its trunc: the boundary view, so the
+    digest does not depend on how the series is stored."""
+    return hashlib.sha256((json.dumps(series_to_json_terms(s)) + str(s.trunc)).encode()).hexdigest()
+
+
+def case_digests() -> list:
+    return [(c.id, side_digest(c.lhs(c.default_order)), side_digest(c.rhs(c.default_order)))
+            for c in registry()]
 
 
 class TestRegistry:
@@ -25,6 +39,11 @@ class TestRegistry:
         want = [tuple(line.split("\t")) for line in MANIFEST.read_text().splitlines()]
         got = [(c.suite, c.id) for c in registry()]
         assert got == want
+
+    def test_sides_match_digests(self):
+        # a pass/fail status cannot see a slip that moves both sides alike
+        want = [tuple(line.split("\t")) for line in DIGESTS.read_text().splitlines()]
+        assert case_digests() == want
 
     def test_size_and_uniqueness(self):
         cases = registry()
@@ -128,3 +147,7 @@ class TestRunner:
         rep = run_suite("notation")
         text = report_to_text(rep)
         assert text.splitlines()[-1].startswith(f"{len(rep.results)}/{len(rep.results)}")
+
+
+if __name__ == "__main__":  # rewrite the digests: only for an intended change of output
+    DIGESTS.write_text("".join("\t".join(row) + "\n" for row in case_digests()))
