@@ -12,11 +12,13 @@ and no other.
 
 The enumeration runs on plain ints: with D the lcm of the denominators of
 base, x.qexp and y.qexp, every exponent is the int E(r,s)*D and the window
-e < order + pad(base) becomes E*D < ceil(window*D).  Each coefficient is
-summed as an (re, im) pair of ints keyed by the int exponent, and those
-pairs are the stored series on the lattice 1/D over the coefficient
-denominator 1 (``QSeries.lattice``); the half-integral coefficients of the
-closed forms enter through ``appell_m`` and the division by j(-1; q^m).
+e < order becomes E*D < ceil(order*D); both ranges are exact, so the
+window needs no slack (``margin_scale`` widens it only for an audit).  Each
+coefficient is summed as an (re, im) pair of ints keyed by the int
+exponent, and those pairs are the stored series on the lattice 1/D over the
+coefficient denominator 1 (``QSeries.lattice``); the half-integral
+coefficients of the closed forms enter through ``appell_m`` and the
+division by j(-1; q^m).
 
 The remaining builders construct the closed right-hand sides that express
 f_{a,b,c} through Appell-Lerch sums plus quotients of theta functions.
@@ -30,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, lcm
 
-from .series import UNIT_PAIRS, Monomial, QSeries, Rat, pad
+from .series import UNIT_PAIRS, Monomial, QSeries, Rat, pad, require_order
 from .appell import appell_m
 from .theta import (
     comb2,
@@ -141,7 +143,7 @@ def _theta_times(tx: Monomial, tbase: Fraction, other, order: Fraction) -> QSeri
         return QSeries.zero()
     rest = other(order - jtheta_valuation(tx, tbase))
     coeff = jtheta(tx, tbase, order - min(rest.ord_bound(), F(0)) + pad(tbase))
-    return (coeff * rest).truncate(order)
+    return require_order(coeff * rest, order, "theta product")
 
 
 def g_1b1(x: Monomial, y: Monomial, base: Rat, b: int, z1: Monomial, z0: Monomial,

@@ -72,15 +72,15 @@ class PrecisionShortfall(SeriesError):
 # --------------------------------------------------------------------------
 # precision margins
 #
-# Enumeration cutoffs are derived exactly, in rational arithmetic; on top of
-# that every internal window gets a small slack of PAD_STEPS lattice steps.
-# `margin_scale` multiplies that slack, so precision audits can double every
-# margin and assert that no coefficient below the requested order moves.
+# Enumeration cutoffs are derived exactly, in rational arithmetic, and every
+# window is exactly what its result needs: there is no default slack.
+# `margin_scale(k)` is an audit: it widens every window by k steps of the
+# window's modulus, so a test can compare slack 0 against a positive slack
+# and assert that no coefficient below the requested order moves.
 # The scale is a context variable: each thread (and each context a runner
 # copies for a worker) sees its own value.
 
-PAD_STEPS = 2
-_margin_scale: ContextVar[int] = ContextVar("margin_scale", default=1)
+_margin_scale: ContextVar[int] = ContextVar("margin_scale", default=0)
 
 
 @contextmanager
@@ -93,8 +93,9 @@ def margin_scale(k: int):
 
 
 def pad(step: Rat) -> Fraction:
-    """Slack added to an enumeration window whose lattice step is `step`."""
-    return PAD_STEPS * _margin_scale.get() * Fraction(step)
+    """Audit slack of a window whose modulus is `step`: k*step inside
+    margin_scale(k), 0 outside any."""
+    return _margin_scale.get() * Fraction(step)
 
 
 def tadd(t: Trunc, d: Rat) -> Trunc:
@@ -112,8 +113,9 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re: Rat = 0, im: Rat = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        # a part that already is a Fraction is kept as it is
+        self.re = re if re.__class__ is Fraction else Fraction(re)
+        self.im = im if im.__class__ is Fraction else Fraction(im)
 
     @staticmethod
     def i_power(k: int) -> "GaussianRational":

@@ -150,7 +150,10 @@ def _cone_sum(N: int, ell: int, m: int, win: Fraction) -> QSeries:
 
 def _divide_by_j1_cubed(raw: QSeries, order: Fraction, base: Rat = 1) -> QSeries:
     sigma = min(raw.ord_bound(), F(0))
-    j13 = Jm(base, order - sigma + pad(base)) ** 3
+    # J_base^3 = 1 + O(q^base) is exact below order - sigma, and at least
+    # below base: a divisor needs its leading term also when nothing of the
+    # quotient lies below order
+    j13 = Jm(base, max(order - sigma, F(base)) + pad(base)) ** 3
     return require_order(raw / j13, order, "string function")
 
 

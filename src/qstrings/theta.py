@@ -105,11 +105,11 @@ def pochhammer(x: Monomial, base: Rat, n: Optional[int], order: Rat) -> QSeries:
     # k < 0 every term is kept, and the terms reach down to n*min(k0, 0)
     D = lcm(base.denominator, x.qexp.denominator)
     k0, step, W = int(x.qexp * D), int(base * D), math.ceil(win * D)
+    if not x.unit_k and k0 <= 0 and k0 % step == 0 and (n is None or -k0 // step < n):
+        return QSeries.zero()  # a factor 1 - q^0 kills the product exactly, at any order
     ur, ui = UNIT_PAIRS[x.unit_k]
     acc = {0: [1, 0]}
     for k in range(k0, W if n is None else min(W - n * min(k0, 0), k0 + n * step), step):
-        if k == 0 and not x.unit_k:
-            return QSeries.zero()  # a vanishing factor kills the product exactly
         for j in sorted(acc, reverse=k > 0):  # read each term before the one k above it changes
             if k < 0 or j + k < W:
                 re, im = acc[j]
@@ -158,11 +158,14 @@ def jtheta_prod(x: Monomial, base: Rat, order: Rat) -> QSeries:
     order = Fraction(order)
     if not (0 <= x.qexp < base) or (x.qexp == 0 and x.unit_k == 0):
         raise OutOfStrip(f"x = {x} not in the fundamental strip of q^{base}")
-    win = order + pad(base)
+    # the three products have valuation 0, so three factors exact below some
+    # win > 0 make a product exact below win; the floor base keeps win > 0
+    # when order <= 0
+    win = max(order, base) + pad(base)
     a = pochhammer(x, base, None, win)
     b = pochhammer(Monomial(-x.unit_k, base - x.qexp), base, None, win)
     c = pochhammer(Monomial(0, base), base, None, win)
-    return (a * b * c).truncate(order)
+    return require_order(a * b * c, order, "triple product")
 
 
 def jtheta(x: Monomial, base: Rat, order: Rat) -> QSeries:
@@ -257,9 +260,12 @@ def theta_quotient(
 ) -> QSeries:
     """scalar * prefactor * prod(num) / prod(den), exact below `order`.
 
-    Each factor j(x; q^b) is computed at its own valuation plus the common
-    deficit D = order - prefactor.qexp - (sum of num valuations - sum of den
-    valuations), which makes the assembled product exact below `order`.
+    Each factor j(x; q^b) is computed at its own valuation v plus the common
+    margin M = max(D, b), D = order - prefactor.qexp - (sum of num valuations
+    - sum of den valuations).  A factor exact below v + M keeps trunc = ord + M
+    through every product and quotient, so the assembled series is exact
+    below its valuation plus M >= order - prefactor.qexp, with no slack; the
+    floor b keeps every divisor's leading term.  ``require_order`` checks it.
     A vanishing numerator factor short-circuits to the exact zero; a
     vanishing denominator factor raises ThetaZeroDenominator.
     """

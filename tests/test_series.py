@@ -22,6 +22,8 @@ from qstrings.series import (
     margin_scale,
     pad,
     require_order,
+    series_from_json_terms,
+    series_to_json_terms,
 )
 
 from oracles import (
@@ -85,6 +87,30 @@ class TestGaussianRational:
         g = GaussianRational(F(1, 2), -3)
         assert hash(g) == hash(GaussianRational(F(2, 4), F(-6, 2)))
         assert len({g, GaussianRational(F(1, 2), -3), F(1, 2)}) == 2
+
+    def test_fraction_parts_kept_as_they_are(self):
+        re, im = F(3, 4), F(-5, 6)
+        g = GaussianRational(re, im)
+        assert g.re is re and g.im is im
+        # the same value from ints, other spellings and the boundary view
+        for h in (GaussianRational(F(6, 8), F(10, -12)), F(3, 4) + GaussianRational(0, F(-5, 6)),
+                  QSeries.lattice(3, {2: (9, -10)}, INF, 12)[F(2, 3)]):
+            assert h == g and hash(h) == hash(g)
+            assert type(h.re) is F and type(h.im) is F
+        assert GaussianRational(2, 0) == 2 and hash(GaussianRational(2, F(0))) == hash(2)
+        assert type(GaussianRational(2).re) is F
+
+    def test_boundary_view_over_a_coefficient_denominator(self):
+        # parts over cden come out in lowest terms, whatever cden is
+        s = QSeries.lattice(6, {-3: (2, -6), 4: (8, 0), 9: (0, 3)}, F(7, 3), 4)
+        assert series_to_json_terms(s) == [
+            {"num": -1, "den_exp": 2, "re_num": 1, "re_den": 2, "im_num": -3, "im_den": 2},
+            {"num": 2, "den_exp": 3, "re_num": 2, "re_den": 1, "im_num": 0, "im_den": 1},
+            {"num": 3, "den_exp": 2, "re_num": 0, "re_den": 1, "im_num": 3, "im_den": 4},
+        ]
+        assert s.terms == {F(-1, 2): GaussianRational(F(1, 2), F(-3, 2)), F(2, 3): 2,
+                           F(3, 2): GaussianRational(0, F(3, 4))}
+        assert series_from_json_terms(series_to_json_terms(s), s.trunc).compare(s, s.trunc) is None
 
 
 class TestMonomial:
@@ -748,5 +774,7 @@ class TestPrecision:
         finally:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
-        assert seen == {2: {4}, 3: {6}}
-        assert pad(1) == 2
+        # each thread sees its own audit slack of k steps; outside any
+        # margin_scale the slack is zero
+        assert seen == {2: {2}, 3: {3}}
+        assert pad(1) == 0

@@ -8,10 +8,11 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qstrings
 
-from qstrings.series import Monomial
+from qstrings.series import Monomial, margin_scale
 from qstrings.strings import (
     C_full,
     InvalidLabel,
@@ -98,6 +99,33 @@ class TestOracle:
         lo = calC_oracle(lbl, 15)
         hi = calC_oracle(lbl, 25).truncate(15)
         assert lo.terms == hi.terms and lo.trunc == hi.trunc
+
+
+@st.composite
+def labels(draw):
+    N = draw(st.integers(1, 5))
+    ell = draw(st.integers(0, N))
+    return StringLabel(N, ell, ell + 2 * draw(st.integers(-N - 1, N)))
+
+
+# orders off the lattice 1/2 of the cone sum and of f_{1,1+N,1}
+OFF_HALF = st.sampled_from([3, 5, 7]).flatmap(
+    lambda d: st.integers(-2 * d, 16 * d).filter(lambda k: k % d).map(lambda k: F(k, d)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(labels(), OFF_HALF)
+# nothing lies below a negative order, and J_1^3 must still hold its term 1
+@example(StringLabel(1, 0, 0), F(-7, 3))
+def test_calC_paths_agree_without_slack(lbl, T):
+    # the cone walk and the Hecke enumeration are exact without any slack: at
+    # slack 0 the two paths agree term by term, and an audit slack moves nothing
+    want = calC_oracle(lbl, T)
+    assert want.trunc == T
+    for k in (0, 2):
+        with margin_scale(k):
+            for got in (calC_oracle(lbl, T), calC_hecke(lbl, T)):
+                assert got.terms == want.terms and got.trunc == want.trunc
 
 
 class TestLevelTheorems:

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qstrings.series import GaussianRational, Monomial, QSeries, pad
+from qstrings.series import GaussianRational, Monomial, QSeries, margin_scale, pad
 from qstrings.theta import (
     DivergentProduct,
     J,
@@ -124,6 +124,14 @@ class TestTripleProduct:
         assert len(self.SAMPLES) == 25
         for x, base in self.SAMPLES:
             assert_equal(jtheta(x, base, 30), jtheta_prod(x, base, 30), 30)
+
+    @pytest.mark.parametrize("T", [F(-3), F(-1, 2), F(0), F(1, 3)])
+    def test_exact_to_orders_near_and_below_zero(self, T):
+        # nothing lies below such an order, but the product must still be
+        # exact up to it, whatever its window
+        for x, base in [(Monomial(1, 0), F(1, 2)), (mq(F(1, 3)), F(2, 3)), (mq(0), F(1))]:
+            s = jtheta_prod(x, base, T)
+            assert s.trunc == T and s.terms == jtheta_sum(x, base, T).terms
 
     def test_strip_enforced(self):
         with pytest.raises(OutOfStrip):
@@ -509,6 +517,11 @@ def test_jtheta_matches_bruteforce_sum(k, e, base, T):
     else:
         assert s.trunc == T
         assert gaussian_terms(s) == jtheta_sum_gaussian(k, e, base, F(T))
+    # the range is exact without any slack, and an audit slack moves nothing
+    for m in (0, 2):
+        with margin_scale(m):
+            other = jtheta(x, base, T)
+        assert other.terms == s.terms and other.trunc == s.trunc
 
 
 @settings(max_examples=30, deadline=None)
@@ -549,6 +562,8 @@ UNIT_COEFFS = (F(1), Gauss(F(0), F(1)), F(-1), Gauss(F(0), F(-1)))
 @example((0, F(-3), F(1, 2), 6), F(-5))  # (1 - q^-3)...(1 - q^-1/2): a factor past the window still counts
 @example((2, F(0), F(1), None), F(8))  # (-1; q)_inf: a constant factor 2
 @example((0, F(0), F(1), None), F(8))  # (1; q)_inf = 0
+@example((0, F(0), F(1, 3), None), F(0))  # (1; q^(1/3))_inf = 0 also at order 0
+@example((0, F(-4, 3), F(2, 3), 3), F(-3))  # (q^(-4/3); q^(2/3))_3 has the factor 1 - q^0
 def test_pochhammer_matches_product_expand(args, T):
     k, e, base, n = args
     s = pochhammer(Monomial(k, e), base, n, T)
@@ -558,8 +573,14 @@ def test_pochhammer_matches_product_expand(args, T):
     assert {x: Gauss(c.re, c.im) for x, c in s.terms.items()} == {x: Gauss.of(c) for x, c in want.items() if x < T}
     zero = k == 0 and (e == 0 if n is None else any(e + i * base == 0 for i in range(n)))
     assert s.trunc == T or zero and s.is_exact_zero
-    # with T <= 0 the window may end before the factor 1 - q^0
-    assert s.is_exact_zero or not zero or T <= 0
+    # a factor 1 - q^0 makes the exact zero at every order, also at T <= 0
+    assert s.is_exact_zero == zero
+    # the factor range is exact without any slack, and an audit slack moves
+    # nothing below T
+    for m in (0, 2):
+        with margin_scale(m):
+            other = pochhammer(Monomial(k, e), base, n, T)
+        assert other.terms == s.terms and other.trunc == s.trunc
 
 
 @settings(max_examples=100, deadline=None)

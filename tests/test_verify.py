@@ -45,6 +45,15 @@ class TestRegistry:
         want = [tuple(line.split("\t")) for line in DIGESTS.read_text().splitlines()]
         assert case_digests() == want
 
+    def test_sides_match_digests_under_audit_slack(self):
+        # every window widened by two steps of its modulus moves no
+        # coefficient and no trunc of any side of any case
+        want = [tuple(line.split("\t")) for line in DIGESTS.read_text().splitlines()]
+        with margin_scale(2):
+            assert pad(1) > 0
+            got = case_digests()
+        assert got == want
+
     def test_size_and_uniqueness(self):
         cases = registry()
         assert len(cases) >= 60
@@ -128,7 +137,7 @@ class TestRunner:
         monkeypatch.setattr(verify, "run_case", lambda case, order: pad(1))
         with margin_scale(3):
             report = run_suite("notation", jobs=2)
-        assert report.results and set(report.results) == {6}
+        assert report.results and set(report.results) == {3}
 
     def test_json_deterministic_and_complete(self):
         a = report_to_json(run_suite("notation"))
