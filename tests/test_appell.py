@@ -136,7 +136,8 @@ def test_appell_m_matches_numerator_oracle(xk, xe, zk, ze, base, T):
         m = appell_m(x, base, z, T - o_j)
     except PoleAtXZ:
         assume(False)
-    # the ranges are exact without any slack, and doubled slack moves nothing
+    # the ranges are exact without any slack, and a two-step audit slack
+    # moves nothing
     for k in (0, 2):
         with margin_scale(k):
             other = appell_m(x, base, z, T - o_j)

@@ -114,7 +114,7 @@ def test_hecke_f_matches_double_sum_oracle(a, b, c, xk, xe, yk, ye, base, order)
     assert as_gauss(s) == oracle(a, b, c, x, y, base, order)
     # the enumeration is exact without any slack: scale 0 makes the window
     # the order itself, so a term just below an order off the lattice tests
-    # the window bound; doubled slack moves nothing either
+    # the window bound; a two-step audit slack moves nothing either
     for k in (0, 2):
         with margin_scale(k):
             wide = hecke_f(a, b, c, x, y, base, order)
