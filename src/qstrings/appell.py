@@ -53,7 +53,7 @@ def appell_m(x: Monomial, base: Rat, z: Monomial, order: Rat) -> QSeries:
     # Bc*C(r,2) + r*Z, d is Bc*(r-1) + X + Z, and e < win_s is e*D < W
     D = math.lcm(base.denominator, x.qexp.denominator, z.qexp.denominator)
     Bc, X, Z, W = int(base * D), int(x.qexp * D), int(z.qexp * D), math.ceil(win_s * D)
-    terms: dict = {}
+    real, imag = {}, {}
     half = QSeries.zero()
     sigma = 0
     rho_k = (x.unit_k + z.unit_k) % 4  # rho = i^rho_k
@@ -63,23 +63,18 @@ def appell_m(x: Monomial, base: Rat, z: Monomial, order: Rat) -> QSeries:
         lead_k = 2 * r + z.unit_k * r  # (-1)^r z.unit^r = i^lead_k
         d = Bc * (r - 1) + X + Z
         if d > 0:  # i^(lead_k + rho_k*t) q^(e_r + t*d) for e_r + t*d < W
-            run = [(e_r + t * d, UNIT_PAIRS[(lead_k + rho_k * t) & 3]) for t in range(-((e_r - W) // d))]
+            run = [(e_r + t * d, lead_k + rho_k * t) for t in range(-((e_r - W) // d))]
         elif d < 0:  # -i^(lead_k - rho_k*t) q^(e_r - t*d) for t >= 1
-            run = [(e_r - t * d, UNIT_PAIRS[(lead_k - rho_k * t + 2) & 3])
-                   for t in range(1, -((e_r - W) // -d))]
+            run = [(e_r - t * d, lead_k - rho_k * t + 2) for t in range(1, -((e_r - W) // -d))]
         else:  # i^lead_k / (1 - rho), half a Gaussian integer; d is linear in r, so one r gets here
             (ar, ai), (ur, ui) = _TWICE_GEOMETRIC[rho_k], UNIT_PAIRS[lead_k & 3]
-            half = QSeries.lattice(D, {e_r: (ar * ur - ai * ui, ar * ui + ai * ur)}, win_s, 2)
+            half = QSeries.lattice(D, {e_r: ar * ur - ai * ui}, {e_r: ar * ui + ai * ur}, win_s, 2)
             continue
-        for k, (dre, dim) in run:
-            s = terms.get(k)
-            if s is None:
-                terms[k] = [dre, dim]
-            else:
-                s[0] += dre
-                s[1] += dim
+        for k, u in run:  # i^u: +-1 is real, +-i imaginary
+            part = imag if u & 1 else real
+            part[k] = part.get(k, 0) + 1 - (u & 2)
 
-    s = QSeries.lattice(D, terms, win_s) + half
+    s = QSeries.lattice(D, real, imag, win_s) + half
     sigma = Fraction(sigma, D)
     win_d = max(o_z + base, order + 2 * o_z - min(sigma, Fraction(0)) + pad(base))
     denom = jtheta(z, base, win_d)

@@ -348,7 +348,7 @@ def pretty(node: Node, prec: int = 0) -> str:
 
 def _term(s: QSeries, path: str) -> Tuple[GaussianRational, Fraction]:
     """The coefficient and exponent of an exact series of at most one term."""
-    if s.trunc != INF or len(s.coeffs) > 1:
+    if s.trunc != INF or len(s.keys()) > 1:
         raise EvalError("expected a scalar times a power of q", path)
     for e, c in s.items_sorted():
         return c, e
@@ -435,7 +435,7 @@ def _cut(s: QSeries, order: Fraction) -> QSeries:
     """`s` truncated `order` past its least exponent if it is exact with
     several terms: the quotient by such a series has infinitely many terms,
     and the cut gives it a truncation while keeping its leading term."""
-    return s.truncate(s.ord + order) if s.trunc == INF and len(s.coeffs) > 1 else s
+    return s.truncate(s.ord + order) if s.trunc == INF and len(s.keys()) > 1 else s
 
 
 def _eval_series(node: Node, order: Fraction, path: str) -> QSeries:
@@ -453,7 +453,7 @@ def _eval_series(node: Node, order: Fraction, path: str) -> QSeries:
         e = node.exponent
         base = _eval_series(node.base, order, path)
         if e.denominator != 1:
-            c, qexp = _term(base, path) if base.trunc == INF and len(base.coeffs) == 1 else (None, 0)
+            c, qexp = _term(base, path) if base.trunc == INF and len(base.keys()) == 1 else (None, 0)
             if c != GaussianRational(1):
                 raise EvalError("fractional powers apply only to plain powers of q", path)
             return Monomial.q(qexp * e).as_series()

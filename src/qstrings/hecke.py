@@ -14,9 +14,10 @@ The enumeration runs on plain ints: with D the lcm of the denominators of
 base, x.qexp and y.qexp, every exponent is the int E(r,s)*D and the window
 e < order becomes E*D < ceil(order*D); both ranges are exact, so the
 window needs no slack (``margin_scale`` widens it only for an audit).  Each
-coefficient is summed as an (re, im) pair of ints keyed by the int
-exponent, and those pairs are the stored series on the lattice 1/D over the
-coefficient denominator 1 (``QSeries.lattice``); the half-integral
+term is a unit i^u: +-1 is summed into a dict of real int numerators and
++-i into one of imaginary numerators, keyed by the int exponent, and those
+two dicts are the stored series on the lattice 1/D over the coefficient
+denominator 1 (``QSeries.lattice``); the half-integral
 coefficients of the closed forms enter through ``appell_m`` and the
 division by j(-1; q^m).
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, lcm
 
-from .series import UNIT_PAIRS, Monomial, QSeries, Rat, pad, require_order
+from .series import Monomial, QSeries, Rat, pad, require_order
 from .appell import appell_m
 from .theta import (
     comb2,
@@ -69,7 +70,7 @@ def hecke_f(a: int, b: int, c: int, x: Monomial, y: Monomial, base: Rat, order: 
     W = ceil(win * D)  # e < win iff e*D < W
     # the unit of the (r, s) term is i^k, k = (2 + x.unit_k)*r + (2 + y.unit_k)*s
     kx, ky = 2 + x.unit_k, 2 + y.unit_k
-    acc: dict = {}
+    real, imag = {}, {}
     # the s-parabola Bc*C(s,2) + s*Y is least on an arm at the integers either
     # side of its vertex (Bc - 2Y) / 2Bc, moved onto the arm
     n0, n1 = (Bc - 2 * Y) // (2 * Bc), -((2 * Y - Bc) // (2 * Bc))
@@ -87,15 +88,11 @@ def hecke_f(a: int, b: int, c: int, x: Monomial, y: Monomial, base: Rat, order: 
             # E(r, s) < W exactly for these s
             for s in _on_arm(parabola_range(Bc, lin, W - pr), up):
                 e = pr + s * lin + Bc * (s * (s - 1) // 2)
-                dre, dim = UNIT_PAIRS[(kr + ky * s) & 3]
-                cf = acc.get(e)
-                if cf is None:
-                    acc[e] = [dre, dim]
-                else:
-                    cf[0] += dre
-                    cf[1] += dim
+                u = (kr + ky * s) & 3  # i^u: +-1 is real, +-i imaginary
+                part = imag if u & 1 else real
+                part[e] = part.get(e, 0) + 1 - (u & 2)
 
-    return QSeries.lattice(D, acc, order)
+    return QSeries.lattice(D, real, imag, order)
 
 
 def hecke_shift_rhs(a: int, b: int, c: int, x: Monomial, y: Monomial, base: Rat,

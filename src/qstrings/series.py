@@ -13,22 +13,24 @@ truncation and never silently claims more precision than its inputs
 support.
 
 Every series is stored on ints, as FLINT's fmpq_poly stores integer
-numerators over one common denominator, twice over: an int exponent
-denominator ``den``, an int coefficient denominator ``cden`` and a dict
-``coeffs`` mapping the int k to an (re, im) pair of ints, so that the
-coefficient of q^(k/den) is (re + im*i)/cden.  Neither ``den`` nor
-``cden`` need be minimal.  An operation on two series moves both onto the
-lcm of their dens and compares exponents with trunc through the int bound
-ceil(trunc*den); addition and comparison also move both onto the lcm of
-their cdens, multiplication multiplies the cdens, and division takes out
-the divisor's content (the gcd of its parts, Knuth, TAOCP vol. 2 §4.6.1)
-and sets the quotient's cden once.  So addition, multiplication, division,
-shifts, substitutions, truncation and comparison all run on ints.  The
-constructors of the other modules build their lattice terms directly with
-``QSeries.lattice``.  Fractions and GaussianRationals appear only at the
-boundary: the Fraction-keyed constructor, scalar arguments,
-``__getitem__``, ``terms`` (a view built on every read), ``items_sorted``,
-``support``, ``ord``, ``Mismatch`` and the JSON and text forms.
+numerators over one common denominator: an int exponent denominator
+``den``, an int coefficient denominator ``cden`` and two dicts ``real`` and
+``imag`` from the int k to a nonzero int, so that the coefficient of
+q^(k/den) is (real[k] + imag[k]*i)/cden, a missing key reading 0.  Neither
+den nor cden need be minimal.  A real series has an empty ``imag``, so its
+imaginary arithmetic drops out with no flag and no second kernel.  An
+operation on two series moves both onto the lcm of their dens and compares
+exponents with trunc through the int bound ceil(trunc*den); addition and
+comparison also move both onto the lcm of their cdens.  Every operation
+works part by part: multiplication is one real convolution per pair of
+nonzero parts, division one real long division per part of the dividend,
+by a divisor made real with its conjugate and freed of its content (the
+gcd of its numerators, Knuth, TAOCP vol. 2 §4.6.1).  The constructors of
+the other modules fill the two dicts for ``QSeries.lattice``.  Fractions
+and GaussianRationals appear only at the boundary: the Fraction-keyed
+constructor, scalar arguments, ``__getitem__``, ``terms`` (a view built on
+every read), ``items_sorted``, ``support``, ``ord``, ``Mismatch`` and the
+text form.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, inf as INF, lcm
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 Rat = Union[int, Fraction]
 Trunc = Union[Fraction, float]  # a Fraction, or INF for exact values
@@ -263,7 +265,8 @@ class Monomial:
         return self ** (-1)
 
     def as_series(self) -> "QSeries":
-        return _new(self.qexp.denominator, {self.qexp.numerator: UNIT_PAIRS[self.unit_k]}, INF)
+        re, im = UNIT_PAIRS[self.unit_k]
+        return QSeries.lattice(self.qexp.denominator, {self.qexp.numerator: re}, {self.qexp.numerator: im}, INF)
 
     def __str__(self):
         u = {0: "", 1: "i*", 2: "-", 3: "-i*"}[self.unit_k]
@@ -284,15 +287,11 @@ class Mismatch:
 
 
 class QSeries:
-    """Sparse exact q-series on the exponent lattice 1/den.
+    """Sparse exact q-series on the exponent lattice 1/den, stored as the
+    module docstring says: only keys with k/den < trunc are stored, and
+    neither den, cden nor the two dicts change after construction."""
 
-    ``coeffs`` maps an int k to the (re, im) pair of ints whose coefficient
-    (re + im*i)/cden is that of q^(k/den); only nonzero coefficients with
-    k/den < trunc are stored, and neither den, cden nor the pairs are ever
-    changed after construction.
-    """
-
-    __slots__ = ("den", "coeffs", "trunc", "cden")
+    __slots__ = ("den", "real", "imag", "trunc", "cden")
 
     def __init__(self, terms: Mapping[Rat, object], trunc: Trunc):
         trunc = trunc if trunc == INF else Fraction(trunc)
@@ -306,30 +305,30 @@ class QSeries:
         cden = lcm(*(p.denominator for c in known.values() for p in (c.re, c.im)))
         self.den = den
         self.cden = cden
-        self.coeffs = {e.numerator * (den // e.denominator): (int(c.re * cden), int(c.im * cden))
-                       for e, c in known.items()}
+        self.real = {e.numerator * (den // e.denominator): int(c.re * cden) for e, c in known.items() if c.re}
+        self.imag = {e.numerator * (den // e.denominator): int(c.im * cden) for e, c in known.items() if c.im}
         self.trunc = trunc
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def lattice(den: int, coeffs: Mapping[int, Sequence[int]], trunc: Trunc, cden: int = 1) -> "QSeries":
-        """The sum of ((re + im*i)/cden) q^(k/den) over k: (re, im) in `coeffs`,
-        below `trunc`, for int pairs and a positive int cden; zero pairs are
-        dropped."""
+    def lattice(den: int, real: Mapping[int, int], imag: Mapping[int, int], trunc: Trunc,
+                cden: int = 1) -> "QSeries":
+        """The sum of ((real[k] + imag[k]*i)/cden) q^(k/den) below `trunc`
+        for two int dicts and an int cden > 0; zeros are dropped."""
         trunc = trunc if trunc == INF else Fraction(trunc)
         bound = _bound(trunc, den)
-        return _new(den, {k: (re, im) for k, (re, im) in coeffs.items() if (re or im) and k < bound},
+        return _new(den, *({k: c for k, c in d.items() if c and k < bound} for d in (real, imag)),
                     trunc, cden)
 
     @staticmethod
     def zero() -> "QSeries":
-        return _new(1, {}, INF)
+        return _new(1, {}, {}, INF)
 
     @staticmethod
     def const(c, trunc: Trunc = INF) -> "QSeries":
         re, im, d = _scalar(c)
-        return QSeries.lattice(1, {0: (re, im)}, trunc, d)
+        return QSeries.lattice(1, {0: re}, {0: im}, trunc, d)
 
     @staticmethod
     def one(trunc: Trunc = INF) -> "QSeries":
@@ -339,37 +338,43 @@ class QSeries:
 
     @property
     def is_exact_zero(self) -> bool:
-        return not self.coeffs and self.trunc == INF
+        return not (self.real or self.imag) and self.trunc == INF
+
+    def keys(self):
+        """The int k of every stored term q^(k/den), as a set-like view."""
+        real, imag = self.real, self.imag
+        return real.keys() | imag.keys() if real and imag else (real or imag).keys()
 
     @property
     def ord(self):
         """Least stored exponent, or None when no term is known."""
-        return Fraction(min(self.coeffs), self.den) if self.coeffs else None
+        return Fraction(min(self.keys()), self.den) if self.real or self.imag else None
 
     def ord_bound(self) -> Trunc:
         """A lower bound for the exponent of any term, known or not."""
-        return self.ord if self.coeffs else self.trunc
+        return self.ord if self.real or self.imag else self.trunc
 
     def __getitem__(self, e: Rat) -> GaussianRational:
         e = Fraction(e)
         if e >= self.trunc:
             raise InsufficientOrder(f"coefficient at q^{e} is beyond trunc {self.trunc}")
         k = e * self.den
-        return _gauss(self.coeffs.get(k.numerator) if k.denominator == 1 else None, self.cden)
+        if k.denominator != 1:
+            return QI_ZERO
+        return _gauss(self.real.get(k.numerator, 0), self.imag.get(k.numerator, 0), self.cden)
 
     @property
     def terms(self) -> dict:
         """The stored terms as a new {Fraction exponent: GaussianRational} dict,
         built on every read; changing it leaves the series as it was."""
-        den, cden = self.den, self.cden
-        return {Fraction(k, den): _gauss(c, cden) for k, c in self.coeffs.items()}
+        return dict(self.items_sorted())
 
     def items_sorted(self):
-        den, cden = self.den, self.cden
-        return [(Fraction(k, den), _gauss(c, cden)) for k, c in sorted(self.coeffs.items())]
+        den, cden, real, imag = self.den, self.cden, self.real, self.imag
+        return [(Fraction(k, den), _gauss(real.get(k, 0), imag.get(k, 0), cden)) for k in sorted(self.keys())]
 
     def support(self):
-        return [Fraction(k, self.den) for k in sorted(self.coeffs)]
+        return [Fraction(k, self.den) for k in sorted(self.keys())]
 
     # -- ring operations ---------------------------------------------------
 
@@ -378,22 +383,9 @@ class QSeries:
             other = QSeries.const(other)
         trunc = min(self.trunc, other.trunc)
         cden = lcm(self.cden, other.cden)
-        den, a, b = _rebase(self, other, cden=cden)
+        den, (ar, ai), (br, bi) = _rebase(self, other, cden=cden)
         bound = _bound(trunc, den)
-        t = {k: c for k, c in a.items() if k < bound}
-        for k, c in b.items():
-            if k >= bound:
-                continue
-            s = t.get(k)
-            if s is None:
-                t[k] = c
-                continue
-            re, im = s[0] + c[0], s[1] + c[1]
-            if re or im:
-                t[k] = (re, im)
-            else:
-                del t[k]
-        return _new(den, t, trunc, cden)
+        return _new(den, _combo(ar, 1, br, 1, bound), _combo(ai, 1, bi, 1, bound), trunc, cden)
 
     __radd__ = __add__
 
@@ -406,8 +398,7 @@ class QSeries:
         return (-self) + other
 
     def __neg__(self):
-        return _new(self.den, {k: (-re, -im) for k, (re, im) in self.coeffs.items()}, self.trunc,
-                    self.cden)
+        return _times(self, -1, 0, 1)
 
     def scale(self, c) -> "QSeries":
         return _times(self, *_scalar(c))
@@ -419,26 +410,17 @@ class QSeries:
         if a.is_exact_zero or b.is_exact_zero:
             return QSeries.zero()
         trunc = min(tadd(a.trunc, b.ord_bound()), tadd(b.trunc, a.ord_bound()))
-        den, ca, cb = _rebase(a, b)
+        den, (ar, ai), (br, bi) = _rebase(a, b)
         bound = _bound(trunc, den)
-        la, lb = _ascending(ca), _ascending(cb)
-        acc: dict = {}
-        if la and lb:
-            kb_min = lb[0][0]
-            for ka, ra, ia in la:
-                if ka + kb_min >= bound:
-                    break
-                for kb, rb, ib in lb:
-                    k = ka + kb
-                    if k >= bound:
-                        break
-                    s = acc.get(k)
-                    if s is None:
-                        acc[k] = [ra * rb - ia * ib, ra * ib + ia * rb]
-                    else:
-                        s[0] += ra * rb - ia * ib
-                        s[1] += ra * ib + ia * rb
-        return QSeries.lattice(den, acc, trunc, a.cden * b.cden)
+        ar, ai, br, bi = (sorted(d.items()) for d in (ar, ai, br, bi))
+        # (ar + ai*i)(br + bi*i) = ar*br - ai*bi + (ar*bi + ai*br)*i
+        real, imag = {}, {}
+        _convolve(real, ar, br, bound, 1)
+        _convolve(real, ai, bi, bound, -1)
+        _convolve(imag, ar, bi, bound, 1)
+        _convolve(imag, ai, br, bound, 1)
+        return _new(den, *({k: c for k, c in d.items() if c} for d in (real, imag)), trunc,
+                    a.cden * b.cden)
 
     __rmul__ = __mul__
 
@@ -465,71 +447,31 @@ class QSeries:
         v = f.ord
         if v is None:
             raise ZeroLeadingTerm("division by a series with no term below its truncation")
-        # trunc contract: min(a.trunc - v, ord(a) + f.trunc - 2v)
-        trunc = min(tadd(a.trunc, -v), tadd(tadd(f.trunc, -2 * v), a.ord_bound()))
-        if len(f.coeffs) > 1 and a.trunc == INF and f.trunc == INF:
+        if len(f.keys()) > 1 and a.trunc == INF and f.trunc == INF:
             # an exact series over an exact non-monomial has infinitely many terms
             raise SeriesError("truncate before dividing by an exact non-monomial series")
-        den, ca, cf = _rebase(a, f)
+        if f.imag:  # a/f = a*conj(f) / (f*conj(f)), f*conj(f) = fr^2 + fi^2 real; same trunc
+            fc = _new(f.den, f.real, _combo(f.imag, -1, {}, 0), f.trunc, f.cden)
+            return (a * fc) / (f * fc)
+        # trunc contract: min(a.trunc - v, ord(a) + f.trunc - 2v)
+        trunc = min(tadd(a.trunc, -v), tadd(tadd(f.trunc, -2 * v), a.ord_bound()))
+        den, ca, (cf, _) = _rebase(a, f)
         bound = _bound(trunc, den)
-        lf = _ascending(cf)
-        # a = A/a.cden and f = g*P/f.cden for int pairs A and P, g the content
-        # of f's pairs, so a/f = (m*A/P) / (a.cden*gq) with m/gq = f.cden/g in
-        # lowest terms
-        g = 0
-        for _, fr, fi in lf:
-            g = gcd(g, fr, fi)
-            if g == 1:
-                break
+        # a = A/a.cden and f = g*P/f.cden for int numerators A and a real P,
+        # g the content of f's numerators, so a/f = (m*A/P) / (a.cden*gq)
+        # with m/gq = f.cden/g in lowest terms
+        g = gcd(*cf.values())
         c = gcd(f.cden, g)
         m, gq = f.cden // c, g // c
-        kv, ur, ui = lf[0]
-        ur, ui = ur // g, ui // g
-        tail = [(k - kv, fr // g, fi // g) for k, fr, fi in lf[1:]]
-        # P = sum of P_d q^(v+d) over d >= 0 and m*A = P*Q, read at q^(e+v):
-        # Q_e = (m*A_(e+v) - sum over d > 0 of P_d Q_(e-d)) / u, u = P_0, all
-        # exponents in units of 1/den.  1/u = w/N for the Gaussian integer
-        # w = conj(u)/h and the int N = |u|^2/h, h = gcd(re u, im u); N is 1
-        # when u is a unit.  Every numerator, pending or final, is over N^p:
-        # p rises by one whenever a quotient numerator is not divisible by N
-        h = gcd(ur, ui)
-        wr, wi, N = ur // h, -ui // h, (ur * ur + ui * ui) // h
-        # pending[k] collects the numerator of Q_k; it is final once popped,
-        # since every contribution comes from a smaller exponent
-        pending = {k - kv: [re * m, im * m] for k, (re, im) in ca.items() if k - kv < bound}
-        heap = list(pending)
-        heapify(heap)
-        acc: dict = {}
-        p = 0
-        while heap:
-            k = heappop(heap)
-            sr, si = pending.pop(k)
-            cr, ci = wr * sr - wi * si, wr * si + wi * sr
-            if not (cr or ci):
-                continue
-            if N != 1:
-                if cr % N or ci % N:
-                    p += 1
-                    for s in pending.values():
-                        s[0] *= N
-                        s[1] *= N
-                    for j, (xr, xi) in acc.items():
-                        acc[j] = (xr * N, xi * N)
-                else:
-                    cr, ci = cr // N, ci // N
-            acc[k] = (cr, ci)
-            for d, fr, fi in tail:
-                k2 = k + d
-                if k2 >= bound:
-                    break
-                s = pending.get(k2)
-                if s is None:
-                    pending[k2] = [fi * ci - fr * cr, -fr * ci - fi * cr]
-                    heappush(heap, k2)
-                else:
-                    s[0] -= fr * cr - fi * ci
-                    s[1] -= fr * ci + fi * cr
-        return _new(den, acc, trunc, a.cden * gq * N ** p)
+        lf = sorted(cf.items())
+        kv, u = lf[0][0], lf[0][1] // g
+        tail = [(k - kv, fk // g) for k, fk in lf[1:]]
+        # each part of m*A by P, over N^p for N = |P_0|, then both over the larger N^p
+        parts = [_long_divide({k - kv: x * m for k, x in d.items() if k - kv < bound}, tail, u, bound)
+                 for d in ca]
+        N, p = abs(u), max(p for _, p in parts)
+        real, imag = (q if p == pq else {k: x * N ** (p - pq) for k, x in q.items()} for q, pq in parts)
+        return _new(den, real, imag, trunc, a.cden * gq * N ** p)
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse 1/self; trunc contract: self.trunc - 2*ord(self)."""
@@ -544,16 +486,12 @@ class QSeries:
         e = mn.qexp
         den = lcm(self.den, e.denominator)
         m, d = den // self.den, e.numerator * (den // e.denominator)
-        items = self.coeffs.items()
-        if mn.unit_k == 0:
-            t = {k * m + d: c for k, c in items}
-        elif mn.unit_k == 1:  # times i
-            t = {k * m + d: (-im, re) for k, (re, im) in items}
-        elif mn.unit_k == 2:
-            t = {k * m + d: (-re, -im) for k, (re, im) in items}
-        else:  # times -i
-            t = {k * m + d: (im, -re) for k, (re, im) in items}
-        return _new(den, t, tadd(self.trunc, e), self.cden)
+        real, imag = ({k * m + d: c for k, c in part.items()} for part in (self.real, self.imag))
+        if mn.unit_k & 1:  # times i swaps the parts: i*(x + y*i) = -y + x*i
+            real, imag = _combo(imag, -1, {}, 0), real
+        if mn.unit_k & 2:  # times -1
+            real, imag = _combo(real, -1, {}, 0), _combo(imag, -1, {}, 0)
+        return _new(den, real, imag, tadd(self.trunc, e), self.cden)
 
     def substitute_power(self, r: Rat) -> "QSeries":
         """q -> q**r with r > 0: scales every exponent and the truncation."""
@@ -563,7 +501,8 @@ class QSeries:
         # k/den * p/s = k*(p/g) / (den/g * s), g = gcd(p, den)
         g = gcd(r.numerator, self.den)
         p = r.numerator // g
-        return _new(self.den // g * r.denominator, {k * p: c for k, c in self.coeffs.items()},
+        return _new(self.den // g * r.denominator,
+                    *({k * p: c for k, c in d.items()} for d in (self.real, self.imag)),
                     tmul(self.trunc, r), self.cden)
 
     def substitute_q_neg(self) -> "QSeries":
@@ -571,20 +510,19 @@ class QSeries:
         if self.trunc != INF and Fraction(self.trunc).denominator != 1:
             raise FractionalExponent(f"trunc {self.trunc} is not an integer")
         den = self.den
-        t = {}
-        for k, (re, im) in self.coeffs.items():
-            n, rest = divmod(k, den)
-            if rest:
+        for k in self.keys():
+            if k % den:
                 raise FractionalExponent(f"exponent {Fraction(k, den)} is not an integer")
-            t[n] = (-re, -im) if n % 2 else (re, im)
-        return _new(1, t, self.trunc, self.cden)
+        return _new(1, *({k // den: -c if k // den & 1 else c for k, c in d.items()} for d in (self.real, self.imag)),
+                    self.trunc, self.cden)
 
     def truncate(self, order: Trunc) -> "QSeries":
         if self.is_exact_zero or order >= self.trunc:
             return self
         trunc = Fraction(order)
         bound = _bound(trunc, self.den)
-        return _new(self.den, {k: c for k, c in self.coeffs.items() if k < bound}, trunc, self.cden)
+        return _new(self.den, *({k: c for k, c in d.items() if k < bound} for d in (self.real, self.imag)),
+                    trunc, self.cden)
 
     # -- comparison ----------------------------------------------------------
 
@@ -599,22 +537,23 @@ class QSeries:
         cden = lcm(self.cden, other.cden)
         den, a, b = _rebase(self, other, cden=cden)
         bound = _bound(upto, den)
-        diff = [k for k, c in a.items() if k < bound and b.get(k) != c]
-        diff += [k for k in b if k < bound and k not in a]
+        # a key differs where a part of one side is missing or other on the other
+        diff = [k for x, y in zip(a, b) for k, _ in x.items() ^ y.items() if k < bound]
         if not diff:
             return None
         k = min(diff)
-        return Mismatch(Fraction(k, den), _gauss(a.get(k), cden), _gauss(b.get(k), cden))
+        return Mismatch(Fraction(k, den), *(_gauss(re.get(k, 0), im.get(k, 0), cden) for re, im in (a, b)))
 
     def __repr__(self):
         return f"QSeries({format_series(self, max_terms=8)})"
 
 
-def _new(den: int, coeffs: dict, trunc: Trunc, cden: int = 1) -> QSeries:
-    """A series around `coeffs` as given: nonzero (re, im) int tuples below trunc."""
+def _new(den: int, real: dict, imag: dict, trunc: Trunc, cden: int = 1) -> QSeries:
+    """A series around the two dicts as given: nonzero ints below trunc."""
     out = QSeries.__new__(QSeries)
     out.den = den
-    out.coeffs = coeffs
+    out.real = real
+    out.imag = imag
     out.trunc = trunc
     out.cden = cden
     return out
@@ -640,16 +579,85 @@ def _times(s: QSeries, cr: int, ci: int, d: int) -> QSeries:
     cr, ci, d = cr // g, ci // g, d // g
     if ci == 0 and cr == d:
         return s
-    return _new(s.den, {k: (re * cr - im * ci, re * ci + im * cr) for k, (re, im) in s.coeffs.items()},
-                s.trunc, s.cden * d)
+    return _new(s.den, _combo(s.real, cr, s.imag, -ci), _combo(s.real, ci, s.imag, cr), s.trunc,
+                s.cden * d)
 
 
-def _gauss(c, cden: int) -> GaussianRational:
-    """The stored pair `c` (None for no term) over `cden` as a GaussianRational."""
-    if c is None:
-        return QI_ZERO
-    return GaussianRational(c[0], c[1]) if cden == 1 else GaussianRational(Fraction(c[0], cden),
-                                                                         Fraction(c[1], cden))
+def _combo(x: dict, a: int, y: dict, b: int, bound=INF) -> dict:
+    """a*x + b*y below the int bound for int dicts x and y and ints a and b,
+    without zeros."""
+    t = {k: a * c for k, c in x.items() if k < bound} if a else {}
+    if b:
+        for k, c in y.items():
+            if k < bound:
+                s = t.get(k, 0) + b * c
+                if s:
+                    t[k] = s
+                else:
+                    del t[k]
+    return t
+
+
+def _convolve(acc: dict, la: list, lb: list, bound, sign: int) -> None:
+    """Add sign*a*b below the int bound into `acc`, for a and b given as
+    (k, int) lists in ascending k."""
+    if not (la and lb):
+        return
+    kb_min = lb[0][0]
+    for ka, ca in la:
+        if ka + kb_min >= bound:
+            break
+        ca *= sign
+        for kb, cb in lb:
+            k = ka + kb
+            if k >= bound:
+                break
+            acc[k] = acc.get(k, 0) + ca * cb
+
+
+def _long_divide(pending: dict, tail: list, u: int, bound) -> tuple:
+    """`pending` over the int series u + sum of P_d q^d, (d, P_d) in `tail`
+    with ascending d > 0, below the int bound: Q_e = (pending_e - sum over
+    d of P_d Q_(e-d)) / u, as (numerators, p), all over N^p, N = |u|.
+    Whenever a numerator is not divisible by N, p rises by one and every
+    numerator, pending or final, is multiplied by N."""
+    N = abs(u)
+    heap = list(pending)
+    heapify(heap)
+    acc: dict = {}
+    p = 0
+    while heap:
+        # pending[k] is final once popped, since every contribution comes
+        # from a smaller exponent
+        k = heappop(heap)
+        c = pending.pop(k)
+        if not c:
+            continue
+        if c % N:
+            p += 1
+            for j in pending:
+                pending[j] *= N
+            for j in acc:
+                acc[j] *= N
+        else:
+            c //= N
+        c = c if u > 0 else -c
+        acc[k] = c
+        for d, fd in tail:
+            k2 = k + d
+            if k2 >= bound:
+                break
+            if k2 in pending:
+                pending[k2] -= fd * c
+            else:
+                pending[k2] = -fd * c
+                heappush(heap, k2)
+    return acc, p
+
+
+def _gauss(re: int, im: int, cden: int) -> GaussianRational:
+    """The numerators re and im over `cden` as a GaussianRational."""
+    return GaussianRational(Fraction(re, cden), Fraction(im, cden)) if re or im else QI_ZERO
 
 
 def _bound(trunc: Trunc, den: int):
@@ -659,24 +667,17 @@ def _bound(trunc: Trunc, den: int):
 
 
 def _rebase(*series: QSeries, cden: int = 0):
-    """den, the lcm of the series' lattice denominators, and each series'
-    coeffs with its keys moved onto the lattice 1/den and, for a cden that
-    every series' cden divides (0: none), its pairs onto cden: equal series
-    then have equal coeffs."""
+    """den, the lcm of the series' dens, and each series' (real, imag) with
+    its keys moved onto the lattice 1/den and, for a cden that every cden
+    divides (0: none), its numerators onto cden: equal series then have
+    equal parts."""
     den = lcm(*(s.den for s in series))
     out = [den]
     for s in series:
-        m, c = den // s.den, cden // s.cden
-        if c > 1:
-            out.append({k * m: (re * c, im * c) for k, (re, im) in s.coeffs.items()})
-        else:
-            out.append(s.coeffs if m == 1 else {k * m: v for k, v in s.coeffs.items()})
+        m, c = den // s.den, cden // s.cden or 1
+        out.append((s.real, s.imag) if m == c == 1 else
+                   tuple({k * m: x * c for k, x in d.items()} for d in (s.real, s.imag)))
     return out
-
-
-def _ascending(coeffs: dict) -> list:
-    """coeffs as (k, re, im) triples in ascending k."""
-    return [(k, re, im) for k, (re, im) in sorted(coeffs.items())]
 
 
 def require_order(s: QSeries, order: Rat, what: str) -> QSeries:
@@ -705,9 +706,11 @@ def format_coeff(c: GaussianRational) -> str:
         if c.im.denominator == 1:
             return f"{c.im}i"
         return f"({c.im})i"
-    ims = "i" if c.im == 1 else ("-i" if c.im == -1 else f"{c.im}i")
-    sep = "" if ims.startswith("-") else "+"
-    return f"({c.re}{sep}{ims})"
+    # a non-integral imaginary part is bracketed, (1+(1/2)i): 1+1/2i would
+    # read as 1 + 1/(2i)
+    m = abs(c.im)
+    ims = "i" if m == 1 else (f"{m}i" if m.denominator == 1 else f"({m})i")
+    return f"({c.re}{'-' if c.im < 0 else '+'}{ims})"
 
 
 def _term_str(c: GaussianRational, e: Fraction) -> str:
@@ -753,18 +756,15 @@ def format_series(s: QSeries, max_terms: int | None = None) -> str:
 
 
 def series_to_json_terms(s: QSeries) -> list:
-    """The wire form: one record per term, ascending exponent."""
-    return [
-        {
-            "num": e.numerator,
-            "den_exp": e.denominator,
-            "re_num": c.re.numerator,
-            "re_den": c.re.denominator,
-            "im_num": c.im.numerator,
-            "im_den": c.im.denominator,
-        }
-        for e, c in s.items_sorted()
-    ]
+    """The wire form: one record per term, ascending exponent, each exponent
+    and each part reduced with gcd on the stored ints."""
+    den, cden, out = s.den, s.cden, []
+    for k in sorted(s.keys()):
+        re, im = s.real.get(k, 0), s.imag.get(k, 0)
+        g, gr, gi = gcd(k, den), gcd(re, cden), gcd(im, cden)
+        out.append({"num": k // g, "den_exp": den // g, "re_num": re // gr, "re_den": cden // gr,
+                    "im_num": im // gi, "im_den": cden // gi})
+    return out
 
 
 def series_from_json_terms(records, trunc: Trunc) -> QSeries:

@@ -145,7 +145,7 @@ def _cone_sum(N: int, ell: int, m: int, win: Fraction) -> QSeries:
             break
         t += 1
 
-    return QSeries.lattice(2, {e: (c, 0) for e, c in terms.items()}, win)
+    return QSeries.lattice(2, terms, {}, win)
 
 
 def _divide_by_j1_cubed(raw: QSeries, order: Fraction, base: Rat = 1) -> QSeries:

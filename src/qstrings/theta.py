@@ -108,15 +108,18 @@ def pochhammer(x: Monomial, base: Rat, n: Optional[int], order: Rat) -> QSeries:
     if not x.unit_k and k0 <= 0 and k0 % step == 0 and (n is None or -k0 // step < n):
         return QSeries.zero()  # a factor 1 - q^0 kills the product exactly, at any order
     ur, ui = UNIT_PAIRS[x.unit_k]
-    acc = {0: [1, 0]}
+    real, imag = {0: 1}, {}
     for k in range(k0, W if n is None else min(W - n * min(k0, 0), k0 + n * step), step):
-        for j in sorted(acc, reverse=k > 0):  # read each term before the one k above it changes
+        # read each term before the one k above it changes
+        for j in sorted(real.keys() | imag.keys(), reverse=k > 0):
             if k < 0 or j + k < W:
-                re, im = acc[j]
-                c = acc.setdefault(j + k, [0, 0])
-                c[0] -= ur * re - ui * im
-                c[1] -= ur * im + ui * re
-    return QSeries.lattice(D, acc, order)
+                re, im = real.get(j, 0), imag.get(j, 0)
+                cr, ci = ur * re - ui * im, ur * im + ui * re
+                if cr:
+                    real[j + k] = real.get(j + k, 0) - cr
+                if ci:
+                    imag[j + k] = imag.get(j + k, 0) - ci
+    return QSeries.lattice(D, real, imag, order)
 
 
 def is_theta_zero(x: Monomial, base: Rat) -> bool:
@@ -132,20 +135,17 @@ def jtheta_sum(x: Monomial, base: Rat, order: Rat) -> QSeries:
     order = Fraction(order)
     win = order + pad(base)
     # the exponent of term n is k/D, k = B*C(n,2) + n*X; its coefficient
-    # (-1)^n unit^n is i^((2 + unit_k)*n)
+    # (-1)^n unit^n is i^u, u = (2 + unit_k)*n mod 4: +-1 goes to the real
+    # part, +-i to the imaginary part
     D = lcm(base.denominator, x.qexp.denominator)
     B, X, kx = int(base * D), int(x.qexp * D), 2 + x.unit_k
-    acc: dict = {}
+    real, imag = {}, {}
     for n in parabola_range(base, x.qexp, win):
         k = B * comb2(n) + n * X
-        dre, dim = UNIT_PAIRS[kx * n & 3]
-        s = acc.get(k)
-        if s is None:
-            acc[k] = [dre, dim]
-        else:
-            s[0] += dre
-            s[1] += dim
-    return QSeries.lattice(D, acc, order)
+        u = kx * n & 3
+        part = imag if u & 1 else real
+        part[k] = part.get(k, 0) + 1 - (u & 2)
+    return QSeries.lattice(D, real, imag, order)
 
 
 def jtheta_prod(x: Monomial, base: Rat, order: Rat) -> QSeries:

@@ -769,7 +769,7 @@ def run_case(case: IdentityCase, order: Optional[Fraction] = None) -> CaseResult
         rhs = case.rhs(T)
         for side in (lhs, rhs):
             # k/den lies on the lattice 1/lattice_den iff den divides k*lattice_den
-            bad = [k for k in side.coeffs if k * case.lattice_den % side.den]
+            bad = [k for k in side.keys() if k * case.lattice_den % side.den]
             if bad:
                 raise AssertionError(
                     f"exponent {F(min(bad), side.den)} off the /{case.lattice_den} lattice"

@@ -84,6 +84,11 @@ class TestEval:
         assert r.returncode == 3
         assert "base must be positive" in r.stderr
 
+    def test_mixed_gaussian_coefficient_text(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "(1+i/2)*q - (3/2)*i*q^2", "--order", "3")
+        assert code == 0
+        assert out.strip() == "(1+(1/2)i)q + (-3/2)iq^2 + O(q^3)"
+
     def test_fractional_lattice_eval(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "eta(1)^(-2) * eta(1/2)",
                                "--order", "3")

@@ -1,6 +1,6 @@
 """No module of the package imports a name it never uses, no private
 module-level name goes unused by the package, and no module but `series.py`
-reads a series' Fraction-keyed `terms` view or the int pairs of its `coeffs`.
+reads a series' Fraction-keyed `terms` view or its `real` and `imag` numerators.
 
 `__init__.py` is left out of the import check: it imports names to
 re-export them.
@@ -92,22 +92,21 @@ def test_terms_view_is_read_only_in_series(module):
     assert reads_of((PACKAGE / module).read_text(), "terms") == []
 
 
-def coeffs_pair_reads(source: str) -> list:
-    """Lines that call `.values()` or `.items()` on the `coeffs` of anything."""
-    return [n.lineno for n in ast.walk(ast.parse(source))
-            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-            and n.func.attr in ("values", "items")
-            and isinstance(n.func.value, ast.Attribute) and n.func.value.attr == "coeffs"]
+def part_reads(source: str) -> list:
+    """Lines that read the `real` or the `imag` numerator dict of anything."""
+    return sorted(reads_of(source, "real") + reads_of(source, "imag"))
 
 
 def test_checker_finds_coeffs_pair_reads():
-    src = "a = s.coeffs.values()\nfor k in s.coeffs:\n    pass\nb = x.y.coeffs.items()\nc = s.coeffs.keys()\n"
-    assert coeffs_pair_reads(src) == [1, 4]
+    src = ("a = s.real.values()\nfor k in s.keys():\n    pass\nb = x.y.imag.get(3)\n"
+           "c = g.re + g.im\nd = {**s.imag}\ns.real = {}\n")
+    assert part_reads(src) == [1, 4, 6]
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "series.py"])
 def test_coeffs_pairs_are_read_only_in_series(module):
-    # a stored pair is the numerator of a coefficient over the series' cden:
-    # package code reads coefficients through the boundary (`items_sorted`,
-    # `__getitem__`); reading the keys alone stays allowed
-    assert coeffs_pair_reads((PACKAGE / module).read_text()) == []
+    # the two dicts hold the numerators of a coefficient's parts over the
+    # series' cden: package code reads coefficients through the boundary
+    # (`items_sorted`, `__getitem__`) and the stored keys through `keys()`;
+    # a GaussianRational's `re` and `im` stay readable
+    assert part_reads((PACKAGE / module).read_text()) == []

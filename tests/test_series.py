@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from math import inf as INF, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qstrings.series import (
     GaussianRational,
@@ -14,6 +14,7 @@ from qstrings.series import (
     InsufficientOrder,
     Mismatch,
     Monomial,
+    format_coeff,
     NonPositiveRatio,
     PrecisionShortfall,
     QSeries,
@@ -94,7 +95,7 @@ class TestGaussianRational:
         assert g.re is re and g.im is im
         # the same value from ints, other spellings and the boundary view
         for h in (GaussianRational(F(6, 8), F(10, -12)), F(3, 4) + GaussianRational(0, F(-5, 6)),
-                  QSeries.lattice(3, {2: (9, -10)}, INF, 12)[F(2, 3)]):
+                  QSeries.lattice(3, {2: 9}, {2: -10}, INF, 12)[F(2, 3)]):
             assert h == g and hash(h) == hash(g)
             assert type(h.re) is F and type(h.im) is F
         assert GaussianRational(2, 0) == 2 and hash(GaussianRational(2, F(0))) == hash(2)
@@ -102,7 +103,7 @@ class TestGaussianRational:
 
     def test_boundary_view_over_a_coefficient_denominator(self):
         # parts over cden come out in lowest terms, whatever cden is
-        s = QSeries.lattice(6, {-3: (2, -6), 4: (8, 0), 9: (0, 3)}, F(7, 3), 4)
+        s = QSeries.lattice(6, {-3: 2, 4: 8}, {-3: -6, 9: 3}, F(7, 3), 4)
         assert series_to_json_terms(s) == [
             {"num": -1, "den_exp": 2, "re_num": 1, "re_den": 2, "im_num": -3, "im_den": 2},
             {"num": 2, "den_exp": 3, "re_num": 2, "re_den": 1, "im_num": 0, "im_den": 1},
@@ -111,6 +112,19 @@ class TestGaussianRational:
         assert s.terms == {F(-1, 2): GaussianRational(F(1, 2), F(-3, 2)), F(2, 3): 2,
                            F(3, 2): GaussianRational(0, F(3, 4))}
         assert series_from_json_terms(series_to_json_terms(s), s.trunc).compare(s, s.trunc) is None
+
+    @pytest.mark.parametrize("c, text", [
+        (GaussianRational(1, F(1, 2)), "(1+(1/2)i)"),
+        (GaussianRational(1, F(-3, 2)), "(1-(3/2)i)"),
+        (GaussianRational(F(-1, 3), 2), "(-1/3+2i)"),
+        (GaussianRational(2, -1), "(2-i)"),
+        (GaussianRational(0, F(1, 2)), "(1/2)i"),
+        (GaussianRational(0, F(-1, 2)), "(-1/2)i"),
+        (GaussianRational(0, -3), "-3i"),
+    ])
+    def test_mixed_coefficient_text_is_unambiguous(self, c, text):
+        # (1+1/2i) would read as 1 + 1/(2i) = 1 - i/2
+        assert format_coeff(c) == text
 
 
 class TestMonomial:
@@ -561,26 +575,36 @@ def test_no_stored_zero_coefficients(a, b):
 
 _UNITS = (Gauss(F(1)), Gauss(F(0), F(1)), Gauss(F(-1)), Gauss(F(0), F(-1)))
 _MINUS_ONE = _UNITS[2]
+# a drawn coefficient c kept mixed, or made purely real or purely imaginary
+_KINDS = {"mixed": lambda c: c, "real": lambda c: Gauss(c.re), "imaginary": lambda c: Gauss(F(0), c.re)}
+
+
+def on_lattice(den: int, coeffs: dict, trunc, cden: int = 1):
+    """(s, its terms as {Fraction: Gauss}) for the {int k: Gauss} terms on
+    the lattice 1/den, stored as numerators over `cden`."""
+    s = QSeries.lattice(den, {k: int(c.re * cden) for k, c in coeffs.items()},
+                        {k: int(c.im * cden) for k, c in coeffs.items()}, trunc, cden)
+    assert s.den == den and s.cden == cden
+    return s, {F(k, den): c for k, c in coeffs.items() if c and F(k, den) < trunc}
 
 
 @st.composite
 def lattice_operand(draw):
-    """(s, its terms as {Fraction: Gauss}); one draw in ten is the exact zero."""
+    """(s, its terms as {Fraction: Gauss}), purely real, purely imaginary or
+    mixed; one draw in ten is the exact zero."""
     if draw(st.integers(0, 9)) == 0:
         return QSeries.zero(), {}
     den = draw(st.sampled_from([1, 2, 3, 5, 10, 12]))
     step = draw(st.sampled_from([d for d in (1, 2, 3, 5, 10, 12) if den % d == 0]))
     keys = st.integers(-3 * den // step, 6 * den // step).map(lambda j: j * step)
-    coeffs = draw(st.dictionaries(keys, gaussians, max_size=6))
+    kind = _KINDS[draw(st.sampled_from(sorted(_KINDS)))]
+    coeffs = {k: kind(c) for k, c in draw(st.dictionaries(keys, gaussians, max_size=6)).items()}
     off_lattice = st.tuples(st.integers(-9, 24), st.sampled_from([4, 7])).map(lambda t: F(*t))
     trunc = draw(st.one_of(st.just(INF), keys.map(lambda k: F(k, den)), off_lattice))
-    # the int pairs over a cden that is the least one times 1, 2 or 3
+    # the numerators over a cden that is the least one times 1, 2 or 3
     cden = draw(st.sampled_from([1, 2, 3])) * lcm(*(p.denominator for c in coeffs.values()
                                                    for p in (c.re, c.im)))
-    s = QSeries.lattice(den, {k: (int(c.re * cden), int(c.im * cden)) for k, c in coeffs.items()},
-                        trunc, cden)
-    assert s.den == den and s.cden == cden
-    return s, {F(k, den): c for k, c in coeffs.items() if F(k, den) < trunc}
+    return on_lattice(den, coeffs, trunc, cden)
 
 
 orders = st.one_of(st.just(INF), st.fractions(min_value=-4, max_value=7, max_denominator=12))
@@ -588,15 +612,19 @@ orders = st.one_of(st.just(INF), st.fractions(min_value=-4, max_value=7, max_den
 
 def check_stored(s: QSeries, want: dict, trunc) -> None:
     """`s` holds exactly the terms `want` and the truncation `trunc`: its
-    `terms` view equals `want` (keys reduced Fractions), every stored pair is
-    a nonzero tuple of two ints over a positive int cden, and the view is a
-    copy."""
+    `terms` view equals `want` (keys reduced Fractions), each of its two
+    dicts maps int keys below the bound of trunc to nonzero ints over a
+    positive int cden, a real series has an empty imaginary dict, and the
+    view is a copy."""
     assert s.trunc == trunc
     assert as_gauss(s) == want
     assert all(e < trunc for e in want)
     assert s.cden.__class__ is int and s.cden > 0
-    assert all(c.__class__ is tuple and len(c) == 2 and (c[0] or c[1]) for c in s.coeffs.values())
-    assert all(p.__class__ is int for c in s.coeffs.values() for p in c)
+    for part in (s.real, s.imag):
+        assert all(c.__class__ is int and c != 0 for c in part.values())
+        assert all(k.__class__ is int and F(k, s.den) < trunc for k in part)
+    if all(c.im == 0 for c in want.values()):
+        assert s.imag == {}
     view = s.terms
     view.clear()
     view[F(-99)] = GaussianRational(1)
@@ -604,9 +632,9 @@ def check_stored(s: QSeries, want: dict, trunc) -> None:
 
 
 def relattice(s: QSeries, m: int) -> QSeries:
-    """`s` with every key, every part, den and cden multiplied by m: the same
-    series."""
-    return QSeries.lattice(s.den * m, {k * m: (re * m, im * m) for k, (re, im) in s.coeffs.items()},
+    """`s` with every key, every numerator, den and cden multiplied by m: the
+    same series."""
+    return QSeries.lattice(s.den * m, *({k * m: c * m for k, c in d.items()} for d in (s.real, s.imag)),
                            s.trunc, s.cden * m)
 
 
@@ -684,8 +712,25 @@ def test_substitute_q_neg_matches_oracle(x):
     check_stored(a.substitute_q_neg(), poly_substitute_q_neg(ta), a.trunc)
 
 
+_R, _I = Gauss(F(1)), Gauss(F(0), F(1))
+
+
 @settings(max_examples=150, deadline=None)
 @given(lattice_operand(), lattice_operand())
+# real times imaginary, and imaginary over real
+@example(on_lattice(2, {0: _R, 1: F(-3, 2) * _R, 4: 2 * _R}, F(4), 2),
+         on_lattice(3, {1: 3 * _I, 3: -_I, 5: F(1, 3) * _I}, F(3), 3))
+@example(on_lattice(6, {-2: _I, 3: -2 * _I, 9: F(5, 2) * _I}, F(5), 2),
+         on_lattice(2, {0: 3 * _R, 1: _R, 3: -_R}, F(4)))
+# divisors (1+i) + q, 2i + q and 2 + q
+@example(on_lattice(1, {0: _R, 2: _I}, F(6)), on_lattice(1, {0: _R + _I, 1: _R}, F(6)))
+@example(on_lattice(1, {0: _R, 1: 2 * _R - _I}, F(6)), on_lattice(1, {0: 2 * _I, 1: _R}, F(6)))
+@example(on_lattice(1, {0: _R, 1: _R}, F(6)), on_lattice(1, {0: 2 * _R, 1: _R}, F(6)))
+# a Gaussian dividend over a non-unit real lead: the two parts of the
+# quotient leave the long division with different powers of 2 and 3 and end
+# over one cden
+@example(on_lattice(1, {0: _R + 2 * _I, 1: F(3, 2) * _R - _I, 3: F(1, 2) * _I}, F(8), 2),
+         on_lattice(1, {0: 6 * _R, 1: 3 * _R, 2: -_R}, F(8)))
 def test_mul_div_on_non_minimal_lattices(x, y):
     (a, ta), (b, tb) = x, y
     p = a * b
@@ -726,9 +771,7 @@ def non_unit_division_operands(draw):
     a_trunc = draw(finite if exact_divisor else st.one_of(st.just(INF), finite))
     mult = draw(st.sampled_from([2, 3, 6]))
     cden = mult * lcm(*(p.denominator for c in a_coeffs.values() for p in (c.re, c.im)))
-    a = QSeries.lattice(aden, {k: (int(c.re * cden), int(c.im * cden)) for k, c in a_coeffs.items()},
-                        a_trunc, cden)
-    a_known = {F(k, aden): c for k, c in a_coeffs.items() if F(k, aden) < a_trunc}
+    a, a_known = on_lattice(aden, a_coeffs, a_trunc, cden)
     f_known = {e: c for e, c in f_terms.items() if e < f_trunc}
     return (a, as_series(f_known, f_trunc), a_known | beyond_trunc(draw, a_trunc, aden),
             f_known | beyond_trunc(draw, f_trunc, fden))
