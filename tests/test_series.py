@@ -14,12 +14,12 @@ from qstrings.series import (
     InsufficientOrder,
     Mismatch,
     Monomial,
-    format_coeff,
     NonPositiveRatio,
     PrecisionShortfall,
     QSeries,
     SeriesError,
     ZeroLeadingTerm,
+    format_coeff,
     margin_scale,
     pad,
     require_order,
