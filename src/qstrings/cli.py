@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import expr as exprmod
 from . import verify as verifymod
-from .series import QSeries, format_series, series_to_json_terms
+from .series import QSeries, format_series, series_to_json
 from .strings import (
     C_full,
     InvalidLabel,
@@ -41,7 +41,7 @@ def _parse_order(text: str) -> Fraction:
 
 def _print_series(s: QSeries, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(series_to_json_terms(s)))
+        print(series_to_json(s))
     else:
         print(format_series(s))
 

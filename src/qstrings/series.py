@@ -218,6 +218,7 @@ _I_POWERS = (
 
 QI_ZERO = GaussianRational(0)
 QI_ONE = _I_POWERS[0]
+QI_MINUS_ONE = _I_POWERS[2]
 UNIT_PAIRS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^k as (re, im)
 
 
@@ -724,7 +725,7 @@ def _term_str(c: GaussianRational, e: Fraction) -> str:
         qp = f"q^({e})"
     if c == QI_ONE:
         return qp
-    if c == GaussianRational(-1):
+    if c == QI_MINUS_ONE:
         return f"-{qp}"
     cs = format_coeff(c)
     if "/" in cs and not cs.startswith("("):
@@ -755,23 +756,17 @@ def format_series(s: QSeries, max_terms: int | None = None) -> str:
     return " ".join(parts)
 
 
-def series_to_json_terms(s: QSeries) -> list:
-    """The wire form: one record per term, ascending exponent, each exponent
-    and each part reduced with gcd on the stored ints."""
-    den, cden, out = s.den, s.cden, []
+_JSON_TERM = '{"num": %d, "den_exp": %d, "re_num": %d, "re_den": %d, "im_num": %d, "im_den": %d}'
+
+
+def series_to_json(s: QSeries) -> str:
+    """The wire form, a JSON list with one record per term in ascending
+    exponent, each exponent and each part reduced with gcd on the stored ints;
+    the bytes are those of ``json.dumps`` on the same records."""
+    den, cden, real, imag = s.den, s.cden, s.real, s.imag
+    out = []
     for k in sorted(s.keys()):
-        re, im = s.real.get(k, 0), s.imag.get(k, 0)
+        re, im = real.get(k, 0), imag.get(k, 0)
         g, gr, gi = gcd(k, den), gcd(re, cden), gcd(im, cden)
-        out.append({"num": k // g, "den_exp": den // g, "re_num": re // gr, "re_den": cden // gr,
-                    "im_num": im // gi, "im_den": cden // gi})
-    return out
-
-
-def series_from_json_terms(records, trunc: Trunc) -> QSeries:
-    terms = {}
-    for r in records:
-        e = Fraction(r["num"], r["den_exp"])
-        terms[e] = GaussianRational(
-            Fraction(r["re_num"], r["re_den"]), Fraction(r["im_num"], r["im_den"])
-        )
-    return QSeries(terms, trunc)
+        out.append(_JSON_TERM % (k // g, den // g, re // gr, cden // gr, im // gi, cden // gi))
+    return f"[{', '.join(out)}]"

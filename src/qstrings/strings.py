@@ -29,6 +29,8 @@ verification harness:
 Every Hecke-form side is one call of ``_hecke_string``, the window plan for
 q^s * sum of pre * f_{a,b,c}(x, y, q^base) / J_base^3: ``calC_hecke`` and the
 even-level splittings ``mps_split_rhs``, ``mps_cor2_rhs`` and ``mps_cor3_rhs``.
+Both paths divide in ``_divide_by_j1_cubed``, which builds J_base^3 by
+Jacobi's identity (``Jm_cubed``): one sparse sum and no series product.
 ``normalized_theta_form`` is q^e f_{1,1+N,1}(x, y, q) itself.  Its closed
 theta forms at levels 1..4 are one table, ``_LEVEL_THETA``, keyed by the 15
 canonical labels of ``symmetry_reduce`` (the string functions are invariant
@@ -48,7 +50,7 @@ from operator import add
 
 from .hecke import hecke_f
 from .series import Monomial, QSeries, Rat, pad, require_order
-from .theta import Jm, jtheta, theta_quotient
+from .theta import Jm_cubed, jtheta, theta_quotient
 
 F = Fraction
 ONE = Monomial.one()
@@ -150,10 +152,10 @@ def _cone_sum(N: int, ell: int, m: int, win: Fraction) -> QSeries:
 
 def _divide_by_j1_cubed(raw: QSeries, order: Fraction, base: Rat = 1) -> QSeries:
     sigma = min(raw.ord_bound(), F(0))
-    # J_base^3 = 1 + O(q^base) is exact below order - sigma, and at least
-    # below base: a divisor needs its leading term also when nothing of the
-    # quotient lies below order
-    j13 = Jm(base, max(order - sigma, F(base)) + pad(base)) ** 3
+    # J_base^3 = 1 + O(q^base), Jacobi's sum, is exact below order - sigma,
+    # and at least below base: a divisor needs its leading term also when
+    # nothing of the quotient lies below order
+    j13 = Jm_cubed(base, max(order - sigma, F(base)) + pad(base))
     return require_order(raw / j13, order, "string function")
 
 

@@ -8,7 +8,8 @@ a fundamental strip.  The n it runs over are one closed-form range,
 ``jtheta(x, base, order)`` is the entry point: it returns the exact zero
 when x is an integral power of the modulus and the sum otherwise, for all
 four units +-1, +-i.  ``Jm`` and ``eta`` are the pentagonal case
-J_m = j(q^m; q^{3m}).
+J_m = j(q^m; q^{3m}), and ``Jm_cubed`` is J_m^3 by Jacobi's identity
+J_m^3 = sum over n >= 0 of (-1)^n (2n+1) q^(m*n(n+1)/2), one sparse sum.
 
 The Pochhammer products and the triple-product form ``jtheta_prod`` compute
 the same series a second, independent way; they serve only as the other
@@ -215,6 +216,19 @@ def Jm(m: Rat, order: Rat) -> QSeries:
     """J_m = (q^m; q^m)_inf = j(q^m; q^{3m}), Euler's pentagonal sum."""
     m = Fraction(m)
     return jtheta_sum(Monomial.q(m), 3 * m, order)
+
+
+def Jm_cubed(m: Rat, order: Rat) -> QSeries:
+    """J_m^3 by Jacobi's identity: the sum over n >= 0 of
+    (-1)^n (2n+1) q^(m*n(n+1)/2), whose exponent is m*C(n,2) + m*n."""
+    m, order = Fraction(m), Fraction(order)
+    if m <= 0:
+        raise ValueError("m must be positive")
+    # n and -1 - n have the same exponent, so the range is symmetric about
+    # -1/2 and the sum runs over its n >= 0 half
+    r = parabola_range(m, m, order)
+    real = {m.numerator * (n * (n + 1) // 2): (-1) ** n * (2 * n + 1) for n in range(max(r.start, 0), r.stop)}
+    return QSeries.lattice(m.denominator, real, {}, order)
 
 
 def eta(scale: Rat, order: Rat) -> QSeries:

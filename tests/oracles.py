@@ -3,11 +3,16 @@
 Everything here works on plain ``dict[Fraction, Fraction]`` polynomials (or
 ``dict[Fraction, Gauss]`` where coefficients are non-real) and never touches
 the package's series or coefficient types, so expected values computed from
-these stay independent of the code paths they check.
+these stay independent of the code paths they check.  The one exception is
+the records form of the JSON wire form at the end: it reads a series only
+through its Fraction view and builds one only through the Fraction-keyed
+constructor.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+from qstrings.series import GaussianRational, QSeries
 
 F = Fraction
 
@@ -293,3 +298,22 @@ def int_coeffs(d: dict, upto: int) -> list:
         assert c.denominator == 1
         out.append(int(c))
     return out
+
+
+# -- the records form of the JSON wire form -----------------------------------
+
+
+def series_to_json_terms(s: QSeries) -> list:
+    """One record per term of a QSeries, ascending exponent, each exponent and
+    each part in lowest terms as Fraction reduces them:
+    ``json.dumps`` of this list is the wire form."""
+    return [{"num": e.numerator, "den_exp": e.denominator, "re_num": c.re.numerator,
+             "re_den": c.re.denominator, "im_num": c.im.numerator, "im_den": c.im.denominator}
+            for e, c in s.items_sorted()]
+
+
+def series_from_json_terms(records, trunc) -> QSeries:
+    """The QSeries the records form describes, exact below `trunc`."""
+    return QSeries({F(r["num"], r["den_exp"]): GaussianRational(F(r["re_num"], r["re_den"]),
+                                                                  F(r["im_num"], r["im_den"]))
+                    for r in records}, trunc)

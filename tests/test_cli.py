@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import qstrings
-from oracles import Gauss, poly_div
+from oracles import Gauss, poly_div, series_from_json_terms
 from qstrings.cli import build_parser, main
-from qstrings.series import format_series, series_from_json_terms
+from qstrings.series import format_series
 
 
 def run_cli(capsys, *argv):

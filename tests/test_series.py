@@ -1,5 +1,6 @@
 """Core arithmetic on truncated Laurent series."""
 
+import json
 import sys
 import threading
 from fractions import Fraction as F
@@ -23,8 +24,7 @@ from qstrings.series import (
     margin_scale,
     pad,
     require_order,
-    series_from_json_terms,
-    series_to_json_terms,
+    series_to_json,
 )
 
 from oracles import (
@@ -41,6 +41,8 @@ from oracles import (
     poly_substitute_power,
     poly_substitute_q_neg,
     poly_truncate,
+    series_from_json_terms,
+    series_to_json_terms,
 )
 
 # frozen from the brute-force product oracle (tests/oracles.py)
@@ -104,11 +106,13 @@ class TestGaussianRational:
     def test_boundary_view_over_a_coefficient_denominator(self):
         # parts over cden come out in lowest terms, whatever cden is
         s = QSeries.lattice(6, {-3: 2, 4: 8}, {-3: -6, 9: 3}, F(7, 3), 4)
-        assert series_to_json_terms(s) == [
+        records = [
             {"num": -1, "den_exp": 2, "re_num": 1, "re_den": 2, "im_num": -3, "im_den": 2},
             {"num": 2, "den_exp": 3, "re_num": 2, "re_den": 1, "im_num": 0, "im_den": 1},
             {"num": 3, "den_exp": 2, "re_num": 0, "re_den": 1, "im_num": 3, "im_den": 4},
         ]
+        assert series_to_json_terms(s) == records
+        assert series_to_json(s) == json.dumps(records)
         assert s.terms == {F(-1, 2): GaussianRational(F(1, 2), F(-3, 2)), F(2, 3): 2,
                            F(3, 2): GaussianRational(0, F(3, 4))}
         assert series_from_json_terms(series_to_json_terms(s), s.trunc).compare(s, s.trunc) is None
@@ -710,6 +714,21 @@ def test_substitute_q_neg_matches_oracle(x):
             a.substitute_q_neg()
         return
     check_stored(a.substitute_q_neg(), poly_substitute_q_neg(ta), a.trunc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_operand())
+# keys and numerators that reduce by different gcds: -3/6 -> -1/2, 4/6 -> 2/3,
+# and over cden 12, 6 -> 1/2, -9 -> -3/4 and 4 -> 1/3
+@example(on_lattice(6, {-3: Gauss(F(1, 2), F(-3, 4)), 0: Gauss(F(0), F(1, 3)), 4: _MINUS_ONE}, INF, 12))
+def test_json_wire_form_matches_the_records_oracle(x):
+    # the writer formats the stored ints itself; json.dumps of the records,
+    # built from the Fraction view, must give the same bytes, and the text
+    # must read back to the same series
+    a, ta = x
+    text = series_to_json(a)
+    assert text == json.dumps(series_to_json_terms(a))
+    check_stored(series_from_json_terms(json.loads(text), a.trunc), ta, a.trunc)
 
 
 _R, _I = Gauss(F(1)), Gauss(F(0), F(1))

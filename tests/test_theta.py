@@ -12,6 +12,7 @@ from qstrings.theta import (
     J,
     Jbar,
     Jm,
+    Jm_cubed,
     OutOfStrip,
     ThetaZeroDenominator,
     comb2,
@@ -539,6 +540,25 @@ def test_Jm_matches_pochhammer_product(m, T):
     s = Jm(m, T)
     assert s.trunc == T
     assert {e: c.as_fraction() for e, c in s.terms.items()} == pochhammer_product(F(1), m, m, F(T))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(min_value=F(1, 7), max_value=4, max_denominator=7),
+       st.fractions(min_value=-4, max_value=40, max_denominator=7))
+@example(F(1), F(50))
+@example(F(2, 3), F(20))
+@example(F(2, 3), F(0))
+@example(F(1), F(-3))
+def test_Jm_cubed_is_the_cube_of_Jm(m, T):
+    # Jacobi's identity against two series products, with and without an
+    # audit slack
+    for k in (0, 2):
+        with margin_scale(k):
+            got, cube = Jm_cubed(m, T), Jm(m, T) ** 3
+        assert got.terms == cube.terms
+        # below T <= 0 no term is known; the product contract then gives the
+        # cube trunc 3T, where Jacobi's sum keeps T
+        assert got.trunc == T and cube.trunc == (T if T > 0 else 3 * T)
 
 
 @st.composite

@@ -5,7 +5,8 @@ import json
 from fractions import Fraction as F
 from pathlib import Path
 
-from qstrings.series import Monomial, QSeries, margin_scale, pad, series_to_json_terms
+from oracles import series_to_json_terms
+from qstrings.series import Monomial, QSeries, margin_scale, pad
 from qstrings.theta import Jm
 from qstrings import verify
 from qstrings.verify import (
