@@ -561,6 +561,13 @@ def test_Jm_cubed_is_the_cube_of_Jm(m, T):
         assert got.trunc == T and cube.trunc == (T if T > 0 else 3 * T)
 
 
+@pytest.mark.parametrize("m", [0, F(-1, 2)])
+def test_Jm_cubed_needs_a_positive_m(m):
+    # as Jm does: the sum has no least exponent for m < 0 and no range for m = 0
+    with pytest.raises(ValueError):
+        Jm_cubed(m, 5)
+
+
 @st.composite
 def pochhammer_args(draw):
     """(unit_k, qexp, base, n): qexp < 0 only for finite n, and now and then
