@@ -14,9 +14,9 @@ Grammar (LL(1), whitespace-insensitive)::
 Rational exponents must be parenthesized (``q^(1/2)``); ``,`` and ``;`` are
 interchangeable argument separators.  ``i`` is the imaginary unit.
 
-Every node evaluates to an exact or truncated series.  A function argument
-must come out as one exact term c*q^e, which ``FUNCTIONS`` reads as the kind
-of value its function takes:
+Every node evaluates to an exact or truncated series, and ``evaluate`` takes
+at most two passes.  A function argument must come out as one exact term
+c*q^e, which ``FUNCTIONS`` reads as the kind of value its function takes:
 
     j(x, Q)          theta sum j(x; Q), Q a plain power of q
     jbar(x, Q)       j(-x; Q)
@@ -481,20 +481,20 @@ def _eval_series(node: Node, order: Fraction, path: str) -> QSeries:
 
 
 def evaluate(node: Node, order) -> QSeries:
-    """Evaluate to a series exact below `order`.
+    """Evaluate to a series exact below `order`, in at most two passes.
 
-    Divisions can lower the provable truncation below the requested order;
-    in that case the whole tree is re-evaluated at a bumped working order
-    (builders are monotone in their order argument), a few times.
+    Every builder returns exactly the order it is asked for, and under the
+    truncation rules of +, *, /, ^n, shift and `_cut` the valuations of exact
+    results stay put, so evaluating at order + d raises the truncation by at
+    least d: one more pass at order + d makes up a first pass d short.
     """
     order = F(order)
-    working = order
-    for _ in range(6):
-        out = _eval_series(node, working, "expr")
-        if out.trunc >= order:
-            return out.truncate(order)
-        working += order - out.trunc + 1
-    raise EvalError(f"could not reach order {order} (got {out.trunc})", "expr")
+    out = _eval_series(node, order, "expr")
+    if out.trunc < order:
+        out = _eval_series(node, order + (order - out.trunc), "expr")
+        if out.trunc < order:
+            raise EvalError(f"could not reach order {order} (got {out.trunc})", "expr")
+    return out.truncate(order)
 
 
 def evaluate_text(src: str, order) -> QSeries:

@@ -87,6 +87,8 @@ _margin_scale: ContextVar[int] = ContextVar("margin_scale", default=0)
 
 @contextmanager
 def margin_scale(k: int):
+    if not isinstance(k, int) or k < 0:
+        raise ValueError(f"margin_scale needs an int k >= 0, got {k!r}")
     token = _margin_scale.set(k)
     try:
         yield

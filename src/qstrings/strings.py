@@ -341,8 +341,8 @@ def kp_eta_side(name: str, order: Rat) -> QSeries:
     return eta_quotient(factors, order, shift, thetas)
 
 
-def kp_string_side(name: str, order: Rat, oracle: bool = False) -> QSeries:
+def kp_string_side(name: str, order: Rat) -> QSeries:
     """The matching string-function combinations."""
     order = F(order)
-    return reduce(add, (C_full(StringLabel(N, ell, m), order, oracle=oracle).scale(c)
+    return reduce(add, (C_full(StringLabel(N, ell, m), order).scale(c)
                         for c, N, ell, m in _kp_row(_KP_STRINGS, name))).truncate(order)

@@ -7,7 +7,7 @@ a fundamental strip.  The n it runs over are one closed-form range,
 ``parabola_range``, which also cuts the Appell-Lerch and Hecke-type sums.
 ``jtheta(x, base, order)`` is the entry point: it returns the exact zero
 when x is an integral power of the modulus and the sum otherwise, for all
-four units +-1, +-i.  ``Jm`` and ``eta`` are the pentagonal case
+four units +-1, +-i.  ``Jm`` and ``eta`` call it for the pentagonal case
 J_m = j(q^m; q^{3m}), and ``Jm_cubed`` is J_m^3 by Jacobi's identity
 J_m^3 = sum over n >= 0 of (-1)^n (2n+1) q^(m*n(n+1)/2), one sparse sum.
 
@@ -98,6 +98,8 @@ def pochhammer(x: Monomial, base: Rat, n: Optional[int], order: Rat) -> QSeries:
     base = Fraction(base)
     if base <= 0:
         raise ValueError("base must be positive")
+    if n is not None and n < 0:
+        raise ValueError("n must be non-negative")
     order = Fraction(order)
     win = order + pad(base)
     if n is None and x.qexp < 0:
@@ -215,7 +217,7 @@ def Jbar(a: Rat, m: Rat, order: Rat) -> QSeries:
 def Jm(m: Rat, order: Rat) -> QSeries:
     """J_m = (q^m; q^m)_inf = j(q^m; q^{3m}), Euler's pentagonal sum."""
     m = Fraction(m)
-    return jtheta_sum(Monomial.q(m), 3 * m, order)
+    return jtheta(Monomial.q(m), 3 * m, order)
 
 
 def Jm_cubed(m: Rat, order: Rat) -> QSeries:

@@ -5,7 +5,9 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qstrings import expr, theta
 from qstrings.expr import (
     KNOWN_FUNCTIONS,
     BinOp,
@@ -221,3 +223,76 @@ class TestEvaluate:
         assert evaluate_text("j((1+q)-q, q)", 6).is_exact_zero
         lhs = evaluate_text("j((q+q^2)-q^2, q^3) * Jm(3*q/q - 2)", 10)
         assert lhs.compare(evaluate_text("J[1]^2", 10), 10) is None
+
+
+# -- two passes ------------------------------------------------------------------
+
+ATOMS = st.one_of(
+    st.sampled_from(["eta(1)", "eta(2)", "eta(1/2)", "1-q", "q+q^2", "i", "0", "1", "2", "-3"]),
+    st.builds("J[{},{}]".format, st.integers(1, 2), st.integers(3, 5)),
+    st.builds("q^({}/{})".format, st.integers(-3, 3), st.integers(1, 3)),
+)
+
+
+def _grow(children):
+    # divisions weigh double: they are what costs precision
+    binop = st.builds("({}) {} ({})".format, children, st.sampled_from("+-*//"), children)
+    power = st.builds("({})^{}".format, children,
+                      st.integers(-3, 3).map(lambda n: f"({n})" if n < 0 else str(n)))
+    return binop | power
+
+
+TREES = st.recursive(ATOMS, _grow, max_leaves=8)
+ORDERS = st.sampled_from([F(1), F(3), F(7), F(12), F(1, 2), F(7, 3)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(TREES, ORDERS)
+def test_second_pass_at_the_deficit_reaches_the_order(src, order):
+    # raising every builder's order by d raises the result's truncation by at
+    # least d, so evaluate needs one more pass, at order + d, and no third
+    node = parse(src)
+    try:
+        first = expr._eval_series(node, order, "expr")
+    except EvalError:
+        return  # a division by an exact zero, whatever the order
+    if first.trunc < order:
+        d = order - first.trunc
+        assert expr._eval_series(node, order + d, "expr").trunc >= order, src
+    out = expr.evaluate(node, order)
+    assert out.trunc == order or out.is_exact_zero, src
+
+
+@pytest.mark.parametrize("src, order", [
+    ("eta(1)^(-1)", 50),
+    ("eta(2)/eta(1)^2", 50),
+    ("eta(1)^5/eta(2)^2", 50),
+    ("(q+q^2)^(-2)", 2),
+    ("1/(q^3+q^4)", 1),
+])
+def test_evaluate_takes_at_most_two_passes(monkeypatch, src, order):
+    node = parse(src)
+    passes = []  # (working order, truncation) of each evaluation of the root
+    inner = expr._eval_series
+
+    def counted(n, working, path):
+        out = inner(n, working, path)
+        if n is node:
+            passes.append((working, out.trunc))
+        return out
+
+    monkeypatch.setattr(expr, "_eval_series", counted)
+    assert expr.evaluate(node, order).trunc == order
+    # each of these falls short on the first pass, and the second pass runs
+    # at exactly the order plus the deficit
+    (first, short), (second, trunc) = passes
+    assert first == order and short < order
+    assert second == order + (order - short) and trunc >= order
+
+
+def test_a_second_shortfall_raises(monkeypatch):
+    # a builder that never gets past q^5 leaves the result short on both passes
+    real_Jm = theta.Jm
+    monkeypatch.setattr(theta, "Jm", lambda m, T: real_Jm(m, min(F(T), 5)))
+    with pytest.raises(EvalError, match="could not reach order 10"):
+        evaluate_text("J[1]", 10)

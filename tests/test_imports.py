@@ -1,12 +1,15 @@
 """No module of the package imports a name it never uses, no private
 module-level name goes unused by the package, and no module but `series.py`
 reads a series' Fraction-keyed `terms` view or its `real` and `imag` numerators.
+Every module imports only the standard library and its own package, and none
+writes a float literal or calls `float`.
 
 `__init__.py` is left out of the import check: it imports names to
 re-export them.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,3 +113,40 @@ def test_coeffs_pairs_are_read_only_in_series(module):
     # (`items_sorted`, `__getitem__`) and the stored keys through `keys()`;
     # a GaussianRational's `re` and `im` stay readable
     assert part_reads((PACKAGE / module).read_text()) == []
+
+
+def foreign_imports(source: str) -> list:
+    """(line, module) of each absolute import of a module that is neither in
+    the standard library nor the package itself."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.append((node.lineno, node.module))
+    return [(line, name) for line, name in out
+            if name.partition(".")[0] not in sys.stdlib_module_names | {"qstrings"}]
+
+
+def float_uses(source: str) -> list:
+    """Lines with a float or complex literal or a call of `float`."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Constant) and isinstance(n.value, (float, complex))
+                  or isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "float")
+
+
+def test_checkers_find_foreign_imports_and_floats():
+    src = ("from __future__ import annotations\nimport os.path, numpy as np\nfrom . import series\n"
+           "from qstrings.theta import J\nfrom sympy.core import S\nx = 0.5 + 2j\n"
+           "y = float(x)\nz = math.inf\nw = '1.5'\n")
+    assert foreign_imports(src) == [(2, "numpy"), (5, "sympy.core")]
+    assert float_uses(src) == [6, 6, 7]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_stdlib_only_and_no_floats(module):
+    # the package computes exactly, on ints and Fractions, with nothing but
+    # the standard library; `math.inf` is a name and marks an exact series
+    source = (PACKAGE / module).read_text()
+    assert foreign_imports(source) == []
+    assert float_uses(source) == []

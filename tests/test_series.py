@@ -840,3 +840,13 @@ class TestPrecision:
         # margin_scale the slack is zero
         assert seen == {2: {2}, 3: {3}}
         assert pad(1) == 0
+
+    @pytest.mark.parametrize("k", [-1, F(1, 2), 0.5])
+    def test_margin_scale_needs_a_non_negative_int(self, k):
+        # a negative k narrows every window and drops terms below the claimed
+        # truncation; a fractional k is no whole number of steps, and a float
+        # one makes pad return a float
+        with pytest.raises(ValueError, match="margin_scale needs an int k >= 0"):
+            with margin_scale(k):
+                pass
+        assert pad(1) == 0

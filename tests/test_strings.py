@@ -343,7 +343,9 @@ class TestKpExamples:
 
     def test_oracle_path_agrees_too(self):
         T = F(4)
-        assert_equal(kp_string_side("KP2A", T, oracle=True), kp_eta_side("KP2A", T), T)
+        lhs = (C_full(StringLabel(2, 0, 0), T, oracle=True)
+               - C_full(StringLabel(2, 0, 2), T, oracle=True))
+        assert_equal(lhs, kp_eta_side("KP2A", T), T)
 
 
 def test_precision_shortfall_survives_optimize():

@@ -88,6 +88,12 @@ class TestPochhammer:
     def test_one_argument_gives_exact_zero(self):
         assert pochhammer(q(0), 1, None, 8).is_exact_zero
 
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_length_is_rejected(self, n):
+        # (q; q)_{-1} = 1/(1 - q^0) is a pole, not 1
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            pochhammer(q(1), 1, n, 5)
+
 
 class TestJthetaSum:
     def test_zero_argument_family(self):
