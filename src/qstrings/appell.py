@@ -11,19 +11,22 @@ term of the numerator sum over the coefficient denominator 2.
 
 Every range is cut exactly, in closed form: the term for r contributes
 nothing below m+(r) = base*C(r,2) + r*z.qexp (the d < 0 branch starts even
-higher), so the r with m+(r) below the window are ``theta.parabola_range``
+higher), so the r with m+(r) below the window are ``theta.int_parabola``
 of that parabola, and each geometric series stops at the first t with
 m+(r) + t*|d| at or above the window, t = ceil((window - m+(r)) / |d|).
+
+Planning runs on ints: on the lattice 1/D of base, x, z and the order, the
+valuation of j(z), both windows, sigma and every exponent are int
+numerators over D, and j(z; q^base) is ``theta.int_jtheta`` on that lattice.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from math import lcm
 
-from .series import UNIT_PAIRS, Monomial, QSeries, Rat, pad, require_order
-from .theta import (ThetaZeroDenominator, comb2, is_theta_zero, jtheta, jtheta_valuation,
-                    parabola_range)
+from .series import UNIT_PAIRS, Monomial, QSeries, Rat, on_lattice, pad, require_order
+from .theta import ThetaZeroDenominator, comb2, int_is_zero, int_jtheta, int_parabola, int_valuation
 
 
 # rho_k: 2/(1 - i^rho_k) as an (re, im) pair; rho_k = 0 is a pole
@@ -36,28 +39,25 @@ class PoleAtXZ(Exception):
 
 def appell_m(x: Monomial, base: Rat, z: Monomial, order: Rat) -> QSeries:
     """m(x, q^base, z) exact below `order`."""
-    base = Fraction(base)
     if base <= 0:
         raise ValueError("base must be positive")
-    order = Fraction(order)
-    if is_theta_zero(z, base):
-        raise ThetaZeroDenominator(f"j({z}; q^{base}) = 0: z may not be a power of the modulus")
-    xz = x * z
-    if xz.unit_k == 0 and (xz.qexp / base).denominator == 1:
-        raise PoleAtXZ(f"x*z = {xz} is an integral power of q^{base}")
-
-    o_z = jtheta_valuation(z, base)
-    win_s = order + max(o_z, Fraction(0)) + pad(base)
-
     # every exponent in units of 1/D: e_r = base*C(r,2) + r*z.qexp is
-    # Bc*C(r,2) + r*Z, d is Bc*(r-1) + X + Z, and e < win_s is e*D < W
-    D = math.lcm(base.denominator, x.qexp.denominator, z.qexp.denominator)
-    Bc, X, Z, W = int(base * D), int(x.qexp * D), int(z.qexp * D), math.ceil(win_s * D)
+    # Bc*C(r,2) + r*Z, d is Bc*(r-1) + X + Z, and every window is an int
+    D = lcm(base.denominator, x.qexp.denominator, z.qexp.denominator, order.denominator)
+    Bc, X, Z, T = (on_lattice(r, D) for r in (base, x.qexp, z.qexp, order))
+    rho_k = (x.unit_k + z.unit_k) % 4  # rho = i^rho_k, the unit of x*z
+    if int_is_zero(z.unit_k, Z, Bc):
+        raise ThetaZeroDenominator(f"j({z}; q^{base}) = 0: z may not be a power of the modulus")
+    if int_is_zero(rho_k, X + Z, Bc):
+        raise PoleAtXZ(f"x*z = {x * z} is an integral power of q^{base}")
+
+    o_z = int_valuation(Z, Bc)  # <= 0, the exponent of the n = 0 term of j(z)
+    W = T + pad(Bc)  # win_s
+    win_s = Fraction(W, D)
     real, imag = {}, {}
     half = QSeries.zero()
     sigma = 0
-    rho_k = (x.unit_k + z.unit_k) % 4  # rho = i^rho_k
-    for r in parabola_range(base, z.qexp, win_s):
+    for r in int_parabola(Bc, Z, W):
         e_r = Bc * comb2(r) + r * Z
         sigma = min(sigma, e_r)
         lead_k = 2 * r + z.unit_k * r  # (-1)^r z.unit^r = i^lead_k
@@ -75,7 +75,6 @@ def appell_m(x: Monomial, base: Rat, z: Monomial, order: Rat) -> QSeries:
             part[k] = part.get(k, 0) + 1 - (u & 2)
 
     s = QSeries.lattice(D, real, imag, win_s) + half
-    sigma = Fraction(sigma, D)
-    win_d = max(o_z + base, order + 2 * o_z - min(sigma, Fraction(0)) + pad(base))
-    denom = jtheta(z, base, win_d)
+    W_d = max(o_z + Bc, T + 2 * o_z - sigma + pad(Bc))  # win_d; sigma <= 0
+    denom = QSeries.lattice(D, *int_jtheta(z.unit_k, Z, Bc, W_d + pad(Bc)), Fraction(W_d, D))
     return require_order(s / denom, order, "appell")

@@ -483,15 +483,20 @@ def _eval_series(node: Node, order: Fraction, path: str) -> QSeries:
 def evaluate(node: Node, order) -> QSeries:
     """Evaluate to a series exact below `order`, in at most two passes.
 
-    Every builder returns exactly the order it is asked for, and under the
-    truncation rules of +, *, /, ^n, shift and `_cut` the valuations of exact
-    results stay put, so evaluating at order + d raises the truncation by at
-    least d: one more pass at order + d makes up a first pass d short.
+    The passes work at least at order 1 and the result is truncated to
+    `order`, as ``jtheta_prod`` floors its window at the modulus: at an
+    order <= 0 a divisor such as 1 - q or eta(1) would be cut or built below
+    its leading term.  Every builder returns exactly the order it is asked
+    for, and under the truncation rules of +, *, /, ^n, shift and `_cut` the
+    valuations of exact results stay put, so evaluating at a working order
+    raised by d raises the truncation by at least d: one more pass, d
+    higher, makes up a first pass d short.
     """
     order = F(order)
-    out = _eval_series(node, order, "expr")
+    work = max(order, 1)
+    out = _eval_series(node, work, "expr")
     if out.trunc < order:
-        out = _eval_series(node, order + (order - out.trunc), "expr")
+        out = _eval_series(node, work + (order - out.trunc), "expr")
         if out.trunc < order:
             raise EvalError(f"could not reach order {order} (got {out.trunc})", "expr")
     return out.truncate(order)

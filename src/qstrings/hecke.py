@@ -6,7 +6,7 @@ so E(r,s) >= P(r) + S(s) with separable parabolas
 P(r) = base*a*C(r,2) + r*x.qexp and S(s) = base*c*C(s,2) + s*y.qexp.
 Only the r with P(r) + min S below the window can contribute, and for each
 such r the s with E(r,s) below it are exactly the lattice points under a
-parabola in s; ``theta.parabola_range`` gives both ranges in closed form,
+parabola in s; ``theta.int_parabola`` gives both ranges in closed form,
 each cut to its quadrant, so every contributing pair is enumerated exactly
 and no other.
 
@@ -25,22 +25,25 @@ The remaining builders construct the closed right-hand sides that express
 f_{a,b,c} through Appell-Lerch sums plus quotients of theta functions.
 Everything is stated at modulus q in the classical references; here all
 exponents scale uniformly by `base` so calls at modulus q^2 need no lattice
-gymnastics.
+gymnastics.  Their windows are planned in ints too: ``_theta_times`` puts
+the theta factor, its valuation and its window on one lattice, as
+``appell_m`` and ``theta.quotient_plan`` do.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, lcm
+from math import lcm
 
-from .series import Monomial, QSeries, Rat, pad, require_order
+from .series import Monomial, QSeries, Rat, lattice_bound, on_lattice, pad, require_order
 from .appell import appell_m
 from .theta import (
     comb2,
-    is_theta_zero,
+    int_is_zero,
+    int_jtheta,
+    int_parabola,
+    int_valuation,
     jtheta,
-    jtheta_valuation,
-    parabola_range,
     theta_quotient,
 )
 
@@ -57,17 +60,14 @@ def hecke_f(a: int, b: int, c: int, x: Monomial, y: Monomial, base: Rat, order: 
     """f_{a,b,c}(x, y, q^base) by quadrant enumeration, exact below order."""
     if min(a, c) < 1 or b < 1:
         raise ValueError("a, b, c must be positive integers")
-    base = F(base)
     if base <= 0:
         raise ValueError("base must be positive")
-    order = F(order)
-    win = order + pad(base)
     # every exponent in units of 1/D: E(r,s)*D =
     # Ba*C(r,2) + Bb*r*s + Bc*C(s,2) + r*X + s*Y, all ints
     D = lcm(base.denominator, x.qexp.denominator, y.qexp.denominator)
-    B, X, Y = int(base * D), int(x.qexp * D), int(y.qexp * D)
+    B, X, Y = on_lattice(base, D), on_lattice(x.qexp, D), on_lattice(y.qexp, D)
     Ba, Bb, Bc = B * a, B * b, B * c
-    W = ceil(win * D)  # e < win iff e*D < W
+    W = lattice_bound(order, D) + pad(B)  # e < order + pad(base) iff e*D < W
     # the unit of the (r, s) term is i^k, k = (2 + x.unit_k)*r + (2 + y.unit_k)*s
     kx, ky = 2 + x.unit_k, 2 + y.unit_k
     real, imag = {}, {}
@@ -81,12 +81,12 @@ def hecke_f(a: int, b: int, c: int, x: Monomial, y: Monomial, base: Rat, order: 
             k0, arm = 2, {min(-1, n0), min(-1, n1)}
         smin = min(Bc * comb2(n) + n * Y for n in arm)
         # r can contribute only if P(r) + smin < W
-        for r in _on_arm(parabola_range(Ba, X, W - smin), up):
+        for r in _on_arm(int_parabola(Ba, X, W - smin), up):
             pr = Ba * comb2(r) + r * X
             lin = Bb * r + Y
             kr = kx * r + k0
             # E(r, s) < W exactly for these s
-            for s in _on_arm(parabola_range(Bc, lin, W - pr), up):
+            for s in _on_arm(int_parabola(Bc, lin, W - pr), up):
                 e = pr + s * lin + Bc * (s * (s - 1) // 2)
                 u = (kr + ky * s) & 3  # i^u: +-1 is real, +-i imaginary
                 part = imag if u & 1 else real
@@ -135,11 +135,18 @@ def hecke_flip_rhs(a: int, b: int, c: int, x: Monomial, y: Monomial, base: Rat, 
 def _theta_times(tx: Monomial, tbase: Fraction, other, order: Fraction) -> QSeries:
     """j(tx; q^tbase) * other(T), where other(T) builds the second factor
     exact below T; the second factor is skipped entirely when the theta
-    factor vanishes (its zero is exact)."""
-    if is_theta_zero(tx, tbase):
+    factor vanishes (its zero is exact).  The windows are ints on the
+    lattice 1/D of the theta factor and the order."""
+    D = lcm(tbase.denominator, tx.qexp.denominator, order.denominator)
+    B, X, T = on_lattice(tbase, D), on_lattice(tx.qexp, D), on_lattice(order, D)
+    if int_is_zero(tx.unit_k, X, B):
         return QSeries.zero()
-    rest = other(order - jtheta_valuation(tx, tbase))
-    coeff = jtheta(tx, tbase, order - min(rest.ord_bound(), F(0)) + pad(tbase))
+    rest = other(F(T - int_valuation(X, B), D))
+    # the theta factor is exact below order - min(ord(rest), 0), rounded up
+    # onto 1/D: no exponent of it lies in between
+    low = min(rest.ord_bound(), 0)
+    W = T - low.numerator * D // low.denominator + pad(B)
+    coeff = QSeries.lattice(D, *int_jtheta(tx.unit_k, X, B, W + pad(B)), F(W, D))
     return require_order(coeff * rest, order, "theta product")
 
 

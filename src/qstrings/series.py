@@ -74,8 +74,9 @@ class PrecisionShortfall(SeriesError):
 # --------------------------------------------------------------------------
 # precision margins
 #
-# Enumeration cutoffs are derived exactly, in rational arithmetic, and every
-# window is exactly what its result needs: there is no default slack.
+# Enumeration cutoffs are derived exactly, in int arithmetic on a lattice
+# 1/D, and every window is exactly what its result needs: there is no
+# default slack.
 # `margin_scale(k)` is an audit: it widens every window by k steps of the
 # window's modulus, so a test can compare slack 0 against a positive slack
 # and assert that no coefficient below the requested order moves.
@@ -96,10 +97,11 @@ def margin_scale(k: int):
         _margin_scale.reset(token)
 
 
-def pad(step: Rat) -> Fraction:
+def pad(step: Rat) -> Rat:
     """Audit slack of a window whose modulus is `step`: k*step inside
-    margin_scale(k), 0 outside any."""
-    return _margin_scale.get() * Fraction(step)
+    margin_scale(k), 0 outside any.  An int step, the modulus on a
+    lattice, gives an int."""
+    return _margin_scale.get() * step
 
 
 def tadd(t: Trunc, d: Rat) -> Trunc:
@@ -320,7 +322,7 @@ class QSeries:
         """The sum of ((real[k] + imag[k]*i)/cden) q^(k/den) below `trunc`
         for two int dicts and an int cden > 0; zeros are dropped."""
         trunc = trunc if trunc == INF else Fraction(trunc)
-        bound = _bound(trunc, den)
+        bound = lattice_bound(trunc, den)
         return _new(den, *({k: c for k, c in d.items() if c and k < bound} for d in (real, imag)),
                     trunc, cden)
 
@@ -387,7 +389,7 @@ class QSeries:
         trunc = min(self.trunc, other.trunc)
         cden = lcm(self.cden, other.cden)
         den, (ar, ai), (br, bi) = _rebase(self, other, cden=cden)
-        bound = _bound(trunc, den)
+        bound = lattice_bound(trunc, den)
         return _new(den, _combo(ar, 1, br, 1, bound), _combo(ai, 1, bi, 1, bound), trunc, cden)
 
     __radd__ = __add__
@@ -414,7 +416,7 @@ class QSeries:
             return QSeries.zero()
         trunc = min(tadd(a.trunc, b.ord_bound()), tadd(b.trunc, a.ord_bound()))
         den, (ar, ai), (br, bi) = _rebase(a, b)
-        bound = _bound(trunc, den)
+        bound = lattice_bound(trunc, den)
         ar, ai, br, bi = (sorted(d.items()) for d in (ar, ai, br, bi))
         # (ar + ai*i)(br + bi*i) = ar*br - ai*bi + (ar*bi + ai*br)*i
         real, imag = {}, {}
@@ -459,7 +461,7 @@ class QSeries:
         # trunc contract: min(a.trunc - v, ord(a) + f.trunc - 2v)
         trunc = min(tadd(a.trunc, -v), tadd(tadd(f.trunc, -2 * v), a.ord_bound()))
         den, ca, (cf, _) = _rebase(a, f)
-        bound = _bound(trunc, den)
+        bound = lattice_bound(trunc, den)
         # a = A/a.cden and f = g*P/f.cden for int numerators A and a real P,
         # g the content of f's numerators, so a/f = (m*A/P) / (a.cden*gq)
         # with m/gq = f.cden/g in lowest terms
@@ -523,7 +525,7 @@ class QSeries:
         if self.is_exact_zero or order >= self.trunc:
             return self
         trunc = Fraction(order)
-        bound = _bound(trunc, self.den)
+        bound = lattice_bound(trunc, self.den)
         return _new(self.den, *({k: c for k, c in d.items() if k < bound} for d in (self.real, self.imag)),
                     trunc, self.cden)
 
@@ -539,7 +541,7 @@ class QSeries:
             )
         cden = lcm(self.cden, other.cden)
         den, a, b = _rebase(self, other, cden=cden)
-        bound = _bound(upto, den)
+        bound = lattice_bound(upto, den)
         # a key differs where a part of one side is missing or other on the other
         diff = [k for x, y in zip(a, b) for k, _ in x.items() ^ y.items() if k < bound]
         if not diff:
@@ -663,10 +665,15 @@ def _gauss(re: int, im: int, cden: int) -> GaussianRational:
     return GaussianRational(Fraction(re, cden), Fraction(im, cden)) if re or im else QI_ZERO
 
 
-def _bound(trunc: Trunc, den: int):
+def lattice_bound(trunc: Trunc, den: int):
     """The int bound of `trunc` on the lattice 1/den: k/den < trunc iff
     k < bound (INF stays INF)."""
     return INF if trunc == INF else -(-trunc.numerator * den // trunc.denominator)
+
+
+def on_lattice(r: Rat, den: int) -> int:
+    """r*den as an int, for an int or Fraction r whose denominator divides den."""
+    return r.numerator * (den // r.denominator)
 
 
 def _rebase(*series: QSeries, cden: int = 0):
@@ -753,7 +760,8 @@ def format_series(s: QSeries, max_terms: int | None = None) -> str:
         parts.append("0")
     if s.trunc != INF:
         tr = Fraction(s.trunc)
-        ts = f"q^{tr}" if tr.denominator == 1 else f"q^({tr})"
+        # spelled as a term's exponent is: q^(-2), not q^-2
+        ts = f"q^{tr}" if tr.denominator == 1 and tr >= 0 else f"q^({tr})"
         parts.append(f"+ O({ts})")
     return " ".join(parts)
 

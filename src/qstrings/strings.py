@@ -30,7 +30,8 @@ Every Hecke-form side is one call of ``_hecke_string``, the window plan for
 q^s * sum of pre * f_{a,b,c}(x, y, q^base) / J_base^3: ``calC_hecke`` and the
 even-level splittings ``mps_split_rhs``, ``mps_cor2_rhs`` and ``mps_cor3_rhs``.
 Both paths divide in ``_divide_by_j1_cubed``, which builds J_base^3 by
-Jacobi's identity (``Jm_cubed``): one sparse sum and no series product.
+Jacobi's identity (``int_jm_cubed``): one sparse sum and no series product.
+Both plan their windows in ints on one lattice 1/D.
 ``normalized_theta_form`` is q^e f_{1,1+N,1}(x, y, q) itself.  Its closed
 theta forms at levels 1..4 are one table, ``_LEVEL_THETA``, keyed by the 15
 canonical labels of ``symmetry_reduce`` (the string functions are invariant
@@ -49,8 +50,8 @@ from functools import reduce
 from operator import add
 
 from .hecke import hecke_f
-from .series import Monomial, QSeries, Rat, pad, require_order
-from .theta import Jm_cubed, jtheta, theta_quotient
+from .series import Monomial, QSeries, Rat, lattice_bound, on_lattice, pad, require_order
+from .theta import int_jm_cubed, jtheta, theta_quotient
 
 F = Fraction
 ONE = Monomial.one()
@@ -90,14 +91,13 @@ def s_exponent(lbl: StringLabel) -> Fraction:
     return -F(1, 8) + F((lbl.ell + 1) ** 2, 4 * (lbl.N + 2)) - F(lbl.m ** 2, 4 * lbl.N)
 
 
-def _cone_sum(N: int, ell: int, m: int, win: Fraction) -> QSeries:
-    """All terms of the double-cone sum with exponent below `win`.
+def _cone_sum(N: int, ell: int, m: int, W: int) -> QSeries:
+    """All terms of the double-cone sum with exponent below W/2.
 
     Every exponent E(i, j) is a half-integer, so the walk runs on the ints
-    E2 = 2E and compares them with W = ceil(2*win), the series' lattice 1/2.
+    E2 = 2E and compares them with W, on the series' lattice 1/2.
     """
     terms: dict = {}
-    W = math.ceil(2 * win)
 
     def E2(i: int, j: int) -> int:
         return i * (i + m) + 2 * j * ((N + 2) * j + ell + 1) + i * (2 * (N + 2) * j + ell + 1)
@@ -147,32 +147,39 @@ def _cone_sum(N: int, ell: int, m: int, win: Fraction) -> QSeries:
             break
         t += 1
 
-    return QSeries.lattice(2, terms, {}, win)
+    return QSeries.lattice(2, terms, {}, F(W, 2))
 
 
 def _divide_by_j1_cubed(raw: QSeries, order: Fraction, base: Rat = 1) -> QSeries:
-    sigma = min(raw.ord_bound(), F(0))
+    D = math.lcm(base.denominator, order.denominator)
+    M, T = on_lattice(base, D), on_lattice(order, D)
+    sigma = min(raw.ord_bound(), 0)
     # J_base^3 = 1 + O(q^base), Jacobi's sum, is exact below order - sigma,
-    # and at least below base: a divisor needs its leading term also when
-    # nothing of the quotient lies below order
-    j13 = Jm_cubed(base, max(order - sigma, F(base)) + pad(base))
+    # rounded up onto 1/D, and at least below base: a divisor needs its
+    # leading term also when nothing of the quotient lies below order
+    W = max(T - sigma.numerator * D // sigma.denominator, M) + pad(M)
+    j13 = QSeries.lattice(D, int_jm_cubed(M, W), {}, F(W, D))
     return require_order(raw / j13, order, "string function")
 
 
 def calC_oracle(lbl: StringLabel, order: Rat) -> QSeries:
     """The normalized string function from the weight-multiplicity sum."""
-    order = F(order)
-    win = order + pad(1)
-    return _divide_by_j1_cubed(_cone_sum(lbl.N, lbl.ell, lbl.m, win), order)
+    W = lattice_bound(order, 2) + pad(2)  # 2*(order + pad(1)), rounded up
+    return _divide_by_j1_cubed(_cone_sum(lbl.N, lbl.ell, lbl.m, W), order)
 
 
 def _hecke_string(abc, terms, base: Rat, s: Rat, order: Fraction) -> QSeries:
     """q^s * (sum of pre * f_{a,b,c}(x, y, q^base) over (x, y, pre) in terms) / J_base^3,
-    exact below order: the one window plan behind every Hecke-form string side."""
-    T = order - s
-    win = T + pad(base)
-    raw = reduce(add, (hecke_f(*abc, x, y, base, win - pre.qexp).shift(pre) for x, y, pre in terms))
-    return _divide_by_j1_cubed(raw, T, base).shift(Monomial(0, s))
+    exact below order: the one window plan behind every Hecke-form string side,
+    with every window an int on the lattice 1/D of the order, s, base and the
+    prefactors."""
+    D = math.lcm(order.denominator, s.denominator, base.denominator,
+                 *(pre.qexp.denominator for *_, pre in terms))
+    T = on_lattice(order, D) - on_lattice(s, D)
+    W = T + pad(on_lattice(base, D))
+    raw = reduce(add, (hecke_f(*abc, x, y, base, F(W - on_lattice(pre.qexp, D), D)).shift(pre)
+                       for x, y, pre in terms))
+    return _divide_by_j1_cubed(raw, F(T, D), base).shift(Monomial(0, s))
 
 
 def _calC_args(lbl: StringLabel):

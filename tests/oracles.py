@@ -9,6 +9,7 @@ through its Fraction view and builds one only through the Fraction-keyed
 constructor.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -278,6 +279,73 @@ def appell_numerator(xu: Gauss, xe: Fraction, zu: Gauss, ze: Fraction, base: Fra
                 e, c = e + step, c * ratio
         lead = lead * -zu
     return {e: v for e, v in out.items() if v}
+
+
+# -- the Fraction plan of a theta quotient ----------------------------------------
+
+
+def parabola_scan(a: Fraction, b: Fraction, w: Fraction) -> list:
+    """The integers n with a*C(n,2) + b*n < w, a > 0, by a walk outward
+    from the integer nearest the vertex n = 1/2 - b/a on each side."""
+    def f(n):
+        return a * F(n * (n - 1), 2) + b * n
+
+    mid = round(F(1, 2) - b / a)
+    right = []
+    n = mid
+    while f(n) < w or n <= mid + 1:  # the vertex lies within one of mid
+        if f(n) < w:
+            right.append(n)
+        n += 1
+    left = []
+    n = mid - 1
+    while f(n) < w or n >= mid - 2:
+        if f(n) < w:
+            left.append(n)
+        n -= 1
+    return sorted(left + right)
+
+
+def theta_is_zero(unit_k: int, qexp: Fraction, base: Fraction) -> bool:
+    """j(i^unit_k q^qexp; q^base) = 0 iff the argument is an integral power
+    of the modulus."""
+    return unit_k == 0 and (qexp / base).denominator == 1
+
+
+def theta_valuation(qexp: Fraction, base: Fraction) -> Fraction:
+    """The least of base*C(n,2) + n*qexp: the parabola's minimum lies at
+    n = 1/2 - qexp/base, so it is taken at its floor or the next integer."""
+    lo = math.floor(F(1, 2) - qexp / base)
+    return min(base * F(n * (n - 1), 2) + n * qexp for n in (lo, lo + 1))
+
+
+@dataclass(frozen=True)
+class QuotientPlan:
+    """The plan of a theta quotient, each factor's entries in factor order,
+    numerators first."""
+
+    valuations: list
+    deficit: Fraction
+    windows: list  # each factor is computed exact below its window
+    ranges: list  # the n of each factor's sum, below its window plus the slack
+
+
+def theta_quotient_plan(num, den, order: Fraction, pre_qexp: Fraction, k: int):
+    """(zeros, plan) for a quotient of factors (unit_k, qexp, base) under an
+    audit slack of k steps: one zero test per factor, and the plan, or None
+    when some factor vanishes.  Factor j(x; q^b) of valuation v is computed
+    exact below v + max(d, b) + k*b, d = order - pre_qexp - (sum of num
+    valuations - sum of den valuations), and its sum runs over the n whose
+    exponent lies below that window plus k*b."""
+    factors = list(num) + list(den)
+    zeros = [theta_is_zero(*f) for f in factors]
+    if any(zeros):
+        return zeros, None
+    vals = [theta_valuation(e, b) for _, e, b in factors]
+    deficit = order - pre_qexp - sum(vals[:len(num)]) + sum(vals[len(num):])
+    windows = [v + max(deficit, b) + k * b for v, (_, _, b) in zip(vals, factors)]
+    ranges = [parabola_scan(b, e, w + k * b) for w, (_, e, b) in zip(windows, factors)]
+    return zeros, QuotientPlan(vals, deficit, windows, ranges)
 
 
 def partition_counts(n: int) -> list:

@@ -180,6 +180,19 @@ class TestEvaluate:
         assert format_series(evaluate_text("(q+q^2)^(-2)", 2)) == "q^(-2) - 2q^(-1) + 3 - 4q + O(q^2)"
         assert format_series(evaluate_text("1/(q^3+q^4)", 1)) == "q^(-3) - q^(-2) + q^(-1) - 1 + O(q^1)"
 
+    @pytest.mark.parametrize("src, order, terms", [
+        ("1/(1-q)", 0, {}),
+        ("eta(1)^(-1)", 0, {F(-1, 24): 1}),
+        ("1/(1-q)", -1, {}),
+    ])
+    def test_divisors_keep_their_leading_term_at_orders_up_to_zero(self, src, order, terms):
+        # the working order has a floor of 1, so the cut of 1 - q and the
+        # series of eta(1) keep the term they lead with; the result is then
+        # the order-1 result truncated to the order
+        s = evaluate_text(src, order)
+        assert s.trunc == order and s.terms == terms
+        assert s.terms == evaluate_text(src, 1).truncate(order).terms
+
     def test_corpus_evaluates(self):
         for s in ROUND_TRIP_CORPUS:
             assert evaluate_text(s, 6).trunc >= 6, s

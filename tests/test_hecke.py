@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import Gauss, hecke_double_sum
+from qstrings import hecke
 from qstrings.hecke import (
     acdivb_rhs,
     g_1b1,
@@ -18,7 +19,7 @@ from qstrings.hecke import (
     singshift_rhs,
 )
 from qstrings.series import GaussianRational, Monomial, margin_scale
-from qstrings.theta import J, Jbar, Jm
+from qstrings.theta import J, Jbar, Jm, jtheta
 
 q = Monomial.q
 mq = Monomial.mq
@@ -182,6 +183,15 @@ class TestG1b1:
         z1 = q(-12)
         z0 = q(12)
         assert g_1b1(q(5), q(-7), 1, 5, z1, z0, 20).is_exact_zero
+
+    @pytest.mark.parametrize("order", [5, F(-3, 2)])
+    def test_theta_factor_covers_a_second_factor_of_negative_valuation(self, order):
+        # j(q^(7/2); q) starts at q^(-9/2), so the theta factor of the product
+        # must be exact below order + 9/2
+        x, y = q(F(1, 3)), q(F(7, 2))
+        got = hecke._theta_times(x, F(1), lambda T: jtheta(y, 1, T), F(order))
+        want = (jtheta(x, 1, 20) * jtheta(y, 1, 20)).truncate(order)
+        assert got.trunc == order and got.terms == want.terms
 
 
 GENERIC_PAIRS = [

@@ -21,6 +21,7 @@ from qstrings.series import (
     SeriesError,
     ZeroLeadingTerm,
     format_coeff,
+    format_series,
     margin_scale,
     pad,
     require_order,
@@ -129,6 +130,17 @@ class TestGaussianRational:
     def test_mixed_coefficient_text_is_unambiguous(self, c, text):
         # (1+1/2i) would read as 1 + 1/(2i) = 1 - i/2
         assert format_coeff(c) == text
+
+    @pytest.mark.parametrize("terms, trunc, text", [
+        ({}, -2, "0 + O(q^(-2))"),
+        ({F(-3): 1}, -2, "q^(-3) + O(q^(-2))"),
+        ({F(-5, 2): 2}, F(-1, 2), "2q^(-5/2) + O(q^(-1/2))"),
+        ({}, 0, "0 + O(q^0)"),
+        ({F(1): -1}, 3, "-q + O(q^3)"),
+    ])
+    def test_truncation_is_spelled_as_a_term_exponent(self, terms, trunc, text):
+        # a negative exponent is bracketed in the O-term as in the terms
+        assert format_series(QSeries(terms, trunc)) == text
 
 
 class TestMonomial:

@@ -17,6 +17,8 @@ from qstrings.theta import (
     ThetaZeroDenominator,
     comb2,
     eta,
+    int_is_zero,
+    int_parabola,
     is_theta_zero,
     j_split_components,
     jtheta,
@@ -25,11 +27,12 @@ from qstrings.theta import (
     jtheta_valuation,
     parabola_range,
     pochhammer,
+    quotient_plan,
     theta_quotient,
 )
 
 from oracles import (Gauss, int_coeffs, jtheta_sum_bruteforce, jtheta_sum_gaussian, pochhammer_product,
-                     product_expand)
+                     product_expand, theta_quotient_plan)
 
 q = Monomial.q
 mq = Monomial.mq
@@ -180,6 +183,12 @@ class TestJthetaCanonical:
         with pytest.raises(ThetaZeroDenominator):
             jtheta_valuation(q(3), 1)
 
+    @pytest.mark.parametrize("base", [-1, 0, F(-1, 3)])
+    def test_valuation_and_zero_test_need_a_positive_base(self, base):
+        for f in (jtheta_valuation, is_theta_zero):
+            with pytest.raises(ValueError, match="base must be positive"):
+                f(q(F(1, 3)), base)
+
     def test_valuation_matches_series(self):
         for x, base in [(q(4), 3), (q(-5), 2), (q(F(9, 2)), F(5, 2)), (mq(-2), 3),
                         (Monomial(1, F(-3)), 2), (Monomial(3, F(5)), 2)]:
@@ -265,6 +274,16 @@ class TestThetaQuotient:
     def test_zero_numerator_short_circuits(self):
         s = theta_quotient(num=[(q(3), 1)], den=[(q(1), 3)], order=10)
         assert s.is_exact_zero
+
+    @pytest.mark.parametrize("num, den", [
+        ([(q(1), 0)], []),
+        ([], [(q(1), F(-1, 2))]),
+        ([(q(1), 3)], [(mq(0), 0)]),
+    ])
+    def test_non_positive_modulus_is_rejected(self, num, den):
+        # as jtheta does; the plan's zero test X % B needs B > 0
+        with pytest.raises(ValueError, match="base must be positive"):
+            theta_quotient(num, den, 5)
 
     def test_zero_denominator_raises(self):
         with pytest.raises(ThetaZeroDenominator):
@@ -645,3 +664,59 @@ def test_parabola_range_matches_bruteforce(a, b, w):
         R += 1
     inside = [n for n in range(-R, R + 1) if a * F(n * (n - 1), 2) + b * n < w]
     assert list(parabola_range(a, b, w)) == inside
+
+
+# -- the int plan of theta_quotient against its Fraction restatement ------------
+
+PLAN_DENS = list(range(1, 13)) + [35]
+
+
+@st.composite
+def plan_rational(draw, lo: int, hi: int, positive: bool = False) -> F:
+    d = draw(st.sampled_from(PLAN_DENS))
+    return F(draw(st.integers(min_value=1 if positive else lo * d, max_value=hi * d)), d)
+
+
+@st.composite
+def plan_factor(draw):
+    """(unit_k, qexp, base); now and then a zero, qexp an integral multiple
+    of the base at unit 1."""
+    base = draw(plan_rational(0, 4, positive=True))
+    if draw(st.integers(min_value=0, max_value=7)) == 0:
+        return 0, base * draw(st.integers(min_value=-3, max_value=3)), base
+    return draw(UNITS), draw(plan_rational(-4, 4)), base
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(plan_factor(), max_size=4), st.lists(plan_factor(), max_size=3),
+       plan_rational(-3, 12), plan_rational(-2, 2))
+@example([(0, F(1), F(3))], [(2, F(0), F(4))], F(0), F(0))
+@example([(1, F(1, 35), F(2, 7))], [(3, F(-5, 12), F(1, 12))], F(-7, 11), F(1, 35))
+def test_int_plan_matches_the_fraction_plan(num, den, order, pre):
+    # the zero test, the valuations, the deficit, every window and every range
+    # of quotient_plan, on its lattice 1/D, against the Fraction plan
+    nf = [(Monomial(u, e), b) for u, e, b in num]
+    df = [(Monomial(u, e), b) for u, e, b in den]
+    D = math.lcm(order.denominator, pre.denominator,
+                 *(r.denominator for _, e, b in num + den for r in (e, b)))
+    for k in (0, 2):
+        zeros, want = theta_quotient_plan(num, den, order, pre, k)
+        assert [is_theta_zero(x, b) for x, b in nf + df] == zeros
+        assert [int_is_zero(u, e * D, b * D) for u, e, b in num + den] == zeros
+        with margin_scale(k):
+            if any(zeros[len(num):]):
+                with pytest.raises(ThetaZeroDenominator):
+                    quotient_plan(nf, df, order, pre)
+                continue
+            got = quotient_plan(nf, df, order, pre)
+            if want is None:  # a numerator factor vanishes
+                assert got is None
+                continue
+            D_plan, deficit, num_plan, den_plan = got
+            factors = num_plan + den_plan
+            ranges = [list(int_parabola(B, X, W + pad(B))) for _, X, B, _, W in factors]
+        assert D_plan == D and F(deficit, D) == want.deficit
+        assert [(u, F(X, D), F(B, D)) for u, X, B, _, _ in factors] == num + den
+        assert [F(v, D) for *_, v, _ in factors] == want.valuations
+        assert [F(W, D) for *_, W in factors] == want.windows
+        assert ranges == want.ranges
