@@ -69,6 +69,10 @@ MUTANTS = (
            "    if A * lo * (lo - 1) + 2 * (B * lo - W) >= 0:\n        lo += 1\n",
            "    if A * lo * (lo - 1) + 2 * (B * lo - W) >= 0:\n        lo += 2\n",
            (PLAN_PROPERTY, "tests/test_theta.py::test_parabola_range_matches_bruteforce")),
+    Mutant("jtheta-window-floor-for-ceil", THETA,
+           "        return QSeries.zero()\n    return QSeries.lattice(D, *int_jtheta(x.unit_k, X, B, lattice_bound(order, D)",
+           "        return QSeries.zero()\n    return QSeries.lattice(D, *int_jtheta(x.unit_k, X, B, order.numerator * D // order.denominator",
+           ("tests/test_theta.py",)),
     Mutant("appell-geometric-tail-one-short", APPELL,
            "run = [(e_r + t * d, lead_k + rho_k * t) for t in range(-((e_r - W) // d))]",
            "run = [(e_r + t * d, lead_k + rho_k * t) for t in range(-((e_r - W) // d) - 1)]",

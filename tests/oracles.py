@@ -285,25 +285,19 @@ def appell_numerator(xu: Gauss, xe: Fraction, zu: Gauss, ze: Fraction, base: Fra
 
 
 def parabola_scan(a: Fraction, b: Fraction, w: Fraction) -> list:
-    """The integers n with a*C(n,2) + b*n < w, a > 0, by a walk outward
-    from the integer nearest the vertex n = 1/2 - b/a on each side."""
+    """The integers n with a*C(n,2) + b*n < w, a > 0, by a walk each way
+    from the integer nearest the vertex n = 1/2 - b/a, the least value of
+    the parabola on the integers; the values grow along either walk."""
     def f(n):
         return a * F(n * (n - 1), 2) + b * n
 
     mid = round(F(1, 2) - b / a)
-    right = []
-    n = mid
-    while f(n) < w or n <= mid + 1:  # the vertex lies within one of mid
-        if f(n) < w:
-            right.append(n)
-        n += 1
-    left = []
-    n = mid - 1
-    while f(n) < w or n >= mid - 2:
-        if f(n) < w:
-            left.append(n)
-        n -= 1
-    return sorted(left + right)
+    out = []
+    for n, step in ((mid, 1), (mid - 1, -1)):
+        while f(n) < w:
+            out.append(n)
+            n += step
+    return sorted(out)
 
 
 def theta_is_zero(unit_k: int, qexp: Fraction, base: Fraction) -> bool:
