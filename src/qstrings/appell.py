@@ -15,6 +15,14 @@ higher), so the r with m+(r) below the window are ``theta.int_parabola``
 of that parabola, and each geometric series stops at the first t with
 m+(r) + t*|d| at or above the window, t = ceil((window - m+(r)) / |d|).
 
+Both windows are exact.  The ``QSeries`` division contract makes s/j(z)
+exact below min(s.trunc - o_z, ord(s) + j.trunc - 2*o_z), o_z <= 0 the
+valuation of j(z; q^base).  The sum s is taken below order + o_z, so the
+first part is the order: terms of s from order + o_z up would land at or
+above the order and be cut.  The sum starts at or above sigma, the least
+e_r summed, and j(z) is taken below order + 2*o_z - sigma, so the second
+part is at least sigma + (order + 2*o_z - sigma) - 2*o_z = order too.
+
 Planning runs on ints: on the lattice 1/D of base, x, z and the order, the
 valuation of j(z), both windows, sigma and every exponent are int
 numerators over D, and j(z; q^base) is ``theta.int_jtheta`` on that lattice.
@@ -52,7 +60,7 @@ def appell_m(x: Monomial, base: Rat, z: Monomial, order: Rat) -> QSeries:
         raise PoleAtXZ(f"x*z = {x * z} is an integral power of q^{base}")
 
     o_z = int_valuation(Z, Bc)  # <= 0, the exponent of the n = 0 term of j(z)
-    W = T + pad(Bc)  # win_s
+    W = T + o_z + pad(Bc)  # win_s
     win_s = Fraction(W, D)
     real, imag = {}, {}
     half = QSeries.zero()

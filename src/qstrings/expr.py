@@ -122,11 +122,13 @@ Node = Union[Num, QVar, IVar, Neg, Pow, BinOp, Call]
 _PUNCT = set("+-*/^()[],;")
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: str  # 'num', 'name', 'q', 'i', punct chars, 'end'
-    text: str
-    pos: int
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind  # 'num', 'name', 'q', 'i', punct chars, 'end'
+        self.text = text
+        self.pos = pos
 
 
 def _is_digit(ch: str) -> bool:
@@ -415,7 +417,7 @@ FUNCTIONS = {
 KNOWN_FUNCTIONS = {name for name, _ in FUNCTIONS}
 
 
-def _call(node: Call, order: Fraction, path: str) -> QSeries:
+def _call(node: Call, order: Fraction, path: str, raises: dict) -> QSeries:
     name, args = node.name, node.args
     if (name, len(args)) not in FUNCTIONS:
         want = " or ".join(str(n) for f, n in FUNCTIONS if f == name)
@@ -424,7 +426,7 @@ def _call(node: Call, order: Fraction, path: str) -> QSeries:
     vals = []
     for idx, (kind, a) in enumerate(zip(kinds, args), start=1):
         apath = f"{path} -> argument {idx} of {name}"
-        vals.append(_READERS[kind](_eval_series(a, order, apath), apath))
+        vals.append(_READERS[kind](_eval_series(a, order, apath, raises), apath))
     try:
         return build(*vals, order)
     except Exception as exc:
@@ -438,7 +440,36 @@ def _cut(s: QSeries, order: Fraction) -> QSeries:
     return s.truncate(s.ord + order) if s.trunc == INF and len(s.keys()) > 1 else s
 
 
-def _eval_series(node: Node, order: Fraction, path: str) -> QSeries:
+# how far a divisor's working order is raised, in turn, while it comes back
+# inexact with no term below its truncation
+_RAISES = (1, 2, 4, 8, 16, 32, 64)
+
+
+def _divisor(node: Node, order: Fraction, path: str, raises: dict) -> QSeries:
+    """`node` evaluated as a divisor, with its leading term known if any
+    of the `_RAISES` shows it.
+
+    A divisor such as eta(48) at order 1 comes back inexact with no term
+    below its truncation, and no quotient by it is known.  It is evaluated
+    again at working orders raised by each of `_RAISES` until a term shows,
+    and `raises` keeps the raise that showed it for every later evaluation
+    of the node: a second pass d higher then evaluates the divisor d higher
+    than the first did, as the two-pass argument of `evaluate` needs.  A
+    divisor that cancels, such as eta(1) - eta(1), shows no term at any
+    raise, and the division fails as it did before the re-evaluations.
+    """
+    key = id(node)
+    s = _eval_series(node, order + raises.get(key, 0), path, raises)
+    if key not in raises and s.trunc != INF and not s.keys():
+        for r in _RAISES:
+            s = _eval_series(node, order + r, path, raises)
+            if s.keys():
+                raises[key] = r
+                break
+    return s
+
+
+def _eval_series(node: Node, order: Fraction, path: str, raises: dict) -> QSeries:
     if isinstance(node, Num):
         return QSeries.const(node.value)
     if isinstance(node, QVar):
@@ -446,12 +477,12 @@ def _eval_series(node: Node, order: Fraction, path: str) -> QSeries:
     if isinstance(node, IVar):
         return QSeries.const(GaussianRational(0, 1))
     if isinstance(node, Call):
-        return _call(node, order, f"{path}/{node.name}@{node.pos}")
+        return _call(node, order, f"{path}/{node.name}@{node.pos}", raises)
     if isinstance(node, Neg):
-        return -_eval_series(node.arg, order, path)
+        return -_eval_series(node.arg, order, path, raises)
     if isinstance(node, Pow):
         e = node.exponent
-        base = _eval_series(node.base, order, path)
+        base = (_divisor if e < 0 else _eval_series)(node.base, order, path, raises)
         if e.denominator != 1:
             c, qexp = _term(base, path) if base.trunc == INF and len(base.keys()) == 1 else (None, 0)
             if c != GaussianRational(1):
@@ -464,8 +495,8 @@ def _eval_series(node: Node, order: Fraction, path: str) -> QSeries:
         except Exception as exc:
             raise EvalError(f"{type(exc).__name__}: {exc}", f"{path}/^{e}@{node.pos}") from exc
     if isinstance(node, BinOp):
-        lhs = _eval_series(node.left, order, path)
-        rhs = _eval_series(node.right, order, path)
+        lhs = _eval_series(node.left, order, path, raises)
+        rhs = (_divisor if node.op == "/" else _eval_series)(node.right, order, path, raises)
         try:
             if node.op == "+":
                 return lhs + rhs
@@ -487,16 +518,18 @@ def evaluate(node: Node, order) -> QSeries:
     `order`, as ``jtheta_prod`` floors its window at the modulus: at an
     order <= 0 a divisor such as 1 - q or eta(1) would be cut or built below
     its leading term.  Every builder returns exactly the order it is asked
-    for, and under the truncation rules of +, *, /, ^n, shift and `_cut` the
-    valuations of exact results stay put, so evaluating at a working order
-    raised by d raises the truncation by at least d: one more pass, d
-    higher, makes up a first pass d short.
+    for, a divisor that `_divisor` evaluated higher is evaluated higher by
+    the same raise in both passes, and under the truncation rules of +, *,
+    /, ^n, shift and `_cut` the valuations of exact results stay put, so
+    evaluating at a working order raised by d raises the truncation by at
+    least d: one more pass, d higher, makes up a first pass d short.
     """
     order = F(order)
     work = max(order, 1)
-    out = _eval_series(node, work, "expr")
+    raises = {}
+    out = _eval_series(node, work, "expr", raises)
     if out.trunc < order:
-        out = _eval_series(node, work + (order - out.trunc), "expr")
+        out = _eval_series(node, work + (order - out.trunc), "expr", raises)
         if out.trunc < order:
             raise EvalError(f"could not reach order {order} (got {out.trunc})", "expr")
     return out.truncate(order)

@@ -37,11 +37,10 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, inf as INF, lcm
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 Rat = Union[int, Fraction]
 Trunc = Union[Fraction, float]  # a Fraction, or INF for exact values
@@ -226,20 +225,50 @@ QI_MINUS_ONE = _I_POWERS[2]
 UNIT_PAIRS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^k as (re, im)
 
 
-@dataclass(frozen=True)
-class Monomial:
+class FrozenRecord:
+    """An immutable record whose fields are its ``__slots__``, each set once
+    in ``__init__`` through ``object.__setattr__``: equal to a record of the
+    same class with equal fields, hashed as the tuple of its fields, and
+    shown and copied by them, as a frozen dataclass is, with no generated
+    code to compile at import."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Monomial(FrozenRecord):
     """unit * q**qexp where unit = i**unit_k, unit_k in {0,1,2,3}.
 
     The only substitution form the constructors ever take for their x, y, z
     arguments: a fourth root of unity times an exact rational power of q.
     """
 
-    unit_k: int
-    qexp: Fraction
+    __slots__ = ("unit_k", "qexp")
 
-    def __post_init__(self):
-        object.__setattr__(self, "unit_k", self.unit_k % 4)
-        object.__setattr__(self, "qexp", Fraction(self.qexp))
+    def __init__(self, unit_k: int, qexp: Rat):
+        object.__setattr__(self, "unit_k", unit_k % 4)
+        object.__setattr__(self, "qexp", qexp if qexp.__class__ is Fraction else Fraction(qexp))
 
     @staticmethod
     def q(e: Rat = 1) -> "Monomial":
@@ -282,8 +311,7 @@ class Monomial:
         return f"{u}q^({self.qexp})"
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     """First differing coefficient from a series comparison."""
 
     exponent: Fraction
@@ -321,7 +349,8 @@ class QSeries:
                 cden: int = 1) -> "QSeries":
         """The sum of ((real[k] + imag[k]*i)/cden) q^(k/den) below `trunc`
         for two int dicts and an int cden > 0; zeros are dropped."""
-        trunc = trunc if trunc == INF else Fraction(trunc)
+        if trunc.__class__ is not Fraction and trunc != INF:
+            trunc = Fraction(trunc)
         bound = lattice_bound(trunc, den)
         return _new(den, *({k: c for k, c in d.items() if c and k < bound} for d in (real, imag)),
                     trunc, cden)

@@ -44,13 +44,12 @@ label's canonical representative.  The Kac-Peterson examples are two tables:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add
 
 from .hecke import hecke_f
-from .series import Monomial, QSeries, Rat, lattice_bound, on_lattice, pad, require_order
+from .series import FrozenRecord, Monomial, QSeries, Rat, lattice_bound, on_lattice, pad, require_order
 from .theta import int_jm_cubed, jtheta, theta_quotient
 
 F = Fraction
@@ -69,21 +68,21 @@ class UnsupportedLevel(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class StringLabel:
+class StringLabel(FrozenRecord):
     """(N, ell, m): level N >= 1, 0 <= ell <= N, m of the same parity as ell."""
 
-    N: int
-    ell: int
-    m: int
+    __slots__ = ("N", "ell", "m")
 
-    def __post_init__(self):
-        if self.N < 1:
-            raise InvalidLabel(f"level must be >= 1, got {self.N}")
-        if not 0 <= self.ell <= self.N:
-            raise InvalidLabel(f"ell must lie in [0, {self.N}], got {self.ell}")
-        if (self.m - self.ell) % 2 != 0:
-            raise InvalidParity(f"m = {self.m} and ell = {self.ell} differ in parity")
+    def __init__(self, N: int, ell: int, m: int):
+        if N < 1:
+            raise InvalidLabel(f"level must be >= 1, got {N}")
+        if not 0 <= ell <= N:
+            raise InvalidLabel(f"ell must lie in [0, {N}], got {ell}")
+        if (m - ell) % 2 != 0:
+            raise InvalidParity(f"m = {m} and ell = {ell} differ in parity")
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "m", m)
 
 
 def s_exponent(lbl: StringLabel) -> Fraction:

@@ -41,6 +41,7 @@ class Mutant:
 
 THETA, APPELL, HECKE = "src/qstrings/theta.py", "src/qstrings/appell.py", "src/qstrings/hecke.py"
 SERIES, STRINGS = "src/qstrings/series.py", "src/qstrings/strings.py"
+EXPR, CASES = "src/qstrings/expr.py", "src/qstrings/cases.py"
 PLAN_PROPERTY = "tests/test_theta.py::test_int_plan_matches_the_fraction_plan"
 
 MUTANTS = (
@@ -110,6 +111,41 @@ MUTANTS = (
            "            if k >= bound:\n                break\n",
            "            if k > bound:\n                break\n",
            ("tests/test_series.py",)),
+    # -- a finite product, the JSON writer and the second pass of eval
+    Mutant("pochhammer-finite-product-one-short", THETA,
+           "min(W - n * min(k0, 0), k0 + n * step)",
+           "min(W - n * min(k0, 0), k0 + (n - 1) * step)",
+           ("tests/test_theta.py::TestPochhammer",)),
+    Mutant("json-imaginary-part-over-the-real-gcd", SERIES,
+           "cden // gr, im // gi, cden // gi))",
+           "cden // gr, im // gr, cden // gr))",
+           ("tests/test_series.py::TestGaussianRational",)),
+    Mutant("eval-second-pass-one-above", EXPR,
+           'out = _eval_series(node, work + (order - out.trunc), "expr", raises)',
+           'out = _eval_series(node, work + 1, "expr", raises)',
+           ("tests/test_expr.py::test_evaluate_takes_at_most_two_passes",)),
+    Mutant("eval-divisor-raise-forgotten", EXPR,
+           "                raises[key] = r\n",
+           "",
+           ("tests/test_expr.py::TestEvaluate",)),
+    Mutant("appell-sum-window-below-order-plus-o_z", APPELL,
+           "    W = T + o_z + pad(Bc)  # win_s",
+           "    W = T + 2 * o_z + pad(Bc)  # win_s",
+           ("tests/test_appell.py::TestFunctionalEquations",)),
+    # -- the plain records and the registry built on first use
+    Mutant("monomial-unit-not-reduced", SERIES,
+           'object.__setattr__(self, "unit_k", unit_k % 4)',
+           'object.__setattr__(self, "unit_k", unit_k)',
+           ("tests/test_series.py::TestMonomial",)),
+    Mutant("string-label-parity-unchecked", STRINGS,
+           "        if (m - ell) % 2 != 0:\n",
+           "        if False:\n",
+           ("tests/test_strings.py::TestLabel",)),
+    Mutant("registry-returns-the-cases-unbuilt", CASES,
+           "\n_register_notation()\n_register_theta()\n_register_appell()\n_register_hecke()\n"
+           "_register_strings()\n_register_mps()\n_register_kp()\n",
+           "\n",
+           ("tests/test_imports.py::test_cli_start_up_loads_neither_the_cases_nor_the_thread_pool",)),
 )
 
 # mutants no test can kill, with the reason; the Tier-1 guard checks their

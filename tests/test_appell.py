@@ -85,6 +85,22 @@ class TestFunctionalEquations:
         rhs = QSeries.one() - appell_m(x, base, z, T - x.qexp).shift(x)
         assert_equal(lhs, rhs, T)
 
+    @pytest.mark.parametrize("x,base,z,periods", [
+        (q(F(2, 5)), F(1), q(F(-5, 7)), 1),
+        (mq(F(1, 3)), F(2), Monomial(1, F(-9, 2)), 3),
+        (q(F(7, 5)), F(3), mq(F(-17, 2)), 3),
+        (q(F(1, 2)), F(1), Monomial(3, F(-4, 3)), 2),
+    ])
+    def test_z_below_the_strip(self, x, base, z, periods):
+        # j(z) leads with a negative power of q (o_z < 0), so the sum runs
+        # only below the order plus o_z; z -> q^base z a few times carries z
+        # into the strip, where o_z = 0 and the sum runs up to the order
+        T = 20
+        lhs = appell_m(x, base, z, T)
+        rhs = appell_m(x, base, Monomial(0, periods * base) * z, T)
+        assert lhs.trunc == rhs.trunc == T
+        assert_equal(lhs, rhs, T)
+
     @pytest.mark.parametrize("x,base,z1,z0", [
         (q(F(2, 5)), F(1), q(F(2, 7)), q(F(1, 7))),
         (mq(F(1, 3)), F(1), q(F(3, 7)), q(F(1, 5))),

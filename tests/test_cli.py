@@ -43,6 +43,18 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "1/j(q,q)")
         assert code == 3
 
+    @pytest.mark.parametrize("order, want", [("1", "q^(-2) + O(q^1)"),
+                                             ("1/2", "q^(-2) + O(q^(1/2))")])
+    def test_divisor_starting_above_the_order(self, capsys, order, want):
+        code, out, _ = run_cli(capsys, "eval", "1/eta(48)", "--order", order)
+        assert code == 0
+        assert out.strip() == want
+
+    def test_cancelled_divisor_exit_3(self, capsys):
+        code, _, err = run_cli(capsys, "eval", "1/(eta(1)-eta(1))", "--order", "1")
+        assert code == 3
+        assert "ZeroLeadingTerm" in err
+
     def test_quotient_of_exact_polynomials(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "q^2/(1-q)", "--order", "6")
         assert code == 0

@@ -193,6 +193,42 @@ class TestEvaluate:
         assert s.trunc == order and s.terms == terms
         assert s.terms == evaluate_text(src, 1).truncate(order).terms
 
+    @pytest.mark.parametrize("src, order, want", [
+        ("1/eta(48)", 1, "q^(-2) + O(q^1)"),
+        ("1/eta(48)", F(1, 2), "q^(-2) + O(q^(1/2))"),
+        ("eta(48)^(-2)", 1, "q^(-4) + O(q^1)"),
+        ("q/(eta(48)*eta(24))", 1, "q^(-2) + O(q^1)"),
+        ("1/(1/eta(48))", 1, "0 + O(q^1)"),
+    ])
+    def test_divisor_starting_above_the_working_order(self, src, order, want):
+        # eta(48) = q^2 (1 - q^48 - ...) has no term below q^1 at order 1: the
+        # divisor is evaluated again higher until its leading term shows, and
+        # the result agrees with the same series evaluated at a higher order
+        s = evaluate_text(src, order)
+        assert format_series(s) == want
+        assert s.terms == evaluate_text(src, 8).truncate(order).terms
+
+    @pytest.mark.parametrize("src", ["1/(eta(1)-eta(1))", "(J[1,3]-J[1,3])^(-1)",
+                                     "1/eta(4800)"])
+    def test_cancelled_divisor_fails_after_a_bounded_search(self, monkeypatch, src):
+        # a difference has no term at any order, and eta(4800) none below its
+        # q^200, past every raise: the divisor is evaluated once plus once per
+        # raise, and the division then fails as it did without the search
+        node = parse(src)
+        divisor = node.right if isinstance(node, BinOp) else node.base
+        seen = []
+        inner = expr._eval_series
+
+        def counted(n, working, path, raises):
+            if n is divisor:
+                seen.append(working)
+            return inner(n, working, path, raises)
+
+        monkeypatch.setattr(expr, "_eval_series", counted)
+        with pytest.raises(EvalError, match="ZeroLeadingTerm: division by a series with no term"):
+            expr.evaluate(node, 1)
+        assert seen == [1 + r for r in (0, *expr._RAISES)]
+
     def test_corpus_evaluates(self):
         for s in ROUND_TRIP_CORPUS:
             assert evaluate_text(s, 6).trunc >= 6, s
@@ -263,17 +299,38 @@ ORDERS = st.sampled_from([F(1), F(3), F(7), F(12), F(1, 2), F(7, 3)])
 @given(TREES, ORDERS)
 def test_second_pass_at_the_deficit_reaches_the_order(src, order):
     # raising every builder's order by d raises the result's truncation by at
-    # least d, so evaluate needs one more pass, at order + d, and no third
+    # least d, so evaluate needs one more pass, at order + d, and no third;
+    # the two passes share the raises of the divisors re-evaluated in the first
     node = parse(src)
+    raises = {}
     try:
-        first = expr._eval_series(node, order, "expr")
+        first = expr._eval_series(node, order, "expr", raises)
     except EvalError:
-        return  # a division by an exact zero, whatever the order
+        return  # a division by a zero, whatever the order
     if first.trunc < order:
         d = order - first.trunc
-        assert expr._eval_series(node, order + d, "expr").trunc >= order, src
+        assert expr._eval_series(node, order + d, "expr", raises).trunc >= order, src
     out = expr.evaluate(node, order)
     assert out.trunc == order or out.is_exact_zero, src
+
+
+LATE_TREES = st.recursive(ATOMS | st.sampled_from(["eta(48)", "eta(24)", "q^2*J[1]"]), _grow,
+                          max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(LATE_TREES, ORDERS)
+def test_two_passes_reach_the_order_past_late_divisors(src, order):
+    # eta(48), eta(24) and q^2*J[1] lead with a term at or above orders 1/2
+    # to 2, so as divisors they are evaluated again higher; with the raises
+    # kept from the first pass the second pass still reaches the order
+    node = parse(src)
+    try:
+        out = expr.evaluate(node, order)
+    except EvalError:
+        return  # a division by a zero, whatever the order
+    assert out.trunc == order or out.is_exact_zero, src
+    assert out.terms == expr.evaluate(node, order + 4).truncate(order).terms, src
 
 
 @pytest.mark.parametrize("src, order", [
@@ -288,8 +345,8 @@ def test_evaluate_takes_at_most_two_passes(monkeypatch, src, order):
     passes = []  # (working order, truncation) of each evaluation of the root
     inner = expr._eval_series
 
-    def counted(n, working, path):
-        out = inner(n, working, path)
+    def counted(n, working, path, raises):
+        out = inner(n, working, path, raises)
         if n is node:
             passes.append((working, out.trunc))
         return out

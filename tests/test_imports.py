@@ -2,13 +2,16 @@
 module-level name goes unused by the package, and no module but `series.py`
 reads a series' Fraction-keyed `terms` view or its `real` and `imag` numerators.
 Every module imports only the standard library and its own package, and none
-writes a float literal or calls `float`.
+writes a float literal or calls `float`.  Importing the CLI loads neither the
+identity cases nor the thread pool.
 
 `__init__.py` is left out of the import check: it imports names to
 re-export them.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -150,3 +153,15 @@ def test_stdlib_only_and_no_floats(module):
     source = (PACKAGE / module).read_text()
     assert foreign_imports(source) == []
     assert float_uses(source) == []
+
+
+def test_cli_start_up_loads_neither_the_cases_nor_the_thread_pool():
+    # `eval` and `string` run no identity case and no thread pool: importing
+    # the CLI compiles neither the 300 case builders nor concurrent.futures
+    # (which pulls in logging), and the first registry() call builds the cases
+    code = ("import sys, qstrings, qstrings.cli, qstrings.verify\n"
+            "print([m for m in ('qstrings.cases', 'concurrent.futures', 'logging') if m in sys.modules])\n"
+            "print(len(qstrings.verify.registry()), 'qstrings.cases' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["[]", "300 True"]

@@ -1,6 +1,8 @@
 """Core arithmetic on truncated Laurent series."""
 
+import copy
 import json
+import pickle
 import sys
 import threading
 from fractions import Fraction as F
@@ -155,6 +157,28 @@ class TestMonomial:
         # (-y)^(-3) for y = q^2 is -q^(-6)
         y = Monomial.q(2)
         assert (-y) ** -3 == Monomial(2, F(-6))
+
+    def test_unit_is_reduced_mod_4(self):
+        assert Monomial(5, F(1, 3)) == Monomial(1, F(1, 3))
+        assert Monomial(-1, 2).unit_k == 3
+        assert hash(Monomial(6, 1)) == hash(Monomial(2, F(1))) == hash((2, F(1)))
+        assert Monomial(4, F(1, 2)) != Monomial(0, F(1, 3))
+
+    def test_record_behaviour(self):
+        e = F(2, 7)
+        m = Monomial(1, e)
+        assert m.qexp is e  # a Fraction is kept as given
+        assert Monomial(0, 3).qexp == F(3) and type(Monomial(0, 3).qexp) is F
+        assert repr(m) == "Monomial(unit_k=1, qexp=Fraction(2, 7))"
+        assert {m: 1}[Monomial(5, F(4, 14))] == 1
+        assert m != (1, e) and m.__eq__((1, e)) is NotImplemented
+        with pytest.raises(AttributeError):
+            m.unit_k = 2
+        with pytest.raises(AttributeError):
+            m.other = 2
+        with pytest.raises(AttributeError):
+            del m.qexp
+        assert copy.deepcopy(m) == m and pickle.loads(pickle.dumps(m)) == m
 
 
 class TestAddMul:

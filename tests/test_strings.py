@@ -60,6 +60,17 @@ class TestLabel:
         with pytest.raises(InvalidLabel):
             StringLabel(0, 0, 0)
 
+    def test_record_behaviour(self):
+        lbl = StringLabel(4, 1, 3)
+        assert lbl == StringLabel(4, 1, 3) and lbl != StringLabel(4, 1, 5)
+        assert hash(lbl) == hash((4, 1, 3))
+        assert repr(lbl) == "StringLabel(N=4, ell=1, m=3)"
+        assert (lbl.N, lbl.ell, lbl.m) == (4, 1, 3)
+        with pytest.raises(AttributeError):
+            lbl.m = 5
+        with pytest.raises(AttributeError):
+            del lbl.N
+
     def test_s_exponent_values(self):
         assert s_exponent(StringLabel(2, 1, 1)) == 0
         assert s_exponent(StringLabel(4, 0, 0)) == F(-1, 12)

@@ -10,7 +10,9 @@ from qstrings.series import Monomial, QSeries, margin_scale, pad
 from qstrings.theta import Jm
 from qstrings import verify
 from qstrings.verify import (
+    CaseResult,
     IdentityCase,
+    VerifyReport,
     list_cases,
     registry,
     report_to_json,
@@ -81,6 +83,18 @@ class TestRunner:
         r = run_case(base)
         assert r.status == "mismatch"
         assert r.mismatch.exponent == 5
+
+    def test_result_and_report_records(self):
+        case = IdentityCase("rec", "theta", Jm, Jm, 1, F(3), "")
+        r = CaseResult(case, "pass", F(3), 1.5)
+        assert (r.mismatch, r.error) == (None, "")
+        assert r == CaseResult(case, "pass", F(3), 1.5, None, "")
+        assert repr(r).startswith("CaseResult(case=IdentityCase(id='rec'")
+        assert repr(r).endswith("order=Fraction(3, 1), millis=1.5, mismatch=None, error='')")
+        bad = r._replace(status="error", error="E")
+        report = VerifyReport([r, bad])
+        assert report.failures == [bad] and not report.all_pass
+        assert VerifyReport([r]).all_pass
 
     def test_off_lattice_exponent_names_the_least(self):
         off = QSeries({F(7, 3): 1, F(0): 1, F(1, 2): 1, F(5, 2): 1}, F(10))
