@@ -482,7 +482,7 @@ def _eval_series(node: Node, order: Fraction, path: str, raises: dict) -> QSerie
         return -_eval_series(node.arg, order, path, raises)
     if isinstance(node, Pow):
         e = node.exponent
-        base = (_divisor if e < 0 else _eval_series)(node.base, order, path, raises)
+        base = (_divisor if e < 0 and e.denominator == 1 else _eval_series)(node.base, order, path, raises)
         if e.denominator != 1:
             c, qexp = _term(base, path) if base.trunc == INF and len(base.keys()) == 1 else (None, 0)
             if c != GaussianRational(1):
