@@ -21,16 +21,18 @@ den nor cden need be minimal.  A real series has an empty ``imag``, so its
 imaginary arithmetic drops out with no flag and no second kernel.  An
 operation on two series moves both onto the lcm of their dens and compares
 exponents with trunc through the int bound ceil(trunc*den); addition and
-comparison also move both onto the lcm of their cdens.  Every operation
-works part by part: multiplication is one real convolution per pair of
-nonzero parts, division one real long division per part of the dividend,
-by a divisor made real with its conjugate and freed of its content (the
-gcd of its numerators, Knuth, TAOCP vol. 2 §4.6.1).  The constructors of
-the other modules fill the two dicts for ``QSeries.lattice``.  Fractions
-and GaussianRationals appear only at the boundary: the Fraction-keyed
-constructor, scalar arguments, ``__getitem__``, ``terms`` (a view built on
-every read), ``items_sorted``, ``support``, ``ord``, ``Mismatch`` and the
-text form.
+comparison also move both onto the lcm of their cdens.  Multiplication
+is one real convolution per pair of nonzero parts.  Division is one
+kernel, ``divide``: a chain of divisors, one for ``/`` and every
+denominator of ``theta_quotient``, each divided out in place on int lists
+that lie on the dividend's sublattice, one list per residue class of its
+keys modulo the divisors' step; its docstring gives the cost.  The
+constructors of the other modules fill the two dicts for
+``QSeries.lattice``.  Fractions and GaussianRationals appear only at the
+boundary: the Fraction-keyed constructor, scalar arguments,
+``__getitem__``, ``terms`` (a view built on every read), ``items_sorted``,
+``support``, ``ord`` and ``Mismatch``; the text and JSON forms are written
+from the stored ints.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
-from math import gcd, inf as INF, lcm
+from math import gcd, inf as INF, lcm, prod
 from typing import Mapping, NamedTuple, Union
 
 Rat = Union[int, Fraction]
@@ -103,13 +104,17 @@ def pad(step: Rat) -> Rat:
     return _margin_scale.get() * step
 
 
+# A trunc is a Fraction or INF, the one float of the package, so a class test
+# tells them apart; `t == INF` would send a Fraction through its ABC checks.
+
+
 def tadd(t: Trunc, d: Rat) -> Trunc:
     """Truncation arithmetic: INF absorbs shifts."""
-    return INF if t == INF else t + d
+    return INF if t.__class__ is float else t + d
 
 
 def tmul(t: Trunc, r: Fraction) -> Trunc:
-    return INF if t == INF else t * r
+    return INF if t.__class__ is float else t * r
 
 
 class GaussianRational:
@@ -327,7 +332,7 @@ class QSeries:
     __slots__ = ("den", "real", "imag", "trunc", "cden")
 
     def __init__(self, terms: Mapping[Rat, object], trunc: Trunc):
-        trunc = trunc if trunc == INF else Fraction(trunc)
+        trunc = trunc if trunc.__class__ is Fraction or trunc == INF else Fraction(trunc)
         known = {}
         for e, c in terms.items():
             if not isinstance(c, GaussianRational):
@@ -372,7 +377,7 @@ class QSeries:
 
     @property
     def is_exact_zero(self) -> bool:
-        return not (self.real or self.imag) and self.trunc == INF
+        return not (self.real or self.imag) and self.trunc.__class__ is float
 
     def keys(self):
         """The int k of every stored term q^(k/den), as a set-like view."""
@@ -477,35 +482,7 @@ class QSeries:
                 raise ZeroDivisionError("division by zero in Q(i)")
             # 1/c = d*(re - im*i)/(re^2 + im^2)
             return _times(self, d * re, -d * im, re * re + im * im)
-        a, f = self, other
-        v = f.ord
-        if v is None:
-            raise ZeroLeadingTerm("division by a series with no term below its truncation")
-        if len(f.keys()) > 1 and a.trunc == INF and f.trunc == INF:
-            # an exact series over an exact non-monomial has infinitely many terms
-            raise SeriesError("truncate before dividing by an exact non-monomial series")
-        if f.imag:  # a/f = a*conj(f) / (f*conj(f)), f*conj(f) = fr^2 + fi^2 real; same trunc
-            fc = _new(f.den, f.real, _combo(f.imag, -1, {}, 0), f.trunc, f.cden)
-            return (a * fc) / (f * fc)
-        # trunc contract: min(a.trunc - v, ord(a) + f.trunc - 2v)
-        trunc = min(tadd(a.trunc, -v), tadd(tadd(f.trunc, -2 * v), a.ord_bound()))
-        den, ca, (cf, _) = _rebase(a, f)
-        bound = lattice_bound(trunc, den)
-        # a = A/a.cden and f = g*P/f.cden for int numerators A and a real P,
-        # g the content of f's numerators, so a/f = (m*A/P) / (a.cden*gq)
-        # with m/gq = f.cden/g in lowest terms
-        g = gcd(*cf.values())
-        c = gcd(f.cden, g)
-        m, gq = f.cden // c, g // c
-        lf = sorted(cf.items())
-        kv, u = lf[0][0], lf[0][1] // g
-        tail = [(k - kv, fk // g) for k, fk in lf[1:]]
-        # each part of m*A by P, over N^p for N = |P_0|, then both over the larger N^p
-        parts = [_long_divide({k - kv: x * m for k, x in d.items() if k - kv < bound}, tail, u, bound)
-                 for d in ca]
-        N, p = abs(u), max(p for _, p in parts)
-        real, imag = (q if p == pq else {k: x * N ** (p - pq) for k, x in q.items()} for q, pq in parts)
-        return _new(den, real, imag, trunc, a.cden * gq * N ** p)
+        return divide(self, (other,))
 
     def inverse(self) -> "QSeries":
         """Multiplicative inverse 1/self; trunc contract: self.trunc - 2*ord(self)."""
@@ -541,7 +518,7 @@ class QSeries:
 
     def substitute_q_neg(self) -> "QSeries":
         """q -> -q on an integer-exponent series."""
-        if self.trunc != INF and Fraction(self.trunc).denominator != 1:
+        if self.trunc.__class__ is not float and self.trunc.denominator != 1:
             raise FractionalExponent(f"trunc {self.trunc} is not an integer")
         den = self.den
         for k in self.keys():
@@ -649,44 +626,192 @@ def _convolve(acc: dict, la: list, lb: list, bound, sign: int) -> None:
             acc[k] = acc.get(k, 0) + ca * cb
 
 
-def _long_divide(pending: dict, tail: list, u: int, bound) -> tuple:
-    """`pending` over the int series u + sum of P_d q^d, (d, P_d) in `tail`
-    with ascending d > 0, below the int bound: Q_e = (pending_e - sum over
-    d of P_d Q_(e-d)) / u, as (numerators, p), all over N^p, N = |u|.
-    Whenever a numerator is not divisible by N, p rises by one and every
-    numerator, pending or final, is multiplied by N."""
-    N = abs(u)
-    heap = list(pending)
-    heapify(heap)
-    acc: dict = {}
-    p = 0
-    while heap:
-        # pending[k] is final once popped, since every contribution comes
-        # from a smaller exponent
-        k = heappop(heap)
-        c = pending.pop(k)
+def divide(a: QSeries, divisors, shift: Monomial = Monomial.one(), scalar=1) -> QSeries:
+    """scalar * shift * a / (f_1 * ... * f_n): the chain of the n divisions
+    a/f_1/.../f_n, each under the truncation contract of ``/``, on one int
+    buffer, with the monomial `shift` and the scalar folded into the one
+    series it builds.
+
+    Every exponent and trunc is an int on the lattice 1/L, L the lcm of the
+    dens and of the denominators of the truncs and of the shift.  Step i,
+    by f_i of least exponent v, takes the dividend's trunc t and least
+    exponent o (its trunc when no term is known) to min(t - v,
+    o + f_i.trunc - 2v) and o - v.  A coefficient of a quotient depends on
+    no coefficient of its dividend above it, so every step is run only below
+    the last step's trunc: in the dividend's exponents, below B = that trunc
+    plus the sum of the v.  Each divisor is taken over its content g (the gcd
+    of its numerators) and times w = the sign of its leading numerator u, or
+    conj(u) when u is not real, so that it leads with N = |u| or |u|^2 > 0,
+    and g and w go into the result's scalar.
+
+    The buffer lies on the dividend's sublattice.  With h the gcd of every
+    divisor's offsets from its leading term, each quotient keeps its terms
+    in the residue classes mod h of the dividend's keys, and each class is
+    one int list (two for a non-real one) whose slot j holds the key s + h*j,
+    s the class's least key, for every such key below B.  A step walks each
+    list once, slot by slot: the slot's value over N is final, and it times
+    each term of the divisor's tail is taken off the later slots.  When a
+    value is not divisible by N, the whole class is multiplied by N, and the
+    classes end over a common power of N (the rescale of Knuth, TAOCP
+    vol. 2 §4.6.1, taken only where it is needed).  With no tail at all
+    (h = 0: monomial divisors, or none) the quotient is the dividend scaled,
+    shifted and cut, and no list is built.
+
+    Cost: a step walks sum over classes of ceil((B - s)/h) slots, at most
+    min(h, number of dividend terms) * (ceil(span/h) + 1) for the span of
+    the dividend's exponents up to B, with one multiply-add per tail term
+    and nonzero slot, plus one pass over the class per rescale.  So
+    1 + q over 1 - q^15015 below q^600600 walks two lists of 40 slots.
+    Divisors whose offsets have a small gcd give one long list, which the
+    quotient, eventually dense on that step, fills anyway.
+    """
+    truncs = [s.trunc for s in (a, *divisors) if s.trunc.__class__ is not float]
+    den = lcm(a.den, *(f.den for f in divisors), shift.qexp.denominator)
+    L = lcm(den, *(t.denominator for t in truncs))
+    ma = L // a.den
+    T = lattice_bound(a.trunc, L)
+    o = min(a.keys()) * ma if a.real or a.imag else T  # the dividend's least exponent
+    V, h, M, G = 0, 0, 1, 1  # the shift, the step, the scalar M/G
+    wr, wi = 1, 0  # the unit-making factor w
+    steps = []
+    for f in divisors:
+        if not (f.real or f.imag):
+            raise ZeroLeadingTerm("division by a series with no term below its truncation")
+        mf, F = L // f.den, lattice_bound(f.trunc, L)
+        keys = sorted(f.keys())
+        if len(keys) > 1 and T == F == INF:
+            # an exact series over an exact non-monomial has infinitely many terms
+            raise SeriesError("truncate before dividing by an exact non-monomial series")
+        # f = g*P/f.cden for the int parts of P, so a/f = (m * a/P) / gq with
+        # m/gq = f.cden/g in lowest terms
+        g = gcd(*f.real.values(), *f.imag.values())
+        c = gcd(f.cden, g)
+        M, G = M * (f.cden // c), G * (g // c)
+        kv = keys[0]
+        ur, ui = f.real.get(kv, 0) // g, f.imag.get(kv, 0) // g
+        xr, xi = (ur // abs(ur), 0) if not ui else (ur, -ui)  # w, so that u*w = N > 0
+        wr, wi = wr * xr - wi * xi, wr * xi + wi * xr
+        tail = []
+        for k in keys[1:]:
+            pr, pi = f.real.get(k, 0) // g, f.imag.get(k, 0) // g
+            d = (k - kv) * mf
+            h = gcd(h, d)
+            tail.append((d, pr * xr - pi * xi, pr * xi + pi * xr))
+        v = kv * mf
+        T, o, V = min(T - v, o + F - 2 * v), o - v, V + v
+        steps.append((ur * xr - ui * xi, tail))
+    sr, si, sd = _scalar(scalar)
+    if not (sr or si):
+        return QSeries.zero()
+    # the result's scalar: the scalar, the shift's unit i^k, w and M, over G*sd
+    ur, ui = UNIT_PAIRS[shift.unit_k]
+    cr, ci = M * (sr * ur - si * ui), M * (sr * ui + si * ur)
+    cr, ci = cr * wr - ci * wi, cr * wi + ci * wr
+    # each step as (N, tail) with the tail in slots of h and real when it can be
+    plan = [(N, [(d // h, pr) for d, pr, _ in tail] if not any(pi for *_, pi in tail) else None,
+             [(d // h, pr, pi) for d, pr, pi in tail]) for N, tail in steps]
+    B = T + V
+    # the dividend's key x on 1/L is the result's key (x + e)/g0 on 1/den
+    g0 = L // den
+    e = on_lattice(shift.qexp, L) - V
+    T = T if T == INF else Fraction(T + e + V, L)
+    if not h:  # each of these steps returns its series as it is where it is the identity
+        q = _times(a, cr, ci, G * prod(N for N, *_ in plan) * sd)
+        return q.shift(Monomial(0, Fraction(e, L))).truncate(T)
+    # class r mod h is (s, re, im): slot j of its lists holds the key s + h*j,
+    # s its least key
+    classes = {}
+    ar, ai = a.real, a.imag
+    for k in sorted(a.keys()):
+        x = k * ma
+        if x >= B:
+            break
+        r = x % h
+        if r not in classes:
+            n = -((x - B) // h)
+            classes[r] = (x, [0] * n, [0] * n if ai else None)
+        s, re, im = classes[r]
+        j = (x - s) // h
+        re[j] = ar.get(k, 0)
+        if ai:
+            im[j] = ai.get(k, 0)
+    walked = []
+    for s, re, im in classes.values():
+        scale = 1  # the buffer holds the quotient times scale
+        for N, real_tail, tail in plan:
+            if im is None and real_tail is not None:
+                scale *= _walk(re, N, real_tail)
+            else:
+                im = im or [0] * len(re)
+                scale *= _walk_gauss(re, im, N, tail)
+        walked.append((s, re, im, scale))
+    P = lcm(*(scale for *_, scale in walked))
+    real, imag = {}, {}
+    for s, re, im, scale in walked:
+        m = P // scale
+        xr, xi = cr * m, ci * m
+        keys = range((s + e) // g0, (s + e + h * len(re)) // g0, h // g0)
+        if im is None:
+            if xr:
+                real.update({k: xr * x for k, x in zip(keys, re) if x})
+            if xi:
+                imag.update({k: xi * x for k, x in zip(keys, re) if x})
+            continue
+        for k, x, y in zip(keys, re, im):
+            if xr * x - xi * y:
+                real[k] = xr * x - xi * y
+            if xr * y + xi * x:
+                imag[k] = xr * y + xi * x
+    return _new(den, real, imag, T, a.cden * G * P * sd)
+
+
+def _walk(b: list, N: int, tail: list) -> int:
+    """Divide the int list b in place by N + sum of P_d x^d over the (d, P_d)
+    of `tail`, ascending d > 0, N > 0, below x^len(b); the quotient is b/p
+    for the returned p, a power of N."""
+    n, p = len(b), 1
+    for j in range(n):
+        c = b[j]
         if not c:
             continue
-        if c % N:
-            p += 1
-            for j in pending:
-                pending[j] *= N
-            for j in acc:
-                acc[j] *= N
-        else:
-            c //= N
-        c = c if u > 0 else -c
-        acc[k] = c
-        for d, fd in tail:
-            k2 = k + d
-            if k2 >= bound:
-                break
-            if k2 in pending:
-                pending[k2] -= fd * c
+        if N != 1:
+            if c % N:  # over N once more, the slot's value is c itself
+                p *= N
+                b[:] = [x * N for x in b]
             else:
-                pending[k2] = -fd * c
-                heappush(heap, k2)
-    return acc, p
+                c //= N
+            b[j] = c
+        for d, fd in tail:
+            i = j + d
+            if i >= n:
+                break
+            b[i] -= fd * c
+    return p
+
+
+def _walk_gauss(re: list, im: list, N: int, tail: list) -> int:
+    """``_walk`` for the Gaussian list re + im*i and a tail of (d, real part,
+    imaginary part)."""
+    n, p = len(re), 1
+    for j in range(n):
+        cr, ci = re[j], im[j]
+        if not (cr or ci):
+            continue
+        if N != 1:
+            if cr % N or ci % N:
+                p *= N
+                re[:] = [x * N for x in re]
+                im[:] = [x * N for x in im]
+            else:
+                cr, ci = cr // N, ci // N
+            re[j], im[j] = cr, ci
+        for d, pr, pi in tail:
+            i = j + d
+            if i >= n:
+                break
+            re[i] -= pr * cr - pi * ci
+            im[i] -= pr * ci + pi * cr
+    return p
 
 
 def _gauss(re: int, im: int, cden: int) -> GaussianRational:
@@ -697,7 +822,7 @@ def _gauss(re: int, im: int, cden: int) -> GaussianRational:
 def lattice_bound(trunc: Trunc, den: int):
     """The int bound of `trunc` on the lattice 1/den: k/den < trunc iff
     k < bound (INF stays INF)."""
-    return INF if trunc == INF else -(-trunc.numerator * den // trunc.denominator)
+    return INF if trunc.__class__ is float else -(-trunc.numerator * den // trunc.denominator)
 
 
 def on_lattice(r: Rat, den: int) -> int:
@@ -734,63 +859,68 @@ def require_order(s: QSeries, order: Rat, what: str) -> QSeries:
 # rendering
 
 
-def format_coeff(c: GaussianRational) -> str:
-    if c.im == 0:
-        return str(c.re)
-    if c.re == 0:
-        if c.im == 1:
-            return "i"
-        if c.im == -1:
-            return "-i"
-        if c.im.denominator == 1:
-            return f"{c.im}i"
-        return f"({c.im})i"
+def _fraction_text(n: int, d: int) -> str:
+    """n/d, d > 0, in lowest terms as ``str(Fraction(n, d))`` spells it."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
+
+
+def _coeff_text(re: int, im: int, d: int) -> str:
+    """The coefficient (re + im*i)/d, d > 0."""
+    if not im:
+        return _fraction_text(re, d)
+    if not re:
+        if abs(im) == d:
+            return "i" if im > 0 else "-i"
+        t = _fraction_text(im, d)
+        return f"{t}i" if "/" not in t else f"({t})i"
+    m = _fraction_text(abs(im), d)
+    ims = "i" if abs(im) == d else (f"{m}i" if "/" not in m else f"({m})i")
     # a non-integral imaginary part is bracketed, (1+(1/2)i): 1+1/2i would
     # read as 1 + 1/(2i)
-    m = abs(c.im)
-    ims = "i" if m == 1 else (f"{m}i" if m.denominator == 1 else f"({m})i")
-    return f"({c.re}{'-' if c.im < 0 else '+'}{ims})"
+    return f"({_fraction_text(re, d)}{'-' if im < 0 else '+'}{ims})"
 
 
-def _term_str(c: GaussianRational, e: Fraction) -> str:
-    if e == 0:
-        return format_coeff(c)
-    if e == 1:
-        qp = "q"
-    elif e.denominator == 1 and e > 0:
-        qp = f"q^{e}"
-    else:
-        qp = f"q^({e})"
-    if c == QI_ONE:
-        return qp
-    if c == QI_MINUS_ONE:
-        return f"-{qp}"
-    cs = format_coeff(c)
+def format_coeff(c: GaussianRational) -> str:
+    return _coeff_text(*_scalar(c))
+
+
+def _term_text(re: int, im: int, d: int, k: int, den: int) -> str:
+    """The term ((re + im*i)/d) q^(k/den)."""
+    if not k:
+        return _coeff_text(re, im, d)
+    e = _fraction_text(k, den)
+    qp = "q" if e == "1" else (f"q^{e}" if k > 0 and "/" not in e else f"q^({e})")
+    if not im and abs(re) == d:
+        return qp if re > 0 else f"-{qp}"
+    cs = _coeff_text(re, im, d)
     if "/" in cs and not cs.startswith("("):
         cs = f"({cs})"
     return f"{cs}{qp}"
 
 
 def format_series(s: QSeries, max_terms: int | None = None) -> str:
-    items = s.items_sorted()
-    shown = items if max_terms is None else items[:max_terms]
+    """The text form, written from the stored ints, as ``series_to_json`` is."""
+    den, cden, real, imag = s.den, s.cden, s.real, s.imag
+    keys = sorted(s.keys())
+    shown = keys if max_terms is None else keys[:max_terms]
     parts = []
-    for e, c in shown:
-        t = _term_str(c, e)
+    for k in shown:
+        t = _term_text(real.get(k, 0), imag.get(k, 0), cden, k, den)
         if not parts:
             parts.append(t)
         elif t.startswith("-"):
             parts.append(f"- {t[1:]}")
         else:
             parts.append(f"+ {t}")
-    if len(shown) < len(items):
+    if len(shown) < len(keys):
         parts.append("+ ...")
     if not parts:
         parts.append("0")
-    if s.trunc != INF:
-        tr = Fraction(s.trunc)
+    if s.trunc.__class__ is not float:
+        tr = s.trunc
         # spelled as a term's exponent is: q^(-2), not q^-2
-        ts = f"q^{tr}" if tr.denominator == 1 and tr >= 0 else f"q^({tr})"
+        ts = f"q^{tr}" if tr.denominator == 1 and tr.numerator >= 0 else f"q^({tr})"
         parts.append(f"+ O({ts})")
     return " ".join(parts)
 

@@ -44,6 +44,7 @@ from .series import (
     Monomial,
     QSeries,
     Rat,
+    divide,
     lattice_bound,
     on_lattice,
     pad,
@@ -354,8 +355,10 @@ def theta_quotient(
     A factor exact below v + M keeps trunc = ord + M through every product
     and quotient, so the assembled series is exact below its valuation plus
     M >= order - prefactor.qexp, with no slack; the floor b keeps every
-    divisor's leading term.  ``require_order`` checks it.  A vanishing
-    numerator factor short-circuits to the exact zero; a vanishing
+    divisor's leading term.  The numerators are multiplied sparsely, and
+    one ``divide`` chain takes out every denominator and applies the
+    prefactor and the scalar.  ``require_order`` checks the order.  A
+    vanishing numerator factor short-circuits to the exact zero; a vanishing
     denominator factor raises ThetaZeroDenominator.
     """
     plan = quotient_plan(num, den, order, prefactor.qexp)
@@ -368,7 +371,5 @@ def theta_quotient(
         return QSeries.lattice(D, *int_jtheta(unit_k, X, B, W + pad(B)), Fraction(W, D))
 
     acc = reduce(mul, (factor(*f) for f in nums)) if nums else QSeries.one()
-    for f in dens:
-        acc = acc / factor(*f)
     # the exact monomial moves ord and trunc alike, so it can be applied last
-    return require_order(acc.shift(prefactor).scale(scalar), order, "quotient")
+    return require_order(divide(acc, [factor(*f) for f in dens], prefactor, scalar), order, "quotient")

@@ -43,6 +43,7 @@ THETA, APPELL, HECKE = "src/qstrings/theta.py", "src/qstrings/appell.py", "src/q
 SERIES, STRINGS = "src/qstrings/series.py", "src/qstrings/strings.py"
 EXPR, CASES = "src/qstrings/expr.py", "src/qstrings/cases.py"
 PLAN_PROPERTY = "tests/test_theta.py::test_int_plan_matches_the_fraction_plan"
+CHAIN_PROPERTY = "tests/test_theta.py::test_theta_quotient_matches_the_sequential_restatement"
 
 MUTANTS = (
     # -- the int planning of theta quotients, Appell-Lerch sums and windows
@@ -96,13 +97,36 @@ MUTANTS = (
            ("tests/test_theta.py::test_Jm_cubed_is_the_cube_of_Jm",)),
     # -- the int kernels of series.py
     Mutant("bound-floor-for-ceil", SERIES,
-           "    return INF if trunc == INF else -(-trunc.numerator * den // trunc.denominator)",
-           "    return INF if trunc == INF else trunc.numerator * den // trunc.denominator",
+           "    return INF if trunc.__class__ is float else -(-trunc.numerator * den // trunc.denominator)",
+           "    return INF if trunc.__class__ is float else trunc.numerator * den // trunc.denominator",
            ("tests/test_series.py",)),
+    # -- the division on one int buffer: its rescale, its residue classes,
+    # its length, the chain's truncations and the folded prefactor
     Mutant("long-divide-keeps-finished-numerators", SERIES,
-           "            for j in acc:\n                acc[j] *= N\n",
-           "",
-           ("tests/test_series.py",)),
+           "                b[:] = [x * N for x in b]\n",
+           "                b[j:] = [x * N for x in b[j:]]\n",
+           ("tests/test_series.py::test_mul_div_on_non_minimal_lattices",
+            "tests/test_series.py::test_division_by_non_unit_leads_matches_oracle")),
+    Mutant("gauss-walk-keeps-finished-numerators", SERIES,
+           "                re[:] = [x * N for x in re]\n",
+           "                re[j:] = [x * N for x in re[j:]]\n",
+           ("tests/test_series.py::test_division_by_non_unit_leads_matches_oracle",)),
+    Mutant("buffer-step-ignores-the-dividend-offsets", SERIES,
+           "        r = x % h\n",
+           "        r = 0\n",
+           ("tests/test_series.py::TestDivision", CHAIN_PROPERTY)),
+    Mutant("buffer-length-floor-for-ceil", SERIES,
+           "            n = -((x - B) // h)\n",
+           "            n = (B - x) // h\n",
+           ("tests/test_series.py::TestDivision", CHAIN_PROPERTY)),
+    Mutant("chain-trunc-from-the-previous-ord", SERIES,
+           "        T, o, V = min(T - v, o + F - 2 * v), o - v, V + v\n",
+           "        T, o, V = min(T - v, o + F - 2 * v), o, V + v\n",
+           (CHAIN_PROPERTY,)),
+    Mutant("prefactor-fold-sign", SERIES,
+           "    e = on_lattice(shift.qexp, L) - V\n",
+           "    e = -on_lattice(shift.qexp, L) - V\n",
+           ("tests/test_theta.py::TestThetaQuotient", CHAIN_PROPERTY)),
     Mutant("combo-keeps-the-bound", SERIES,
            "    t = {k: a * c for k, c in x.items() if k < bound} if a else {}",
            "    t = {k: a * c for k, c in x.items() if k <= bound} if a else {}",

@@ -3,10 +3,10 @@
 Everything here works on plain ``dict[Fraction, Fraction]`` polynomials (or
 ``dict[Fraction, Gauss]`` where coefficients are non-real) and never touches
 the package's series or coefficient types, so expected values computed from
-these stay independent of the code paths they check.  The one exception is
-the records form of the JSON wire form at the end: it reads a series only
-through its Fraction view and builds one only through the Fraction-keyed
-constructor.
+these stay independent of the code paths they check.  The exceptions are
+the two writers at the end, the records form of the JSON wire form and the
+text form: they read a series only through its Fraction view and build one
+only through the Fraction-keyed constructor.
 """
 
 import math
@@ -93,6 +93,28 @@ def poly_div(a: dict, f: dict, bound) -> dict:
                 if not r[k]:
                     del r[k]
     return out
+
+
+def _ord(a: dict, trunc):
+    """The least exponent of a truncated series, or its trunc when it has no
+    known term."""
+    return min(a) if a else trunc
+
+
+def truncated_mul(a: dict, ta, b: dict, tb) -> tuple:
+    """(a*b, its trunc) for two series given as terms and trunc: the product
+    is exact below min(ta + ord b, tb + ord a)."""
+    t = min(ta + _ord(b, tb), tb + _ord(a, ta))
+    return poly_mul(a, b, t), t
+
+
+def truncated_div(a: dict, ta, f: dict, tf) -> tuple:
+    """(a/f, its trunc) for two series given as terms and trunc, f with a
+    known term: the quotient is exact below min(ta - v, ord a + tf - 2v),
+    v = ord f."""
+    v = min(f)
+    t = min(ta - v, _ord(a, ta) + tf - 2 * v)
+    return poly_div(a, f, t), t
 
 
 def poly_add(a: dict, b: dict, bound) -> dict:
@@ -379,3 +401,69 @@ def series_from_json_terms(records, trunc) -> QSeries:
     return QSeries({F(r["num"], r["den_exp"]): GaussianRational(F(r["re_num"], r["re_den"]),
                                                                   F(r["im_num"], r["im_den"]))
                     for r in records}, trunc)
+
+
+# -- the text form, term by term through the Fraction view ----------------------
+
+
+def coeff_text(c) -> str:
+    """A GaussianRational as the text form spells it."""
+    if c.im == 0:
+        return str(c.re)
+    if c.re == 0:
+        if c.im == 1:
+            return "i"
+        if c.im == -1:
+            return "-i"
+        if c.im.denominator == 1:
+            return f"{c.im}i"
+        return f"({c.im})i"
+    m = abs(c.im)
+    ims = "i" if m == 1 else (f"{m}i" if m.denominator == 1 else f"({m})i")
+    return f"({c.re}{'-' if c.im < 0 else '+'}{ims})"
+
+
+def term_text(c, e: Fraction) -> str:
+    """The term c*q^e."""
+    if e == 0:
+        return coeff_text(c)
+    if e == 1:
+        qp = "q"
+    elif e.denominator == 1 and e > 0:
+        qp = f"q^{e}"
+    else:
+        qp = f"q^({e})"
+    if c.im == 0 and c.re == 1:
+        return qp
+    if c.im == 0 and c.re == -1:
+        return f"-{qp}"
+    cs = coeff_text(c)
+    if "/" in cs and not cs.startswith("("):
+        cs = f"({cs})"
+    return f"{cs}{qp}"
+
+
+def format_series_items(s: QSeries, max_terms=None) -> str:
+    """The text form of a QSeries from its ``items_sorted`` view: the terms in
+    ascending exponent joined by + and -, "+ ..." past `max_terms` of them,
+    "0" for none, and "+ O(q^trunc)" when the trunc is finite."""
+    items = s.items_sorted()
+    shown = items if max_terms is None else items[:max_terms]
+    parts = []
+    for e, c in shown:
+        t = term_text(c, e)
+        if not parts:
+            parts.append(t)
+        elif t.startswith("-"):
+            parts.append(f"- {t[1:]}")
+        else:
+            parts.append(f"+ {t}")
+    if len(shown) < len(items):
+        parts.append("+ ...")
+    if not parts:
+        parts.append("0")
+    if s.trunc != math.inf:
+        tr = Fraction(s.trunc)
+        ts = f"q^{tr}" if tr.denominator == 1 and tr >= 0 else f"q^({tr})"
+        parts.append(f"+ O({ts})")
+    return " ".join(parts)

@@ -44,6 +44,7 @@ from oracles import (
     poly_substitute_power,
     poly_substitute_q_neg,
     poly_truncate,
+    format_series_items,
     series_from_json_terms,
     series_to_json_terms,
 )
@@ -341,6 +342,18 @@ class TestDivision:
         q = QSeries({lead: 1}, trunc) / QSeries({F(0): 1, F(1, 7): -1}, INF)
         assert q.trunc == trunc
         assert q.terms == {lead + F(k, 7): GaussianRational(1) for k in ks}
+
+    def test_sparse_dividend_over_a_wide_step(self):
+        # (1 + q^(1/30030)) / (1 - q^(1/2)) below q^20: on the lattice 1/30030
+        # the divisor steps by 15015, and the dividend's two keys lie in two
+        # residue classes mod 15015, so the walk covers two lists of 40 slots,
+        # not the 600600 slots of one list over the gcd 1 of all offsets
+        a = QSeries.lattice(30030, {0: 1, 1: 1}, {}, F(20))
+        f = QSeries.lattice(2, {0: 1, 1: -1}, {}, INF)
+        q = a / f
+        want = poly_div({F(0): F(1), F(1, 30030): F(1)}, {F(0): F(1), F(1, 2): F(-1)}, F(20))
+        assert len(want) == 80
+        check_stored(q, {e: Gauss(c) for e, c in want.items()}, F(20))
 
 
 class TestSubstitutions:
@@ -765,6 +778,21 @@ def test_json_wire_form_matches_the_records_oracle(x):
     text = series_to_json(a)
     assert text == json.dumps(series_to_json_terms(a))
     check_stored(series_from_json_terms(json.loads(text), a.trunc), ta, a.trunc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_operand(), st.one_of(st.none(), st.integers(0, 7)))
+# every spelling of a coefficient: 1 and -1 left out before q, a fraction
+# bracketed before q, an imaginary part bracketed when it is not integral
+@example(on_lattice(6, {-3: Gauss(F(1, 2), F(-3, 4)), 0: Gauss(F(0), F(-1, 3)), 2: _MINUS_ONE,
+                        6: _UNITS[1], 9: Gauss(F(-5, 2)), 12: Gauss(F(2), F(1)), 18: Gauss(F(0), F(-2))},
+                    F(7, 2), 12), None)
+@example(on_lattice(1, {-3: _UNITS[0], -2: _UNITS[3]}, F(-1)), 1)
+def test_text_form_matches_the_items_oracle(x, max_terms):
+    # the writer formats the stored ints itself; the term-by-term writer
+    # over the Fraction view must give the same text
+    a, _ = x
+    assert format_series(a, max_terms) == format_series_items(a, max_terms)
 
 
 _R, _I = Gauss(F(1)), Gauss(F(0), F(1))

@@ -2,11 +2,14 @@
 
 import math
 from fractions import Fraction as F
+from functools import reduce
+from math import inf as INF
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qstrings.series import GaussianRational, Monomial, QSeries, margin_scale, pad
+from qstrings.series import GaussianRational, Monomial, QSeries, divide, margin_scale, pad
 from qstrings.theta import (
     DivergentProduct,
     J,
@@ -32,7 +35,7 @@ from qstrings.theta import (
 )
 
 from oracles import (Gauss, int_coeffs, jtheta_sum_bruteforce, jtheta_sum_gaussian, pochhammer_product,
-                     product_expand, theta_quotient_plan)
+                     product_expand, theta_quotient_plan, truncated_div, truncated_mul)
 
 q = Monomial.q
 mq = Monomial.mq
@@ -720,3 +723,75 @@ def test_int_plan_matches_the_fraction_plan(num, den, order, pre):
         assert [F(v, D) for *_, v, _ in factors] == want.valuations
         assert [F(W, D) for *_, W in factors] == want.windows
         assert ranges == want.ranges
+
+
+# -- theta_quotient against the sequential restatement ----------------------------
+
+CHAIN_DENS = [1, 2, 3, 4, 5]
+GAUSS_UNITS = (Gauss(F(1)), Gauss(F(0), F(1)), Gauss(F(-1)), Gauss(F(0), F(-1)))
+
+
+@st.composite
+def chain_rational(draw, lo: int, hi: int, positive: bool = False) -> F:
+    d = draw(st.sampled_from(CHAIN_DENS))
+    return F(draw(st.integers(min_value=1 if positive else lo * d, max_value=hi * d)), d)
+
+
+@st.composite
+def chain_factor(draw):
+    """(unit_k, qexp, base) of a theta factor that is not zero: any unit,
+    and one draw in three with qexp a multiple of the base, where two terms
+    share the least exponent, which gives the content 2 at unit -1 (as in
+    Jbar_{0,k}) and the lead 1 -+ i, not a unit, at units +-i."""
+    base = draw(chain_rational(0, 3, positive=True))
+    if draw(st.integers(min_value=0, max_value=2)) == 0:
+        return draw(st.sampled_from([1, 2, 3])), base * draw(st.integers(min_value=-2, max_value=2)), base
+    unit, qexp = draw(UNITS), draw(chain_rational(-3, 3))
+    assume(not is_theta_zero(Monomial(unit, qexp), base))
+    return unit, qexp, base
+
+
+CHAIN_SCALARS = st.sampled_from([Gauss(F(1)), Gauss(F(-1)), Gauss(F(1, 2)), Gauss(F(1), F(2)),
+                                 Gauss(F(0), F(-2, 3))])
+
+
+def as_gauss(s: QSeries) -> dict:
+    return {e: Gauss(c.re, c.im) for e, c in s.terms.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(chain_factor(), max_size=3), st.lists(chain_factor(), min_size=1, max_size=3),
+       chain_rational(-2, 8), UNITS, chain_rational(-2, 2), CHAIN_SCALARS)
+# no numerator factors (an exact dividend) over Jbar_{0,3}, of content 2
+@example([], [(2, F(0), F(3))], F(6), 0, F(0), Gauss(F(1)))
+# Gaussian units on both sides, and j(i; q), whose lead 1 - i is not a unit
+@example([(1, F(1, 3), F(1))], [(1, F(0), F(1)), (3, F(2, 5), F(2))], F(5), 1, F(1, 3), Gauss(F(1), F(2)))
+# a divisor of step 2 under a dividend on 1/5: ten residue classes mod 2 on 1/5
+@example([(0, F(1, 5), F(1))], [(2, F(0), F(2))], F(7), 2, F(-1, 2), Gauss(F(-1)))
+def test_theta_quotient_matches_the_sequential_restatement(num, den, order, unit, pre, scalar):
+    # every factor by the brute-force sum at the window of the Fraction plan,
+    # the numerators multiplied and the product divided by one denominator
+    # after the other, each step under its own truncation contract
+    _, plan = theta_quotient_plan(num, den, order, pre, 0)
+    factors = [({e: Gauss(F(re), F(im)) for e, (re, im) in jtheta_sum_gaussian(u, x, b, w).items()}, w)
+               for (u, x, b), w in zip(num + den, plan.windows)]
+    acc = ({F(0): Gauss(F(1))}, INF)
+    for f in factors[:len(num)]:
+        acc = truncated_mul(*acc, *f)
+    for f in factors[len(num):]:
+        acc = truncated_div(*acc, *f)
+    terms, trunc = acc
+    c = GAUSS_UNITS[unit] * scalar
+    want = {e + pre: x * c for e, x in terms.items()}
+    prefactor, sc = Monomial(unit, pre), GaussianRational(scalar.re, scalar.im)
+    # the chain on the package's factors, with its own trunc
+    nums, dens = ([jtheta(Monomial(u, x), b, w) for (u, x, b), w in pairs]
+                  for pairs in (zip(num, plan.windows), zip(den, plan.windows[len(num):])))
+    got = divide(reduce(mul, nums) if nums else QSeries.one(), dens, prefactor, sc)
+    assert got.trunc == trunc + pre
+    assert as_gauss(got) == want
+    # theta_quotient checks that trunc against the order and truncates there
+    got = theta_quotient([(Monomial(u, x), b) for u, x, b in num], [(Monomial(u, x), b) for u, x, b in den],
+                         order, prefactor, sc)
+    assert got.trunc == order
+    assert as_gauss(got) == {e: x for e, x in want.items() if e < order}
