@@ -24,9 +24,10 @@ exponents with trunc through the int bound ceil(trunc*den); addition and
 comparison also move both onto the lcm of their cdens.  Multiplication
 is one real convolution per pair of nonzero parts.  Division is one
 kernel, ``divide``: a chain of divisors, one for ``/`` and every
-denominator of ``theta_quotient``, each divided out in place on int lists
-that lie on the dividend's sublattice, one list per residue class of its
-keys modulo the divisors' step; its docstring gives the cost.  The
+denominator of ``theta_quotient``, each made real with its conjugate when
+it is not and divided out in place on int lists that lie on the dividend's
+sublattice, one list per part and residue class of its keys modulo the
+divisors' step; its docstring gives the cost.  The
 constructors of the other modules fill the two dicts for
 ``QSeries.lattice``.  Fractions and GaussianRationals appear only at the
 boundary: the Fraction-keyed constructor, scalar arguments,
@@ -632,137 +633,120 @@ def divide(a: QSeries, divisors, shift: Monomial = Monomial.one(), scalar=1) -> 
     buffer, with the monomial `shift` and the scalar folded into the one
     series it builds.
 
-    Every exponent and trunc is an int on the lattice 1/L, L the lcm of the
-    dens and of the denominators of the truncs and of the shift.  Step i,
-    by f_i of least exponent v, takes the dividend's trunc t and least
-    exponent o (its trunc when no term is known) to min(t - v,
-    o + f_i.trunc - 2v) and o - v.  A coefficient of a quotient depends on
-    no coefficient of its dividend above it, so every step is run only below
-    the last step's trunc: in the dividend's exponents, below B = that trunc
-    plus the sum of the v.  Each divisor is taken over its content g (the gcd
-    of its numerators) and times w = the sign of its leading numerator u, or
-    conj(u) when u is not real, so that it leads with N = |u| or |u|^2 > 0,
-    and g and w go into the result's scalar.
+    A non-real divisor f is first made real with its conjugate, as
+    a/f = a*conj(f) / (f*conj(f)); the products keep the trunc of every
+    step, and each step raises where its division alone would.  Every
+    exponent and trunc is then an int on the lattice 1/L, L the lcm of the
+    dens and of the denominators of the truncs and of the shift.  Step i, by
+    f_i of least exponent v, takes the dividend's trunc t and least exponent
+    o (its trunc when no term is known) to min(t - v, o + f_i.trunc - 2v)
+    and o - v.  A coefficient of a quotient depends on no coefficient of its
+    dividend above it, so every step is run only below the last step's
+    trunc: in the dividend's exponents, below B = that trunc plus the sum of
+    the v.  Each divisor is taken over its content g (the gcd of its
+    numerators) and times the sign of its leading numerator u, so that it
+    leads with N = |u|, and both go into the result's scalar.
 
     The buffer lies on the dividend's sublattice.  With h the gcd of every
     divisor's offsets from its leading term, each quotient keeps its terms
-    in the residue classes mod h of the dividend's keys, and each class is
-    one int list (two for a non-real one) whose slot j holds the key s + h*j,
-    s the class's least key, for every such key below B.  A step walks each
-    list once, slot by slot: the slot's value over N is final, and it times
-    each term of the divisor's tail is taken off the later slots.  When a
-    value is not divisible by N, the whole class is multiplied by N, and the
-    classes end over a common power of N (the rescale of Knuth, TAOCP
-    vol. 2 §4.6.1, taken only where it is needed).  With no tail at all
-    (h = 0: monomial divisors, or none) the quotient is the dividend scaled,
-    shifted and cut, and no list is built.
+    in the residue classes mod h of the dividend's keys, and each part (real
+    and imaginary) of each class is one int list whose slot j holds the key
+    s + h*j, s the least key of the list, for every such key below B.  A
+    step walks each list once, slot by slot: the slot's value over N is
+    final, and it times each term of the divisor's tail is taken off the
+    later slots.  When a value is not divisible by N, the whole list is
+    multiplied by N, and the lists end over a common power of N (the rescale
+    of Knuth, TAOCP vol. 2 §4.6.1, taken only where it is needed).  With no
+    tail at all (h = 0: monomial divisors, or none) the quotient is the
+    dividend scaled, shifted and cut, and no list is built.
 
-    Cost: a step walks sum over classes of ceil((B - s)/h) slots, at most
-    min(h, number of dividend terms) * (ceil(span/h) + 1) for the span of
+    Cost: a step walks sum over lists of ceil((B - s)/h) slots, at most
+    2 * min(h, number of dividend terms) * (ceil(span/h) + 1) for the span of
     the dividend's exponents up to B, with one multiply-add per tail term
-    and nonzero slot, plus one pass over the class per rescale.  So
+    and nonzero slot, plus one pass over the list per rescale.  So
     1 + q over 1 - q^15015 below q^600600 walks two lists of 40 slots.
     Divisors whose offsets have a small gcd give one long list, which the
     quotient, eventually dense on that step, fills anyway.
     """
-    truncs = [s.trunc for s in (a, *divisors) if s.trunc.__class__ is not float]
-    den = lcm(a.den, *(f.den for f in divisors), shift.qexp.denominator)
-    L = lcm(den, *(t.denominator for t in truncs))
-    ma = L // a.den
-    T = lattice_bound(a.trunc, L)
-    o = min(a.keys()) * ma if a.real or a.imag else T  # the dividend's least exponent
-    V, h, M, G = 0, 0, 1, 1  # the shift, the step, the scalar M/G
-    wr, wi = 1, 0  # the unit-making factor w
-    steps = []
+    chain = []  # the divisors, each real
+    exact = a.trunc.__class__ is float  # the step's dividend is: a zero or an exact f keeps it
     for f in divisors:
         if not (f.real or f.imag):
             raise ZeroLeadingTerm("division by a series with no term below its truncation")
-        mf, F = L // f.den, lattice_bound(f.trunc, L)
-        keys = sorted(f.keys())
-        if len(keys) > 1 and T == F == INF:
+        if exact and f.trunc.__class__ is float and len(f.keys()) > 1:
             # an exact series over an exact non-monomial has infinitely many terms
             raise SeriesError("truncate before dividing by an exact non-monomial series")
-        # f = g*P/f.cden for the int parts of P, so a/f = (m * a/P) / gq with
-        # m/gq = f.cden/g in lowest terms
-        g = gcd(*f.real.values(), *f.imag.values())
-        c = gcd(f.cden, g)
-        M, G = M * (f.cden // c), G * (g // c)
-        kv = keys[0]
-        ur, ui = f.real.get(kv, 0) // g, f.imag.get(kv, 0) // g
-        xr, xi = (ur // abs(ur), 0) if not ui else (ur, -ui)  # w, so that u*w = N > 0
-        wr, wi = wr * xr - wi * xi, wr * xi + wi * xr
-        tail = []
-        for k in keys[1:]:
-            pr, pi = f.real.get(k, 0) // g, f.imag.get(k, 0) // g
-            d = (k - kv) * mf
-            h = gcd(h, d)
-            tail.append((d, pr * xr - pi * xi, pr * xi + pi * xr))
+        exact = exact and (f.trunc.__class__ is float or not (a.real or a.imag))
+        if f.imag:
+            fc = _new(f.den, f.real, _combo(f.imag, -1, {}, 0), f.trunc, f.cden)
+            a, f = a * fc, f * fc
+        chain.append(f)
+    truncs = [s.trunc for s in (a, *chain) if s.trunc.__class__ is not float]
+    den = lcm(a.den, *(f.den for f in chain), shift.qexp.denominator)
+    L = lcm(den, *(t.denominator for t in truncs))
+    ma = L // a.den
+    T = lattice_bound(a.trunc, L)
+    # the dividend's least exponent, which only a step reads: with no divisor
+    # the walk over its keys is skipped
+    o = min(a.keys()) * ma if chain and (a.real or a.imag) else T
+    V, h, M, G = 0, 0, 1, 1  # the shift, the step, the scalar M/G
+    steps = []
+    for f in chain:
+        mf, F = L // f.den, lattice_bound(f.trunc, L)
+        keys = sorted(f.real)
+        # f = g*P/f.cden for the int numerators of P, so a/f = (m * a/P) / gq
+        # with m/gq = f.cden/g in lowest terms; w*P, w the sign of P's lead,
+        # leads with N > 0
+        kv, g = keys[0], gcd(*f.real.values())
+        c, w = gcd(f.cden, g), 1 if f.real[kv] > 0 else -1
+        M, G = w * M * (f.cden // c), G * (g // c)
+        tail = [((k - kv) * mf, w * f.real[k] // g) for k in keys[1:]]
+        h = gcd(h, *(d for d, _ in tail))
         v = kv * mf
         T, o, V = min(T - v, o + F - 2 * v), o - v, V + v
-        steps.append((ur * xr - ui * xi, tail))
+        steps.append((w * f.real[kv] // g, tail))
     sr, si, sd = _scalar(scalar)
     if not (sr or si):
         return QSeries.zero()
-    # the result's scalar: the scalar, the shift's unit i^k, w and M, over G*sd
+    # the result's scalar: the scalar, the shift's unit i^k and M, over G*sd
     ur, ui = UNIT_PAIRS[shift.unit_k]
     cr, ci = M * (sr * ur - si * ui), M * (sr * ui + si * ur)
-    cr, ci = cr * wr - ci * wi, cr * wi + ci * wr
-    # each step as (N, tail) with the tail in slots of h and real when it can be
-    plan = [(N, [(d // h, pr) for d, pr, _ in tail] if not any(pi for *_, pi in tail) else None,
-             [(d // h, pr, pi) for d, pr, pi in tail]) for N, tail in steps]
     B = T + V
     # the dividend's key x on 1/L is the result's key (x + e)/g0 on 1/den
     g0 = L // den
     e = on_lattice(shift.qexp, L) - V
     T = T if T == INF else Fraction(T + e + V, L)
     if not h:  # each of these steps returns its series as it is where it is the identity
-        q = _times(a, cr, ci, G * prod(N for N, *_ in plan) * sd)
+        q = _times(a, cr, ci, G * prod(N for N, _ in steps) * sd)
         return q.shift(Monomial(0, Fraction(e, L))).truncate(T)
-    # class r mod h is (s, re, im): slot j of its lists holds the key s + h*j,
-    # s its least key
-    classes = {}
-    ar, ai = a.real, a.imag
-    for k in sorted(a.keys()):
-        x = k * ma
-        if x >= B:
-            break
-        r = x % h
-        if r not in classes:
-            n = -((x - B) // h)
-            classes[r] = (x, [0] * n, [0] * n if ai else None)
-        s, re, im = classes[r]
-        j = (x - s) // h
-        re[j] = ar.get(k, 0)
-        if ai:
-            im[j] = ai.get(k, 0)
+    plan = [(N, [(d // h, p) for d, p in tail]) for N, tail in steps]
     walked = []
-    for s, re, im in classes.values():
-        scale = 1  # the buffer holds the quotient times scale
-        for N, real_tail, tail in plan:
-            if im is None and real_tail is not None:
-                scale *= _walk(re, N, real_tail)
-            else:
-                im = im or [0] * len(re)
-                scale *= _walk_gauss(re, im, N, tail)
-        walked.append((s, re, im, scale))
+    for i, part in enumerate((a.real, a.imag)):
+        # the list of class r mod h is (s, b): slot j of b holds the key
+        # s + h*j, s its least key
+        lists = {}
+        for k in sorted(part):
+            x = k * ma
+            if x >= B:
+                break
+            r = x % h
+            if r not in lists:
+                lists[r] = x, [0] * -((x - B) // h)
+            s, b = lists[r]
+            b[(x - s) // h] = part[k]
+        for s, b in lists.values():
+            scale = 1  # b holds the quotient times scale
+            for N, tail in plan:
+                scale *= _walk(b, N, tail)
+            walked.append((i, s, b, scale))
     P = lcm(*(scale for *_, scale in walked))
-    real, imag = {}, {}
-    for s, re, im, scale in walked:
-        m = P // scale
-        xr, xi = cr * m, ci * m
-        keys = range((s + e) // g0, (s + e + h * len(re)) // g0, h // g0)
-        if im is None:
-            if xr:
-                real.update({k: xr * x for k, x in zip(keys, re) if x})
-            if xi:
-                imag.update({k: xi * x for k, x in zip(keys, re) if x})
-            continue
-        for k, x, y in zip(keys, re, im):
-            if xr * x - xi * y:
-                real[k] = xr * x - xi * y
-            if xr * y + xi * x:
-                imag[k] = xr * y + xi * x
-    return _new(den, real, imag, T, a.cden * G * P * sd)
+    fold = 1 if ci else cr  # a real scalar is applied as the lists are read
+    parts = {}, {}
+    for i, s, b, scale in walked:
+        m = fold * P // scale
+        keys = range((s + e) // g0, (s + e + h * len(b)) // g0, h // g0)
+        parts[i].update({k: m * x for k, x in zip(keys, b) if x})
+    return _times(_new(den, *parts, T, a.cden * G * P * sd), cr // fold, ci, 1)
 
 
 def _walk(b: list, N: int, tail: list) -> int:
@@ -786,31 +770,6 @@ def _walk(b: list, N: int, tail: list) -> int:
             if i >= n:
                 break
             b[i] -= fd * c
-    return p
-
-
-def _walk_gauss(re: list, im: list, N: int, tail: list) -> int:
-    """``_walk`` for the Gaussian list re + im*i and a tail of (d, real part,
-    imaginary part)."""
-    n, p = len(re), 1
-    for j in range(n):
-        cr, ci = re[j], im[j]
-        if not (cr or ci):
-            continue
-        if N != 1:
-            if cr % N or ci % N:
-                p *= N
-                re[:] = [x * N for x in re]
-                im[:] = [x * N for x in im]
-            else:
-                cr, ci = cr // N, ci // N
-            re[j], im[j] = cr, ci
-        for d, pr, pi in tail:
-            i = j + d
-            if i >= n:
-                break
-            re[i] -= pr * cr - pi * ci
-            im[i] -= pr * ci + pi * cr
     return p
 
 

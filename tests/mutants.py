@@ -107,17 +107,21 @@ MUTANTS = (
            "                b[j:] = [x * N for x in b[j:]]\n",
            ("tests/test_series.py::test_mul_div_on_non_minimal_lattices",
             "tests/test_series.py::test_division_by_non_unit_leads_matches_oracle")),
-    Mutant("gauss-walk-keeps-finished-numerators", SERIES,
-           "                re[:] = [x * N for x in re]\n",
-           "                re[j:] = [x * N for x in re[j:]]\n",
-           ("tests/test_series.py::test_division_by_non_unit_leads_matches_oracle",)),
+    Mutant("conjugate-left-off-the-dividend", SERIES,
+           "            a, f = a * fc, f * fc\n",
+           "            f = f * fc\n",
+           ("tests/test_series.py::test_division_by_non_unit_leads_matches_oracle", CHAIN_PROPERTY)),
+    Mutant("chain-exactness-forgets-the-zero-dividend", SERIES,
+           "        exact = exact and (f.trunc.__class__ is float or not (a.real or a.imag))\n",
+           "        exact = exact and f.trunc.__class__ is float\n",
+           ("tests/test_series.py::TestDivision",)),
     Mutant("buffer-step-ignores-the-dividend-offsets", SERIES,
-           "        r = x % h\n",
-           "        r = 0\n",
+           "            r = x % h\n",
+           "            r = 0\n",
            ("tests/test_series.py::TestDivision", CHAIN_PROPERTY)),
     Mutant("buffer-length-floor-for-ceil", SERIES,
-           "            n = -((x - B) // h)\n",
-           "            n = (B - x) // h\n",
+           "                lists[r] = x, [0] * -((x - B) // h)\n",
+           "                lists[r] = x, [0] * ((B - x) // h)\n",
            ("tests/test_series.py::TestDivision", CHAIN_PROPERTY)),
     Mutant("chain-trunc-from-the-previous-ord", SERIES,
            "        T, o, V = min(T - v, o + F - 2 * v), o - v, V + v\n",

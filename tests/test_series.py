@@ -22,6 +22,7 @@ from qstrings.series import (
     QSeries,
     SeriesError,
     ZeroLeadingTerm,
+    divide,
     format_coeff,
     format_series,
     margin_scale,
@@ -32,6 +33,7 @@ from qstrings.series import (
 
 from oracles import (
     Gauss,
+    format_series_items,
     int_coeffs,
     partition_counts,
     pochhammer_product,
@@ -44,7 +46,6 @@ from oracles import (
     poly_substitute_power,
     poly_substitute_q_neg,
     poly_truncate,
-    format_series_items,
     series_from_json_terms,
     series_to_json_terms,
 )
@@ -322,6 +323,19 @@ class TestDivision:
     def test_exact_over_exact_non_monomial_rejected(self):
         with pytest.raises(SeriesError):
             QSeries({F(0): 1, F(2): 3}, INF) / QSeries({F(0): 1, F(1): -1}, INF)
+
+    def test_chain_rejects_exact_over_exact_at_its_step(self):
+        # as in the sequential a/f_1/f_2, though the chain multiplies in the
+        # conjugate of every non-real divisor first: a truncated conjugate
+        # must not make an exact step look truncated
+        f_exact = QSeries({F(0): 1, F(1): GaussianRational(0, 1)}, INF)
+        f_cut = QSeries({F(0): 1, F(1, 2): GaussianRational(1, 1)}, F(4))
+        with pytest.raises(SeriesError):
+            divide(QSeries.one(), [f_exact, f_cut])
+        # an exact zero stays exact under a truncated divisor
+        with pytest.raises(SeriesError):
+            divide(QSeries.zero(), [f_cut, f_exact])
+        assert divide(QSeries.zero(), [f_cut]).is_exact_zero
 
     def test_divisor_without_terms(self):
         with pytest.raises(ZeroLeadingTerm):
