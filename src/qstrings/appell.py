@@ -6,8 +6,8 @@ Each denominator 1/(1 - rho q^d) with d = base*(r-1) + x.qexp + z.qexp and
 rho the product of the units of x and z expands geometrically forward for
 d > 0, is rewritten as -sum_{t>=1} rho^-t q^(-t*d) for d < 0, and is the
 constant 1/(1-rho) for d = 0 with rho != 1.  d is linear in r, so at most
-one term has d = 0; its coefficient is half a Gaussian integer, the one
-term of the numerator sum over the coefficient denominator 2.
+one term has d = 0; its coefficient is half a Gaussian integer, so the
+numerator sum is summed twice, as ints over the coefficient denominator 2.
 
 Every range is cut exactly, in closed form: the term for r contributes
 nothing below m+(r) = base*C(r,2) + r*z.qexp (the d < 0 branch starts even
@@ -62,8 +62,7 @@ def appell_m(x: Monomial, base: Rat, z: Monomial, order: Rat) -> QSeries:
     o_z = int_valuation(Z, Bc)  # <= 0, the exponent of the n = 0 term of j(z)
     W = T + o_z + pad(Bc)  # win_s
     win_s = Fraction(W, D)
-    real, imag = {}, {}
-    half = QSeries.zero()
+    real, imag = {}, {}  # twice the sum, over the coefficient denominator 2
     sigma = 0
     for r in int_parabola(Bc, Z, W):
         e_r = Bc * comb2(r) + r * Z
@@ -76,13 +75,14 @@ def appell_m(x: Monomial, base: Rat, z: Monomial, order: Rat) -> QSeries:
             run = [(e_r - t * d, lead_k - rho_k * t + 2) for t in range(1, -((e_r - W) // -d))]
         else:  # i^lead_k / (1 - rho), half a Gaussian integer; d is linear in r, so one r gets here
             (ar, ai), (ur, ui) = _TWICE_GEOMETRIC[rho_k], UNIT_PAIRS[lead_k & 3]
-            half = QSeries.lattice(D, {e_r: ar * ur - ai * ui}, {e_r: ar * ui + ai * ur}, win_s, 2)
+            real[e_r] = real.get(e_r, 0) + ar * ur - ai * ui
+            imag[e_r] = imag.get(e_r, 0) + ar * ui + ai * ur
             continue
         for k, u in run:  # i^u: +-1 is real, +-i imaginary
             part = imag if u & 1 else real
-            part[k] = part.get(k, 0) + 1 - (u & 2)
+            part[k] = part.get(k, 0) + 2 - 2 * (u & 2)
 
-    s = QSeries.lattice(D, real, imag, win_s) + half
+    s = QSeries.lattice(D, real, imag, win_s, 2)
     W_d = max(o_z + Bc, T + 2 * o_z - sigma + pad(Bc))  # win_d; sigma <= 0
     denom = QSeries.lattice(D, *int_jtheta(z.unit_k, Z, Bc, W_d + pad(Bc)), Fraction(W_d, D))
     return require_order(s / denom, order, "appell")

@@ -350,7 +350,7 @@ def pretty(node: Node, prec: int = 0) -> str:
 
 def _term(s: QSeries, path: str) -> Tuple[GaussianRational, Fraction]:
     """The coefficient and exponent of an exact series of at most one term."""
-    if s.trunc != INF or len(s.keys()) > 1:
+    if s.tk != INF or len(s.keys()) > 1:
         raise EvalError("expected a scalar times a power of q", path)
     for e, c in s.items_sorted():
         return c, e
@@ -437,7 +437,7 @@ def _cut(s: QSeries, order: Fraction) -> QSeries:
     """`s` truncated `order` past its least exponent if it is exact with
     several terms: the quotient by such a series has infinitely many terms,
     and the cut gives it a truncation while keeping its leading term."""
-    return s.truncate(s.ord + order) if s.trunc == INF and len(s.keys()) > 1 else s
+    return s.truncate(s.ord + order) if s.tk == INF and len(s.keys()) > 1 else s
 
 
 # how far a divisor's working order is raised, in turn, while it comes back
@@ -460,7 +460,7 @@ def _divisor(node: Node, order: Fraction, path: str, raises: dict) -> QSeries:
     """
     key = id(node)
     s = _eval_series(node, order + raises.get(key, 0), path, raises)
-    if key not in raises and s.trunc != INF and not s.keys():
+    if key not in raises and s.tk != INF and not s.keys():
         for r in _RAISES:
             s = _eval_series(node, order + r, path, raises)
             if s.keys():
@@ -484,7 +484,7 @@ def _eval_series(node: Node, order: Fraction, path: str, raises: dict) -> QSerie
         e = node.exponent
         base = (_divisor if e < 0 and e.denominator == 1 else _eval_series)(node.base, order, path, raises)
         if e.denominator != 1:
-            c, qexp = _term(base, path) if base.trunc == INF and len(base.keys()) == 1 else (None, 0)
+            c, qexp = _term(base, path) if base.tk == INF and len(base.keys()) == 1 else (None, 0)
             if c != GaussianRational(1):
                 raise EvalError("fractional powers apply only to plain powers of q", path)
             return Monomial.q(qexp * e).as_series()
@@ -505,7 +505,7 @@ def _eval_series(node: Node, order: Fraction, path: str, raises: dict) -> QSerie
             if node.op == "*":
                 return lhs * rhs
             # an inexact dividend already gives the quotient a truncation
-            return lhs / (_cut(rhs, order) if lhs.trunc == INF else rhs)
+            return lhs / (_cut(rhs, order) if lhs.tk == INF else rhs)
         except Exception as exc:
             raise EvalError(f"{type(exc).__name__}: {exc}", f"{path}/{node.op}@{node.pos}") from exc
     raise EvalError(f"cannot evaluate {type(node).__name__}", path)

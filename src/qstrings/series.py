@@ -14,26 +14,27 @@ support.
 
 Every series is stored on ints, as FLINT's fmpq_poly stores integer
 numerators over one common denominator: an int exponent denominator
-``den``, an int coefficient denominator ``cden`` and two dicts ``real`` and
+``den``, an int coefficient denominator ``cden``, two dicts ``real`` and
 ``imag`` from the int k to a nonzero int, so that the coefficient of
-q^(k/den) is (real[k] + imag[k]*i)/cden, a missing key reading 0.  Neither
-den nor cden need be minimal.  A real series has an empty ``imag``, so its
-imaginary arithmetic drops out with no flag and no second kernel.  An
-operation on two series moves both onto the lcm of their dens and compares
-exponents with trunc through the int bound ceil(trunc*den); addition and
-comparison also move both onto the lcm of their cdens.  Multiplication
-is one real convolution per pair of nonzero parts.  Division is one
-kernel, ``divide``: a chain of divisors, one for ``/`` and every
-denominator of ``theta_quotient``, each made real with its conjugate when
-it is not and divided out in place on int lists that lie on the dividend's
-sublattice, one list per part and residue class of its keys modulo the
-divisors' step; its docstring gives the cost.  The
-constructors of the other modules fill the two dicts for
-``QSeries.lattice``.  Fractions and GaussianRationals appear only at the
-boundary: the Fraction-keyed constructor, scalar arguments,
-``__getitem__``, ``terms`` (a view built on every read), ``items_sorted``,
-``support``, ``ord`` and ``Mismatch``; the text and JSON forms are written
-from the stored ints.
+q^(k/den) is (real[k] + imag[k]*i)/cden, a missing key reading 0, and the
+int truncation ``tk``: every stored k is below tk, and trunc = tk/den, or
+tk = INF, which absorbs int shifts, positive int scalings and ``min`` by
+itself.  Neither den nor cden need be minimal, and a trunc off the lattice
+lifts den to the lcm of den and the trunc's denominator.  A real series
+has an empty ``imag``, so its imaginary arithmetic drops out with no flag
+and no second kernel.  An operation on two series moves both onto the lcm
+of their dens, and addition and comparison also onto the lcm of their
+cdens.  Multiplication is one real convolution per pair of nonzero parts.
+Division is one kernel, ``divide``: a chain of divisors, one for ``/`` and
+every denominator of ``theta_quotient``, each made real with its conjugate
+when it is not and divided out in place on int lists that lie on the
+dividend's sublattice, one list per part and residue class of its keys
+modulo the divisors' step; its docstring gives the cost.  The constructors
+of the other modules fill the two dicts for ``QSeries.lattice``.  Fractions
+and GaussianRationals appear only at the boundary: the Fraction-keyed
+constructor, scalar arguments, ``trunc``, ``__getitem__``, ``terms``
+(views built on every read), ``items_sorted``, ``support``, ``ord`` and
+``Mismatch``; the text and JSON forms are written from the stored ints.
 """
 
 from __future__ import annotations
@@ -103,19 +104,6 @@ def pad(step: Rat) -> Rat:
     margin_scale(k), 0 outside any.  An int step, the modulus on a
     lattice, gives an int."""
     return _margin_scale.get() * step
-
-
-# A trunc is a Fraction or INF, the one float of the package, so a class test
-# tells them apart; `t == INF` would send a Fraction through its ABC checks.
-
-
-def tadd(t: Trunc, d: Rat) -> Trunc:
-    """Truncation arithmetic: INF absorbs shifts."""
-    return INF if t.__class__ is float else t + d
-
-
-def tmul(t: Trunc, r: Fraction) -> Trunc:
-    return INF if t.__class__ is float else t * r
 
 
 class GaussianRational:
@@ -226,8 +214,6 @@ _I_POWERS = (
 )
 
 QI_ZERO = GaussianRational(0)
-QI_ONE = _I_POWERS[0]
-QI_MINUS_ONE = _I_POWERS[2]
 UNIT_PAIRS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^k as (re, im)
 
 
@@ -327,13 +313,12 @@ class Mismatch(NamedTuple):
 
 class QSeries:
     """Sparse exact q-series on the exponent lattice 1/den, stored as the
-    module docstring says: only keys with k/den < trunc are stored, and
-    neither den, cden nor the two dicts change after construction."""
+    module docstring says: only keys k < tk are stored, and neither den,
+    cden, tk nor the two dicts change after construction."""
 
-    __slots__ = ("den", "real", "imag", "trunc", "cden")
+    __slots__ = ("den", "real", "imag", "tk", "cden")
 
     def __init__(self, terms: Mapping[Rat, object], trunc: Trunc):
-        trunc = trunc if trunc.__class__ is Fraction or trunc == INF else Fraction(trunc)
         known = {}
         for e, c in terms.items():
             if not isinstance(c, GaussianRational):
@@ -341,12 +326,11 @@ class QSeries:
             if c and e < trunc:
                 known[Fraction(e)] = c
         den = lcm(*(e.denominator for e in known))
-        cden = lcm(*(p.denominator for c in known.values() for p in (c.re, c.im)))
-        self.den = den
-        self.cden = cden
+        m, self.tk = _lift(den, trunc)
+        den = self.den = den * m
+        cden = self.cden = lcm(*(p.denominator for c in known.values() for p in (c.re, c.im)))
         self.real = {e.numerator * (den // e.denominator): int(c.re * cden) for e, c in known.items() if c.re}
         self.imag = {e.numerator * (den // e.denominator): int(c.im * cden) for e, c in known.items() if c.im}
-        self.trunc = trunc
 
     # -- constructors ------------------------------------------------------
 
@@ -354,12 +338,11 @@ class QSeries:
     def lattice(den: int, real: Mapping[int, int], imag: Mapping[int, int], trunc: Trunc,
                 cden: int = 1) -> "QSeries":
         """The sum of ((real[k] + imag[k]*i)/cden) q^(k/den) below `trunc`
-        for two int dicts and an int cden > 0; zeros are dropped."""
-        if trunc.__class__ is not Fraction and trunc != INF:
-            trunc = Fraction(trunc)
-        bound = lattice_bound(trunc, den)
-        return _new(den, *({k: c for k, c in d.items() if c and k < bound} for d in (real, imag)),
-                    trunc, cden)
+        for two int dicts and an int cden > 0; zeros are dropped, and den is
+        lifted onto the lattice of an off-lattice trunc."""
+        m, tk = _lift(den, trunc)
+        return _new(den * m, *({k * m: c for k, c in d.items() if c and k * m < tk} for d in (real, imag)),
+                    tk, cden)
 
     @staticmethod
     def zero() -> "QSeries":
@@ -377,8 +360,13 @@ class QSeries:
     # -- basic queries -----------------------------------------------------
 
     @property
+    def trunc(self) -> Trunc:
+        """The truncation tk/den as a Fraction, or INF."""
+        return self.tk if self.tk.__class__ is float else Fraction(self.tk, self.den)
+
+    @property
     def is_exact_zero(self) -> bool:
-        return not (self.real or self.imag) and self.trunc.__class__ is float
+        return not (self.real or self.imag) and self.tk.__class__ is float
 
     def keys(self):
         """The int k of every stored term q^(k/den), as a set-like view."""
@@ -421,11 +409,10 @@ class QSeries:
     def __add__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = QSeries.const(other)
-        trunc = min(self.trunc, other.trunc)
         cden = lcm(self.cden, other.cden)
-        den, (ar, ai), (br, bi) = _rebase(self, other, cden=cden)
-        bound = lattice_bound(trunc, den)
-        return _new(den, _combo(ar, 1, br, 1, bound), _combo(ai, 1, bi, 1, bound), trunc, cden)
+        den, (ar, ai, ta), (br, bi, tb) = _rebase(self, other, cden=cden)
+        tk = min(ta, tb)
+        return _new(den, _combo(ar, 1, br, 1, tk), _combo(ai, 1, bi, 1, tk), tk, cden)
 
     __radd__ = __add__
 
@@ -449,17 +436,19 @@ class QSeries:
         a, b = self, other
         if a.is_exact_zero or b.is_exact_zero:
             return QSeries.zero()
-        trunc = min(tadd(a.trunc, b.ord_bound()), tadd(b.trunc, a.ord_bound()))
-        den, (ar, ai), (br, bi) = _rebase(a, b)
-        bound = lattice_bound(trunc, den)
+        den, (ar, ai, ta), (br, bi, tb) = _rebase(a, b)
         ar, ai, br, bi = (sorted(d.items()) for d in (ar, ai, br, bi))
+        # each trunc plus the other side's least key, or its trunc when it
+        # has no term; a stored key is below its trunc, so min picks the key
+        tk = min(ta + min(br[0][0] if br else tb, bi[0][0] if bi else tb),
+                 tb + min(ar[0][0] if ar else ta, ai[0][0] if ai else ta))
         # (ar + ai*i)(br + bi*i) = ar*br - ai*bi + (ar*bi + ai*br)*i
         real, imag = {}, {}
-        _convolve(real, ar, br, bound, 1)
-        _convolve(real, ai, bi, bound, -1)
-        _convolve(imag, ar, bi, bound, 1)
-        _convolve(imag, ai, br, bound, 1)
-        return _new(den, *({k: c for k, c in d.items() if c} for d in (real, imag)), trunc,
+        _convolve(real, ar, br, tk, 1)
+        _convolve(real, ai, bi, tk, -1)
+        _convolve(imag, ar, bi, tk, 1)
+        _convolve(imag, ai, br, tk, 1)
+        return _new(den, *({k: c for k, c in d.items() if c} for d in (real, imag)), tk,
                     a.cden * b.cden)
 
     __rmul__ = __mul__
@@ -503,11 +492,10 @@ class QSeries:
             real, imag = _combo(imag, -1, {}, 0), real
         if mn.unit_k & 2:  # times -1
             real, imag = _combo(real, -1, {}, 0), _combo(imag, -1, {}, 0)
-        return _new(den, real, imag, tadd(self.trunc, e), self.cden)
+        return _new(den, real, imag, self.tk * m + d, self.cden)
 
     def substitute_power(self, r: Rat) -> "QSeries":
         """q -> q**r with r > 0: scales every exponent and the truncation."""
-        r = Fraction(r)
         if r <= 0:
             raise NonPositiveRatio(f"q -> q^{r} needs r > 0")
         # k/den * p/s = k*(p/g) / (den/g * s), g = gcd(p, den)
@@ -515,39 +503,40 @@ class QSeries:
         p = r.numerator // g
         return _new(self.den // g * r.denominator,
                     *({k * p: c for k, c in d.items()} for d in (self.real, self.imag)),
-                    tmul(self.trunc, r), self.cden)
+                    self.tk * p, self.cden)
 
     def substitute_q_neg(self) -> "QSeries":
         """q -> -q on an integer-exponent series."""
-        if self.trunc.__class__ is not float and self.trunc.denominator != 1:
+        den, tk = self.den, self.tk
+        exact = tk.__class__ is float
+        if not exact and tk % den:
             raise FractionalExponent(f"trunc {self.trunc} is not an integer")
-        den = self.den
         for k in self.keys():
             if k % den:
                 raise FractionalExponent(f"exponent {Fraction(k, den)} is not an integer")
         return _new(1, *({k // den: -c if k // den & 1 else c for k, c in d.items()} for d in (self.real, self.imag)),
-                    self.trunc, self.cden)
+                    tk if exact else tk // den, self.cden)
 
     def truncate(self, order: Trunc) -> "QSeries":
-        if self.is_exact_zero or order >= self.trunc:
+        """`self` below `order`, on the lattice of an off-lattice order."""
+        m, tk = _lift(self.den, order)
+        if self.is_exact_zero or tk >= self.tk * m:
             return self
-        trunc = Fraction(order)
-        bound = lattice_bound(trunc, self.den)
-        return _new(self.den, *({k: c for k, c in d.items() if k < bound} for d in (self.real, self.imag)),
-                    trunc, self.cden)
+        return _new(self.den * m, *({k * m: c for k, c in d.items() if k * m < tk} for d in (self.real, self.imag)),
+                    tk, self.cden)
 
     # -- comparison ----------------------------------------------------------
 
     def compare(self, other: "QSeries", upto: Rat):
         """None when equal below `upto`, else the minimal Mismatch."""
-        upto = Fraction(upto)
-        if self.trunc < upto or other.trunc < upto:
+        n, d = upto.numerator, upto.denominator
+        if self.tk * d < n * self.den or other.tk * d < n * other.den:
             raise InsufficientOrder(
                 f"comparison to order {upto} needs truncs >= it "
                 f"(have {self.trunc}, {other.trunc})"
             )
         cden = lcm(self.cden, other.cden)
-        den, a, b = _rebase(self, other, cden=cden)
+        den, (*a, _), (*b, _) = _rebase(self, other, cden=cden)
         bound = lattice_bound(upto, den)
         # a key differs where a part of one side is missing or other on the other
         diff = [k for x, y in zip(a, b) for k, _ in x.items() ^ y.items() if k < bound]
@@ -560,13 +549,14 @@ class QSeries:
         return f"QSeries({format_series(self, max_terms=8)})"
 
 
-def _new(den: int, real: dict, imag: dict, trunc: Trunc, cden: int = 1) -> QSeries:
-    """A series around the two dicts as given: nonzero ints below trunc."""
+def _new(den: int, real: dict, imag: dict, tk, cden: int = 1) -> QSeries:
+    """A series around the two dicts as given: nonzero ints below the int
+    trunc tk on 1/den, or INF."""
     out = QSeries.__new__(QSeries)
     out.den = den
     out.real = real
     out.imag = imag
-    out.trunc = trunc
+    out.tk = tk
     out.cden = cden
     return out
 
@@ -591,7 +581,7 @@ def _times(s: QSeries, cr: int, ci: int, d: int) -> QSeries:
     cr, ci, d = cr // g, ci // g, d // g
     if ci == 0 and cr == d:
         return s
-    return _new(s.den, _combo(s.real, cr, s.imag, -ci), _combo(s.real, ci, s.imag, cr), s.trunc,
+    return _new(s.den, _combo(s.real, cr, s.imag, -ci), _combo(s.real, ci, s.imag, cr), s.tk,
                 s.cden * d)
 
 
@@ -637,15 +627,15 @@ def divide(a: QSeries, divisors, shift: Monomial = Monomial.one(), scalar=1) -> 
     a/f = a*conj(f) / (f*conj(f)); the products keep the trunc of every
     step, and each step raises where its division alone would.  Every
     exponent and trunc is then an int on the lattice 1/L, L the lcm of the
-    dens and of the denominators of the truncs and of the shift.  Step i, by
-    f_i of least exponent v, takes the dividend's trunc t and least exponent
-    o (its trunc when no term is known) to min(t - v, o + f_i.trunc - 2v)
-    and o - v.  A coefficient of a quotient depends on no coefficient of its
-    dividend above it, so every step is run only below the last step's
-    trunc: in the dividend's exponents, below B = that trunc plus the sum of
-    the v.  Each divisor is taken over its content g (the gcd of its
-    numerators) and times the sign of its leading numerator u, so that it
-    leads with N = |u|, and both go into the result's scalar.
+    dens and of the shift's denominator.  Step i, by f_i of least exponent
+    v, takes the dividend's trunc t and least exponent o (its trunc when no
+    term is known) to min(t - v, o + f_i.trunc - 2v) and o - v.  A
+    coefficient of a quotient depends on no coefficient of its dividend
+    above it, so every step is run only below the last step's trunc: in the
+    dividend's exponents, below B = that trunc plus the sum of the v.  Each
+    divisor is taken over its content g (the gcd of its numerators) and
+    times the sign of its leading numerator u, so that it leads with
+    N = |u|, and both go into the result's scalar.
 
     The buffer lies on the dividend's sublattice.  With h the gcd of every
     divisor's offsets from its leading term, each quotient keeps its terms
@@ -669,30 +659,28 @@ def divide(a: QSeries, divisors, shift: Monomial = Monomial.one(), scalar=1) -> 
     quotient, eventually dense on that step, fills anyway.
     """
     chain = []  # the divisors, each real
-    exact = a.trunc.__class__ is float  # the step's dividend is: a zero or an exact f keeps it
+    exact = a.tk.__class__ is float  # the step's dividend is: a zero or an exact f keeps it
     for f in divisors:
         if not (f.real or f.imag):
             raise ZeroLeadingTerm("division by a series with no term below its truncation")
-        if exact and f.trunc.__class__ is float and len(f.keys()) > 1:
+        if exact and f.tk.__class__ is float and len(f.keys()) > 1:
             # an exact series over an exact non-monomial has infinitely many terms
             raise SeriesError("truncate before dividing by an exact non-monomial series")
-        exact = exact and (f.trunc.__class__ is float or not (a.real or a.imag))
+        exact = exact and (f.tk.__class__ is float or not (a.real or a.imag))
         if f.imag:
-            fc = _new(f.den, f.real, _combo(f.imag, -1, {}, 0), f.trunc, f.cden)
+            fc = _new(f.den, f.real, _combo(f.imag, -1, {}, 0), f.tk, f.cden)
             a, f = a * fc, f * fc
         chain.append(f)
-    truncs = [s.trunc for s in (a, *chain) if s.trunc.__class__ is not float]
-    den = lcm(a.den, *(f.den for f in chain), shift.qexp.denominator)
-    L = lcm(den, *(t.denominator for t in truncs))
+    L = lcm(a.den, *(f.den for f in chain), shift.qexp.denominator)
     ma = L // a.den
-    T = lattice_bound(a.trunc, L)
+    T = a.tk * ma
     # the dividend's least exponent, which only a step reads: with no divisor
     # the walk over its keys is skipped
     o = min(a.keys()) * ma if chain and (a.real or a.imag) else T
     V, h, M, G = 0, 0, 1, 1  # the shift, the step, the scalar M/G
     steps = []
     for f in chain:
-        mf, F = L // f.den, lattice_bound(f.trunc, L)
+        mf = L // f.den
         keys = sorted(f.real)
         # f = g*P/f.cden for the int numerators of P, so a/f = (m * a/P) / gq
         # with m/gq = f.cden/g in lowest terms; w*P, w the sign of P's lead,
@@ -703,7 +691,7 @@ def divide(a: QSeries, divisors, shift: Monomial = Monomial.one(), scalar=1) -> 
         tail = [((k - kv) * mf, w * f.real[k] // g) for k in keys[1:]]
         h = gcd(h, *(d for d, _ in tail))
         v = kv * mf
-        T, o, V = min(T - v, o + F - 2 * v), o - v, V + v
+        T, o, V = min(T - v, o + f.tk * mf - 2 * v), o - v, V + v
         steps.append((w * f.real[kv] // g, tail))
     sr, si, sd = _scalar(scalar)
     if not (sr or si):
@@ -712,13 +700,13 @@ def divide(a: QSeries, divisors, shift: Monomial = Monomial.one(), scalar=1) -> 
     ur, ui = UNIT_PAIRS[shift.unit_k]
     cr, ci = M * (sr * ur - si * ui), M * (sr * ui + si * ur)
     B = T + V
-    # the dividend's key x on 1/L is the result's key (x + e)/g0 on 1/den
-    g0 = L // den
+    # the dividend's key x on 1/L is the result's key x + e, below B + e
     e = on_lattice(shift.qexp, L) - V
-    T = T if T == INF else Fraction(T + e + V, L)
-    if not h:  # each of these steps returns its series as it is where it is the identity
-        q = _times(a, cr, ci, G * prod(N for N, _ in steps) * sd)
-        return q.shift(Monomial(0, Fraction(e, L))).truncate(T)
+    if not h:  # scale, shift and cut the dividend, kept as it is where nothing moves
+        if ma != 1 or e or B != a.tk:
+            a = _new(L, *({k * ma + e: c for k, c in d.items() if k * ma < B} for d in (a.real, a.imag)), B + e,
+                     a.cden)
+        return _times(a, cr, ci, G * prod(N for N, _ in steps) * sd)
     plan = [(N, [(d // h, p) for d, p in tail]) for N, tail in steps]
     walked = []
     for i, part in enumerate((a.real, a.imag)):
@@ -744,9 +732,8 @@ def divide(a: QSeries, divisors, shift: Monomial = Monomial.one(), scalar=1) -> 
     parts = {}, {}
     for i, s, b, scale in walked:
         m = fold * P // scale
-        keys = range((s + e) // g0, (s + e + h * len(b)) // g0, h // g0)
-        parts[i].update({k: m * x for k, x in zip(keys, b) if x})
-    return _times(_new(den, *parts, T, a.cden * G * P * sd), cr // fold, ci, 1)
+        parts[i].update({k: m * x for k, x in zip(range(s + e, s + e + h * len(b), h), b) if x})
+    return _times(_new(L, *parts, B + e, a.cden * G * P * sd), cr // fold, ci, 1)
 
 
 def _walk(b: list, N: int, tail: list) -> int:
@@ -778,10 +765,18 @@ def _gauss(re: int, im: int, cden: int) -> GaussianRational:
     return GaussianRational(Fraction(re, cden), Fraction(im, cden)) if re or im else QI_ZERO
 
 
-def lattice_bound(trunc: Trunc, den: int):
-    """The int bound of `trunc` on the lattice 1/den: k/den < trunc iff
-    k < bound (INF stays INF)."""
-    return INF if trunc.__class__ is float else -(-trunc.numerator * den // trunc.denominator)
+def lattice_bound(r: Rat, den: int) -> int:
+    """The int bound of `r` on the lattice 1/den: k/den < r iff k < bound."""
+    return -(-r.numerator * den // r.denominator)
+
+
+def _lift(den: int, trunc: Trunc) -> tuple:
+    """(m, tk): den*m is the least multiple of den whose lattice holds
+    `trunc` (an int, a Fraction or INF), and tk = trunc*den*m (INF stays INF)."""
+    if trunc.__class__ is float and trunc == INF:
+        return 1, INF
+    m = trunc.denominator // gcd(den, trunc.denominator)
+    return m, on_lattice(trunc, den * m)
 
 
 def on_lattice(r: Rat, den: int) -> int:
@@ -790,16 +785,16 @@ def on_lattice(r: Rat, den: int) -> int:
 
 
 def _rebase(*series: QSeries, cden: int = 0):
-    """den, the lcm of the series' dens, and each series' (real, imag) with
-    its keys moved onto the lattice 1/den and, for a cden that every cden
-    divides (0: none), its numerators onto cden: equal series then have
-    equal parts."""
+    """den, the lcm of the series' dens, and each series' (real, imag, tk)
+    with its keys and tk moved onto the lattice 1/den and, for a cden that
+    every cden divides (0: none), its numerators onto cden: equal series
+    then have equal parts."""
     den = lcm(*(s.den for s in series))
     out = [den]
     for s in series:
         m, c = den // s.den, cden // s.cden or 1
-        out.append((s.real, s.imag) if m == c == 1 else
-                   tuple({k * m: x * c for k, x in d.items()} for d in (s.real, s.imag)))
+        out.append((s.real, s.imag, s.tk) if m == c == 1 else
+                   (*({k * m: x * c for k, x in d.items()} for d in (s.real, s.imag)), s.tk * m))
     return out
 
 
@@ -809,7 +804,7 @@ def require_order(s: QSeries, order: Rat, what: str) -> QSeries:
     Raises PrecisionShortfall otherwise; unlike an assert, the check stays
     on under ``python -O``.
     """
-    if s.trunc < order:
+    if s.tk * order.denominator < order.numerator * s.den:
         raise PrecisionShortfall(f"{what} precision shortfall: {s.trunc} < {order}")
     return s.truncate(order)
 
@@ -876,11 +871,10 @@ def format_series(s: QSeries, max_terms: int | None = None) -> str:
         parts.append("+ ...")
     if not parts:
         parts.append("0")
-    if s.trunc.__class__ is not float:
-        tr = s.trunc
+    if s.tk.__class__ is not float:
+        t = _fraction_text(s.tk, den)
         # spelled as a term's exponent is: q^(-2), not q^-2
-        ts = f"q^{tr}" if tr.denominator == 1 and tr.numerator >= 0 else f"q^({tr})"
-        parts.append(f"+ O({ts})")
+        parts.append(f"+ O(q^{t})" if s.tk >= 0 and "/" not in t else f"+ O(q^({t}))")
     return " ".join(parts)
 
 

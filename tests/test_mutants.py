@@ -18,6 +18,11 @@ def test_names_are_unique():
     assert len(names) == len(set(names))
 
 
+def test_runs_under_two_distinct_seeds():
+    # one seed alone cannot show a verdict that rests on the draws
+    assert len(set(mutants.SEEDS)) == 2
+
+
 @pytest.mark.parametrize("mutant", CATALOGUE, ids=lambda m: m.name)
 def test_before_occurs_exactly_once(mutant):
     assert (ROOT / mutant.file).read_text().count(mutant.before) == 1

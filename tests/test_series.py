@@ -48,6 +48,8 @@ from oracles import (
     poly_truncate,
     series_from_json_terms,
     series_to_json_terms,
+    truncated_div,
+    truncated_mul,
 )
 
 # frozen from the brute-force product oracle (tests/oracles.py)
@@ -201,6 +203,10 @@ class TestAddMul:
         b = QSeries({F(0): 1}, F(3))
         assert (a + b).trunc == F(3)
         assert (a + b)[0] == GaussianRational(2)
+
+    def test_sum_drops_the_term_at_the_lower_trunc(self):
+        # q is known below q^2, but the sum is exact only below q^1
+        assert format_series(QSeries({1: 1}, 2) + QSeries({0: 1}, 1)) == "1 + O(q^1)"
 
     def test_mul_simple(self):
         one_minus_q = QSeries({F(0): 1, F(1): -1}, F(20))
@@ -369,6 +375,22 @@ class TestDivision:
         assert len(want) == 80
         check_stored(q, {e: Gauss(c) for e, c in want.items()}, F(20))
 
+    def test_non_real_divisor(self):
+        # 1/(1 + i*q) = sum of (-i)^k q^k: dividend and divisor both take the
+        # conjugate 1 - i*q, and the divisor alone would give 1/(1 + q^2)
+        q = QSeries.one(F(6)) / QSeries({F(0): 1, F(1): GaussianRational(0, 1)}, INF)
+        assert q.trunc == F(6)
+        assert q.terms == {F(k): GaussianRational.i_power(3 * k) for k in range(6)}
+
+    def test_chain_trunc_moves_with_each_least_exponent(self):
+        # a/f1 is exact below min(10 - 1, 0 + INF - 2) = 9 and starts at q^-1,
+        # so over f2 (ord 0, trunc 3) the chain is exact below
+        # min(9 - 0, -1 + 3 - 0) = 2, as the two divisions one by one are
+        a = QSeries({F(0): 1}, F(10))
+        f1, f2 = QSeries({F(1): 1, F(2): 1}, INF), QSeries({F(0): 1, F(1): 1}, F(3))
+        q, want = divide(a, [f1, f2]), a / f1 / f2
+        assert q.trunc == want.trunc == F(2) and q.terms == want.terms
+
 
 class TestSubstitutions:
     def test_power_half(self):
@@ -415,6 +437,28 @@ class TestSubstitutions:
         a = series_from_coeffs([2, 5, -1], F(7))
         back = a.shift(Monomial(0, F(3, 7))).shift(Monomial(0, F(-3, 7)))
         assert back.terms == a.terms and back.trunc == a.trunc
+
+
+class TestOffLatticeTrunc:
+    # a trunc whose denominator does not divide den lifts den to their lcm,
+    # so that the trunc is the int tk on the series' own lattice
+
+    def test_lattice_lifts_den(self):
+        s = QSeries.lattice(2, {1: 1}, {}, F(1, 3))  # q^(1/2) lies above q^(1/3)
+        assert (s.den, s.tk, s.trunc, s.terms) == (6, 2, F(1, 3), {})
+        s = QSeries.lattice(2, {-1: 1, 0: 3, 1: 1}, {}, F(1, 3))
+        assert (s.den, s.tk, s.trunc) == (6, 2, F(1, 3))
+        assert s.terms == {F(-1, 2): GaussianRational(1), F(0): GaussianRational(3)}
+        assert format_series(s) == "q^(-1/2) + 3 + O(q^(1/3))"
+
+    def test_truncate_lifts_den(self):
+        s = QSeries.lattice(2, {-1: 1, 0: 2, 1: 5}, {}, F(3)).truncate(F(1, 3))
+        assert (s.den, s.tk, s.trunc) == (6, 2, F(1, 3))
+        assert s.terms == {F(-1, 2): GaussianRational(1), F(0): GaussianRational(2)}
+
+    def test_fraction_keyed_constructor_lifts_den(self):
+        s = QSeries({F(1, 2): 1, F(3, 2): 1}, F(4, 3))
+        assert (s.den, s.tk, s.trunc, s.terms) == (6, 8, F(4, 3), {F(1, 2): GaussianRational(1)})
 
 
 class TestCompare:
@@ -648,10 +692,11 @@ _KINDS = {"mixed": lambda c: c, "real": lambda c: Gauss(c.re), "imaginary": lamb
 
 def on_lattice(den: int, coeffs: dict, trunc, cden: int = 1):
     """(s, its terms as {Fraction: Gauss}) for the {int k: Gauss} terms on
-    the lattice 1/den, stored as numerators over `cden`."""
+    the lattice 1/den, stored as numerators over `cden`; a trunc off that
+    lattice lifts den to the lcm of den and the trunc's denominator."""
     s = QSeries.lattice(den, {k: int(c.re * cden) for k, c in coeffs.items()},
                         {k: int(c.im * cden) for k, c in coeffs.items()}, trunc, cden)
-    assert s.den == den and s.cden == cden
+    assert s.den == (den if trunc == INF else lcm(den, F(trunc).denominator)) and s.cden == cden
     return s, {F(k, den): c for k, c in coeffs.items() if c and F(k, den) < trunc}
 
 
@@ -680,16 +725,17 @@ orders = st.one_of(st.just(INF), st.fractions(min_value=-4, max_value=7, max_den
 def check_stored(s: QSeries, want: dict, trunc) -> None:
     """`s` holds exactly the terms `want` and the truncation `trunc`: its
     `terms` view equals `want` (keys reduced Fractions), each of its two
-    dicts maps int keys below the bound of trunc to nonzero ints over a
-    positive int cden, a real series has an empty imaginary dict, and the
-    view is a copy."""
+    dicts maps int keys below the int trunc tk to nonzero ints over a
+    positive int cden, tk is an int on the lattice 1/den or INF, a real
+    series has an empty imaginary dict, and the view is a copy."""
     assert s.trunc == trunc
+    assert s.tk == INF if trunc == INF else s.tk.__class__ is int and F(s.tk, s.den) == trunc
     assert as_gauss(s) == want
     assert all(e < trunc for e in want)
     assert s.cden.__class__ is int and s.cden > 0
     for part in (s.real, s.imag):
         assert all(c.__class__ is int and c != 0 for c in part.values())
-        assert all(k.__class__ is int and F(k, s.den) < trunc for k in part)
+        assert all(k.__class__ is int and k < s.tk for k in part)
     if all(c.im == 0 for c in want.values()):
         assert s.imag == {}
     view = s.terms
@@ -882,6 +928,61 @@ def test_division_by_non_unit_leads_matches_oracle(operands):
     v = f.ord
     assert q.trunc == min(a.trunc - v, a.ord_bound() + f.trunc - 2 * v)
     check_stored(q, poly_div(a_full, f_full, q.trunc), q.trunc)
+
+
+# -- int truncations over chains of operations ----------------------------------
+#
+# Keys lie on 1/den and truncs on 1/tden for den and tden in _CHAIN_DENS, so a
+# trunc is often off its operand's lattice and lifts den.
+
+_CHAIN_DENS = (1, 2, 3, 5, 12)
+_chain_fracs = st.tuples(st.integers(-12, 24), st.sampled_from(_CHAIN_DENS)).map(lambda t: F(*t))
+
+
+@st.composite
+def chain_operand(draw):
+    den = draw(st.sampled_from(_CHAIN_DENS))
+    coeffs = draw(st.dictionaries(st.integers(-2 * den, 4 * den), gaussians, max_size=3))
+    trunc = draw(st.one_of(st.just(INF), _chain_fracs.map(lambda t: t / 2)))
+    return on_lattice(den, coeffs, trunc, lcm(*(p.denominator for c in coeffs.values() for p in (c.re, c.im))))
+
+
+chain_steps = st.lists(st.one_of(
+    st.tuples(st.sampled_from("+*/"), chain_operand()),
+    st.tuples(st.just("shift"), st.tuples(st.integers(0, 3), _chain_fracs.map(lambda t: t / 4))),
+    st.tuples(st.just("power"), st.tuples(st.integers(1, 24), st.sampled_from(_CHAIN_DENS)).map(lambda t: F(*t) / 4)),
+    st.tuples(st.just("truncate"), st.one_of(st.just(INF), _chain_fracs.map(lambda t: t / 2))),
+), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_operand(), chain_steps)
+def test_int_truncs_follow_the_fraction_restatement_over_chains(start, steps):
+    # each step's Fraction trunc and terms come from the oracle restatement;
+    # check_stored compares tk/den with that trunc and every key with tk
+    s, (terms, t) = start[0], (start[1], start[0].trunc)
+    for op, arg in steps:
+        if op in "+*/":
+            b, (bterms, tb) = arg[0], (arg[1], arg[0].trunc)
+            if op == "+":
+                s, t = s + b, min(t, tb)
+                terms = poly_add(terms, bterms, t)
+            elif op == "*":
+                s, (terms, t) = s * b, truncated_mul(terms, t, bterms, tb)
+            elif not bterms or (t == INF and tb == INF and len(bterms) > 1):
+                with pytest.raises(SeriesError):
+                    s / b
+                continue
+            else:
+                s, (terms, t) = s / b, truncated_div(terms, t, bterms, tb)
+        elif op == "shift":
+            s, terms, t = s.shift(Monomial(*arg)), poly_shift(terms, _UNITS[arg[0]], arg[1]), t + arg[1]
+        elif op == "power":
+            s, terms, t = s.substitute_power(arg), poly_substitute_power(terms, arg), t * arg
+        elif terms or t != INF:  # truncate; the exact zero stays as it is
+            s, t = s.truncate(arg), min(t, arg)
+            terms = poly_truncate(terms, t)
+        check_stored(s, terms, t)
 
 
 class TestPrecision:
