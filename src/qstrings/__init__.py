@@ -22,7 +22,6 @@ from .theta import (
     j_split_components,
     jtheta,
     jtheta_prod,
-    jtheta_sum,
     pochhammer,
     theta_quotient,
 )
@@ -56,7 +55,7 @@ __all__ = [
     "PrecisionShortfall", "QSeries",
     "SeriesError", "ZeroLeadingTerm", "format_series", "margin_scale",
     "J", "Jbar", "Jm", "eta", "j_split_components", "jtheta", "jtheta_prod",
-    "jtheta_sum", "pochhammer", "theta_quotient",
+    "pochhammer", "theta_quotient",
     "appell_m",
     "acdivb_rhs", "g_1b1", "genfn_rhs", "h_nn1", "hecke_f", "hecke_flip_rhs",
     "hecke_shift_rhs", "master_fnp_rhs", "singshift_rhs",

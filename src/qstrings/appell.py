@@ -84,5 +84,5 @@ def appell_m(x: Monomial, base: Rat, z: Monomial, order: Rat) -> QSeries:
 
     s = QSeries.lattice(D, real, imag, win_s, 2)
     W_d = max(o_z + Bc, T + 2 * o_z - sigma + pad(Bc))  # win_d; sigma <= 0
-    denom = QSeries.lattice(D, *int_jtheta(z.unit_k, Z, Bc, W_d + pad(Bc)), Fraction(W_d, D))
+    denom = int_jtheta(z.unit_k, Z, Bc, D, Fraction(W_d, D))
     return require_order(s / denom, order, "appell")

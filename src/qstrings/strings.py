@@ -30,7 +30,7 @@ Every Hecke-form side is one call of ``_hecke_string``, the window plan for
 q^s * sum of pre * f_{a,b,c}(x, y, q^base) / J_base^3: ``calC_hecke`` and the
 even-level splittings ``mps_split_rhs``, ``mps_cor2_rhs`` and ``mps_cor3_rhs``.
 Both paths divide in ``_divide_by_j1_cubed``, which builds J_base^3 by
-Jacobi's identity (``int_jm_cubed``): one sparse sum and no series product.
+Jacobi's identity (``theta.Jm_cubed``): one sparse sum and no series product.
 Both plan their windows in ints on one lattice 1/D.
 ``normalized_theta_form`` is q^e f_{1,1+N,1}(x, y, q) itself.  Its closed
 theta forms at levels 1..4 are one table, ``_LEVEL_THETA``, keyed by the 15
@@ -50,7 +50,7 @@ from operator import add
 
 from .hecke import hecke_f
 from .series import FrozenRecord, Monomial, QSeries, Rat, lattice_bound, on_lattice, pad, require_order
-from .theta import int_jm_cubed, jtheta, theta_quotient
+from .theta import Jm_cubed, jtheta, theta_quotient
 
 F = Fraction
 ONE = Monomial.one()
@@ -157,8 +157,7 @@ def _divide_by_j1_cubed(raw: QSeries, order: Fraction, base: Rat = 1) -> QSeries
     # rounded up onto 1/D, and at least below base: a divisor needs its
     # leading term also when nothing of the quotient lies below order
     W = max(T - sigma.numerator * D // sigma.denominator, M) + pad(M)
-    j13 = QSeries.lattice(D, int_jm_cubed(M, W), {}, F(W, D))
-    return require_order(raw / j13, order, "string function")
+    return require_order(raw / Jm_cubed(base, F(W, D)), order, "string function")
 
 
 def calC_oracle(lbl: StringLabel, order: Rat) -> QSeries:

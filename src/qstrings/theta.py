@@ -14,11 +14,13 @@ J_m^3 = sum over n >= 0 of (-1)^n (2n+1) q^(m*n(n+1)/2), one sparse sum.
 Planning runs on ints.  A caller fixes one lattice 1/D for everything it
 plans, and then every exponent, modulus, valuation and window is an int
 numerator over D: the zero test is ``int_is_zero``, the least exponent
-``int_valuation``, the range ``int_parabola`` and the sum itself
-``int_jtheta``, which fills the two int dicts of ``QSeries.lattice``.
-``jtheta``, ``jtheta_sum``, ``jtheta_valuation``, ``is_theta_zero`` and
-``parabola_range`` take Fractions at the public API and make one
-conversion onto such a lattice.
+``int_valuation`` and the range ``int_parabola``.  ``int_jtheta`` is the
+one builder of a theta series: it sums j(x; q^base) straight onto the
+caller's lattice, exact below the caller's trunc.  ``jtheta`` calls it on
+the lattice of x and base, after its zero test; ``theta_quotient`` calls it
+for each planned factor, ``hecke._theta_times`` for its theta factor and
+``appell.appell_m`` for its divisor, each on its own plan's lattice.
+``Jm_cubed`` is the one builder of J_m^3.
 
 The Pochhammer products and the triple-product form ``jtheta_prod`` compute
 the same series a second, independent way; they serve only as the other
@@ -98,13 +100,6 @@ def int_parabola(A: int, B: int, W: int) -> range:
     return range(lo, hi)
 
 
-def parabola_range(a: Rat, b: Rat, w: Rat) -> range:
-    """The integers n with a*C(n,2) + b*n < w, for a > 0, as a range:
-    ``int_parabola`` over the common denominator of a, b and w."""
-    L = lcm(a.denominator, b.denominator, w.denominator)
-    return int_parabola(on_lattice(a, L), on_lattice(b, L), on_lattice(w, L))
-
-
 def int_is_zero(unit_k: int, X: int, B: int) -> bool:
     """j(i^unit_k q^(X/D); q^(B/D)) = 0 exactly iff the argument is an
     integral power of the modulus; B > 0."""
@@ -126,30 +121,20 @@ def int_valuation(X: int, B: int) -> int:
     return min(B * comb2(lo) + lo * X, B * comb2(lo + 1) + (lo + 1) * X)
 
 
-def int_jtheta(unit_k: int, X: int, B: int, W: int) -> tuple:
-    """The terms of j(i^unit_k q^(X/D); q^(B/D)) with exponent below W/D,
-    as the two int dicts (real, imag) of ``QSeries.lattice`` on 1/D."""
+def int_jtheta(unit_k: int, X: int, B: int, D: int, trunc: Rat) -> QSeries:
+    """j(i^unit_k q^(X/D); q^(B/D)) on the lattice 1/D, exact below
+    `trunc`, by the defining two-sided sum; B > 0."""
     # the exponent of term n is k/D, k = B*C(n,2) + n*X; its coefficient
     # (-1)^n unit^n is i^u, u = (2 + unit_k)*n mod 4: +-1 goes to the real
     # part, +-i to the imaginary part
     kx = 2 + unit_k
     real, imag = {}, {}
-    for n in int_parabola(B, X, W):
+    for n in int_parabola(B, X, lattice_bound(trunc, D) + pad(B)):
         k = B * comb2(n) + n * X
         u = kx * n & 3
         part = imag if u & 1 else real
         part[k] = part.get(k, 0) + 1 - (u & 2)
-    return real, imag
-
-
-def _theta_lattice(x: Monomial, base: Rat) -> tuple:
-    """(D, X, B): the lattice 1/D of j(x; q^base), D the lcm of the
-    denominators of x.qexp and base, with X = x.qexp*D and B = base*D."""
-    D = lcm(base.denominator, x.qexp.denominator)
-    B = on_lattice(base, D)
-    if B <= 0:
-        raise ValueError("base must be positive")
-    return D, on_lattice(x.qexp, D), B
+    return QSeries.lattice(D, real, imag, trunc)
 
 
 def pochhammer(x: Monomial, base: Rat, n: Optional[int], order: Rat) -> QSeries:
@@ -186,18 +171,6 @@ def pochhammer(x: Monomial, base: Rat, n: Optional[int], order: Rat) -> QSeries:
     return QSeries.lattice(D, real, imag, order)
 
 
-def is_theta_zero(x: Monomial, base: Rat) -> bool:
-    """j(x; q^base) = 0 exactly iff x is an integral power of the modulus."""
-    _, X, B = _theta_lattice(x, base)
-    return int_is_zero(x.unit_k, X, B)
-
-
-def jtheta_sum(x: Monomial, base: Rat, order: Rat) -> QSeries:
-    """j(x; q^base) by the defining two-sided sum; no preconditions on x."""
-    D, X, B = _theta_lattice(x, base)
-    return QSeries.lattice(D, *int_jtheta(x.unit_k, X, B, lattice_bound(order, D) + pad(B)), order)
-
-
 def jtheta_prod(x: Monomial, base: Rat, order: Rat) -> QSeries:
     """Triple product (x)_inf (q^base/x)_inf (q^base)_inf on the strip.
 
@@ -219,19 +192,16 @@ def jtheta_prod(x: Monomial, base: Rat, order: Rat) -> QSeries:
 
 
 def jtheta(x: Monomial, base: Rat, order: Rat) -> QSeries:
-    """j(x; q^base), exact below `order`; exactly zero when x = q^(k*base)."""
-    D, X, B = _theta_lattice(x, base)
+    """j(x; q^base), exact below `order`; exactly zero when x = q^(k*base).
+    The lattice 1/D is the lcm of the denominators of x.qexp and base."""
+    D = lcm(base.denominator, x.qexp.denominator)
+    B = on_lattice(base, D)
+    if B <= 0:
+        raise ValueError("base must be positive")
+    X = on_lattice(x.qexp, D)
     if int_is_zero(x.unit_k, X, B):
         return QSeries.zero()
-    return QSeries.lattice(D, *int_jtheta(x.unit_k, X, B, lattice_bound(order, D) + pad(B)), order)
-
-
-def jtheta_valuation(x: Monomial, base: Rat) -> Fraction:
-    """Exact least exponent of j(x; q^base); the series must not be zero."""
-    D, X, B = _theta_lattice(x, base)
-    if int_is_zero(x.unit_k, X, B):
-        raise ThetaZeroDenominator(f"j({x}; q^{base}) vanishes identically")
-    return Fraction(int_valuation(X, B), D)
+    return int_jtheta(x.unit_k, X, B, D, order)
 
 
 # -- shorthands --------------------------------------------------------------
@@ -253,22 +223,17 @@ def Jm(m: Rat, order: Rat) -> QSeries:
     return jtheta(Monomial.q(m), 3 * m, order)
 
 
-def int_jm_cubed(M: int, W: int) -> dict:
-    """The terms of J_m^3 = sum over n >= 0 of (-1)^n (2n+1) q^(m*n(n+1)/2)
-    below W/D, m = M/D, as the real dict of ``QSeries.lattice`` on 1/D; the
-    exponent is m*C(n,2) + m*n."""
-    # n and -1 - n have the same exponent, so the range is symmetric about
-    # -1/2 and the sum runs over its n >= 0 half
-    r = int_parabola(M, M, W)
-    return {M * (n * (n + 1) // 2): (-1) ** n * (2 * n + 1) for n in range(max(r.start, 0), r.stop)}
-
-
 def Jm_cubed(m: Rat, order: Rat) -> QSeries:
-    """J_m^3 by Jacobi's identity, ``int_jm_cubed`` on the lattice of m."""
+    """J_m^3 = sum over n >= 0 of (-1)^n (2n+1) q^(m*n(n+1)/2), Jacobi's
+    identity, exact below `order`, on the lattice of m."""
     if m <= 0:
         raise ValueError("m must be positive")
-    return QSeries.lattice(m.denominator, int_jm_cubed(m.numerator, lattice_bound(order, m.denominator)),
-                           {}, order)
+    # the exponent is m*C(n,2) + m*n; n and -1 - n have the same one, so the
+    # range is symmetric about -1/2 and the sum runs over its n >= 0 half
+    M, D = m.numerator, m.denominator
+    r = int_parabola(M, M, lattice_bound(order, D))
+    terms = {M * (n * (n + 1) // 2): (-1) ** n * (2 * n + 1) for n in range(max(r.start, 0), r.stop)}
+    return QSeries.lattice(D, terms, {}, order)
 
 
 def eta(scale: Rat, order: Rat) -> QSeries:
@@ -365,11 +330,8 @@ def theta_quotient(
     if plan is None:
         return QSeries.zero()
     D, _, nums, dens = plan
-
-    def factor(unit_k: int, X: int, B: int, _: int, W: int) -> QSeries:
-        # every factor comes back on the plan's lattice 1/D
-        return QSeries.lattice(D, *int_jtheta(unit_k, X, B, W + pad(B)), Fraction(W, D))
-
-    acc = reduce(mul, (factor(*f) for f in nums)) if nums else QSeries.one()
+    # every factor comes back on the plan's lattice 1/D
+    nums, dens = ([int_jtheta(u, X, B, D, Fraction(W, D)) for u, X, B, _, W in fs] for fs in (nums, dens))
+    acc = reduce(mul, nums) if nums else QSeries.one()
     # the exact monomial moves ord and trunc alike, so it can be applied last
-    return require_order(divide(acc, [factor(*f) for f in dens], prefactor, scalar), order, "quotient")
+    return require_order(divide(acc, dens, prefactor, scalar), order, "quotient")

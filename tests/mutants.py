@@ -48,6 +48,7 @@ SERIES, STRINGS = "src/qstrings/series.py", "src/qstrings/strings.py"
 EXPR, CASES = "src/qstrings/expr.py", "src/qstrings/cases.py"
 PLAN_PROPERTY = "tests/test_theta.py::test_int_plan_matches_the_fraction_plan"
 CHAIN_PROPERTY = "tests/test_theta.py::test_theta_quotient_matches_the_sequential_restatement"
+BUILDER_PROPERTY = "tests/test_theta.py::test_int_jtheta_matches_the_bruteforce_sum"
 TRUNC_CHAINS = "tests/test_series.py::test_int_truncs_follow_the_fraction_restatement_over_chains"
 
 MUTANTS = (
@@ -75,11 +76,11 @@ MUTANTS = (
     Mutant("parabola-lo-off-by-one", THETA,
            "    if A * lo * (lo - 1) + 2 * (B * lo - W) >= 0:\n        lo += 1\n",
            "    if A * lo * (lo - 1) + 2 * (B * lo - W) >= 0:\n        lo += 2\n",
-           (PLAN_PROPERTY, "tests/test_theta.py::test_parabola_range_matches_bruteforce")),
+           (PLAN_PROPERTY, "tests/test_theta.py::test_int_parabola_matches_bruteforce")),
     Mutant("jtheta-window-floor-for-ceil", THETA,
-           "        return QSeries.zero()\n    return QSeries.lattice(D, *int_jtheta(x.unit_k, X, B, lattice_bound(order, D)",
-           "        return QSeries.zero()\n    return QSeries.lattice(D, *int_jtheta(x.unit_k, X, B, order.numerator * D // order.denominator",
-           ("tests/test_theta.py",)),
+           "    for n in int_parabola(B, X, lattice_bound(trunc, D) + pad(B)):\n",
+           "    for n in int_parabola(B, X, trunc.numerator * D // trunc.denominator + pad(B)):\n",
+           (BUILDER_PROPERTY, "tests/test_theta.py::TestTripleProduct")),
     Mutant("appell-geometric-tail-one-short", APPELL,
            "run = [(e_r + t * d, lead_k + rho_k * t) for t in range(-((e_r - W) // d))]",
            "run = [(e_r + t * d, lead_k + rho_k * t) for t in range(-((e_r - W) // d) - 1)]",
@@ -201,10 +202,10 @@ MUTANTS = (
 # `before` texts too
 EQUIVALENT = (
     (Mutant("factor-range-pad-dropped", THETA,
-            "        return QSeries.lattice(D, *int_jtheta(unit_k, X, B, W + pad(B)), Fraction(W, D))",
-            "        return QSeries.lattice(D, *int_jtheta(unit_k, X, B, W), Fraction(W, D))",
+            "    for n in int_parabola(B, X, lattice_bound(trunc, D) + pad(B)):\n",
+            "    for n in int_parabola(B, X, lattice_bound(trunc, D)):\n",
             ()),
-     "the sum's range is exact, and QSeries.lattice drops every term at or above the trunc W/D, "
+     "the sum's range is exact, and QSeries.lattice drops every term at or above the trunc, "
      "so the audit slack widens a range whose extra terms are never stored"),
 )
 

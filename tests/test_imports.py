@@ -1,6 +1,8 @@
 """No module of the package imports a name it never uses, no private
-module-level name goes unused by the package, and no module but `series.py`
-reads a series' Fraction-keyed `terms` view or its `real` and `imag` numerators.
+module-level name goes unused by the package, every public module-level
+function or class is used by the package or exported, and no module but
+`series.py` reads a series' Fraction-keyed `terms` view or its `real` and
+`imag` numerators.
 Every module imports only the standard library and its own package, and none
 writes a float literal or calls `float`.  Importing the CLI loads neither the
 identity cases nor the thread pool.
@@ -59,9 +61,8 @@ def private_definitions(source: str) -> list:
             if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))]
 
 
-def loaded_names(source: str) -> set:
-    """Every name read as a plain name or an attribute."""
-    tree = ast.parse(source)
+def loaded_names(tree: ast.AST) -> set:
+    """Every name read as a plain name or an attribute in `tree`."""
     return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
 
@@ -69,16 +70,62 @@ def loaded_names(source: str) -> set:
 def test_checker_finds_private_names():
     src = "__all__ = []\n_A = 1\nB = 2\n\ndef _f():\n    return _A\n\nclass _C:\n    pass\n"
     assert private_definitions(src) == [(2, "_A"), (5, "_f"), (8, "_C")]
-    assert {"_A", "_f", "_C"} & loaded_names(src) == {"_A"}
-    assert "_g" in loaded_names("m._g()\n")
+    assert {"_A", "_f", "_C"} & loaded_names(ast.parse(src)) == {"_A"}
+    assert "_g" in loaded_names(ast.parse("m._g()\n"))
 
 
 def test_every_private_name_is_used():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    loaded = set().union(*(loaded_names(src) for src in sources.values()))
+    loaded = set().union(*(loaded_names(ast.parse(src)) for src in sources.values()))
     unused = [(module, line, name) for module, src in sources.items()
               for line, name in private_definitions(src) if name not in loaded]
     assert unused == []
+
+
+def public_definitions(source: str) -> list:
+    """(line, name) of each function or class at module level whose name
+    does not start with `_`."""
+    return [(node.lineno, node.name) for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def outside_loads(source: str) -> set:
+    """The names read (as by ``loaded_names``) anywhere but in the body of the
+    module-level definition of that name: a recursive call is no use."""
+    out = set()
+    for node in ast.parse(source).body:
+        names = loaded_names(node)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.discard(node.name)
+        out |= names
+    return out
+
+
+# public names that the package neither uses nor exports, with the reason
+UNUSED_PUBLIC = {
+    "pretty": "expr's documented rendering of a parsed expression, "
+              "parse(pretty(parse(s))) == parse(s), which the parser's round-trip tests use",
+}
+
+
+def test_checker_finds_public_names_nothing_uses():
+    src = ("def f(n):\n    return f(n - 1) if n else g()\n\n\ndef g():\n    return 1\n\n\n"
+           "class C:\n    pass\n\n\nclass D(C):\n    pass\n\n\ndef _h():\n    return D\n")
+    assert public_definitions(src) == [(1, "f"), (5, "g"), (9, "C"), (13, "D")]
+    assert {"f", "g", "C", "D"} - outside_loads(src) == {"f"}
+
+
+def test_every_public_name_is_used_or_exported():
+    # a public function or class that the package never reads is dead code,
+    # unless qstrings.__all__ exports it
+    import qstrings
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    used = set().union(*(outside_loads(src) for src in sources.values())) | set(qstrings.__all__)
+    unused = [(module, line, name) for module, src in sources.items()
+              for line, name in public_definitions(src) if name not in used and name not in UNUSED_PUBLIC]
+    assert unused == []
+    assert not used & UNUSED_PUBLIC.keys()  # an exemption that is no longer needed goes
 
 
 def reads_of(source: str, attr: str) -> list:

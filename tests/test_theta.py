@@ -21,21 +21,21 @@ from qstrings.theta import (
     comb2,
     eta,
     int_is_zero,
+    int_jtheta,
     int_parabola,
-    is_theta_zero,
+    int_valuation,
     j_split_components,
     jtheta,
     jtheta_prod,
-    jtheta_sum,
-    jtheta_valuation,
-    parabola_range,
     pochhammer,
     quotient_plan,
     theta_quotient,
 )
 
-from oracles import (Gauss, int_coeffs, jtheta_sum_bruteforce, jtheta_sum_gaussian, pochhammer_product,
-                     product_expand, theta_quotient_plan, truncated_div, truncated_mul)
+from oracles import (Gauss, int_coeffs, jtheta_sum_bruteforce, jtheta_sum_gaussian, parabola_scan,
+                     pochhammer_product, product_expand, theta_is_zero, theta_quotient_plan, theta_valuation,
+                     truncated_div, truncated_mul)
+from test_series import check_stored
 
 q = Monomial.q
 mq = Monomial.mq
@@ -104,20 +104,20 @@ class TestPochhammer:
 class TestJthetaSum:
     def test_zero_argument_family(self):
         for n in (-2, 0, 1, 3):
-            s = jtheta_sum(q(n), 1, 25)
-            assert not s.terms
+            s = jtheta(q(n), 1, 25)
+            assert not s.terms and s.is_exact_zero
 
     def test_j_minus_one(self):
-        s = jtheta_sum(Monomial(2, F(0)), 1, 7)
+        s = jtheta(Monomial(2, F(0)), 1, 7)
         assert int_coeffs({e: c.as_fraction() for e, c in s.terms.items()}, 7) == [2, 2, 0, 2, 0, 0, 2]
 
     def test_against_bruteforce_fractional(self):
-        s = jtheta_sum(q(F(2, 5)), F(7, 5), 12)
+        s = jtheta(q(F(2, 5)), F(7, 5), 12)
         d = jtheta_sum_bruteforce(1, F(2, 5), F(7, 5), F(12))
         assert {e: c.as_fraction() for e, c in s.terms.items()} == d
 
     def test_imaginary_unit(self):
-        s = jtheta_sum(Monomial(1, F(1)), 4, 15)
+        s = jtheta(Monomial(1, F(1)), 4, 15)
         # n = 0 and n = 1 terms: 1 - i q
         assert s[0].re == 1 and s[1].im == -1
 
@@ -144,7 +144,7 @@ class TestTripleProduct:
         # exact up to it, whatever its window
         for x, base in [(Monomial(1, 0), F(1, 2)), (mq(F(1, 3)), F(2, 3)), (mq(0), F(1))]:
             s = jtheta_prod(x, base, T)
-            assert s.trunc == T and s.terms == jtheta_sum(x, base, T).terms
+            assert s.trunc == T and s.terms == jtheta(x, base, T).terms
 
     def test_strip_enforced(self):
         with pytest.raises(OutOfStrip):
@@ -177,26 +177,31 @@ class TestJthetaCanonical:
         assert_equal(jtheta(x, 4, 15), jtheta_by_product(x, 4, 15), 15)
 
     def test_valuation(self):
-        assert jtheta_valuation(q(1), 3) == 0
-        assert jtheta_valuation(q(4), 3) == -1
-        assert jtheta_valuation(q(F(1, 2)), 1) == 0
-        assert jtheta_valuation(mq(0), 2) == 0
-        # j(i*q; q^4): minimum of C(n,2)*4 + n over n; n=0 gives 0
-        assert jtheta_valuation(Monomial(1, F(1)), 4) == 0
-        with pytest.raises(ThetaZeroDenominator):
-            jtheta_valuation(q(3), 1)
+        # the least exponent of the series, of the int plan on the lattice of
+        # x and base, and of the oracle
+        for x, base, v in [(q(1), 3, 0), (q(4), 3, -1), (q(F(1, 2)), 1, 0), (mq(0), 2, 0),
+                           # j(i*q; q^4): minimum of C(n,2)*4 + n over n; n=0 gives 0
+                           (Monomial(1, F(1)), 4, 0)]:
+            D = math.lcm(x.qexp.denominator, F(base).denominator)
+            assert jtheta(x, base, 1).ord == theta_valuation(x.qexp, F(base)) == v
+            assert int_valuation(int(x.qexp * D), base * D) == v * D
+        # a zero has no least exponent: the zero test comes first
+        assert int_is_zero(0, 3, 1) and jtheta(q(3), 1, 5).is_exact_zero
 
     @pytest.mark.parametrize("base", [-1, 0, F(-1, 3)])
     def test_valuation_and_zero_test_need_a_positive_base(self, base):
-        for f in (jtheta_valuation, is_theta_zero):
-            with pytest.raises(ValueError, match="base must be positive"):
-                f(q(F(1, 3)), base)
+        # the zero test X % B and the valuation need B > 0: jtheta and the
+        # quotient plan check the base first
+        with pytest.raises(ValueError, match="base must be positive"):
+            jtheta(q(F(1, 3)), base, 5)
+        with pytest.raises(ValueError, match="base must be positive"):
+            quotient_plan([(q(F(1, 3)), base)], [], F(5), F(0))
 
     def test_valuation_matches_series(self):
         for x, base in [(q(4), 3), (q(-5), 2), (q(F(9, 2)), F(5, 2)), (mq(-2), 3),
                         (Monomial(1, F(-3)), 2), (Monomial(3, F(5)), 2)]:
             s = jtheta(x, base, 12)
-            assert s.ord == jtheta_valuation(x, base)
+            assert s.ord == theta_valuation(x.qexp, F(base))
 
 
 class TestShorthands:
@@ -310,8 +315,8 @@ class TestThetaQuotient:
     def test_matches_assembly_from_the_prefactor(self, num, den, order, prefactor, scalar):
         # the assembly that starts from the one-term series scalar * prefactor
         # and multiplies every factor into it, each at the same order
-        n_vals = [jtheta_valuation(x, b) for x, b in num]
-        d_vals = [jtheta_valuation(x, b) for x, b in den]
+        n_vals = [theta_valuation(x.qexp, F(b)) for x, b in num]
+        d_vals = [theta_valuation(x.qexp, F(b)) for x, b in den]
         deficit = order - prefactor.qexp - sum(n_vals) + sum(d_vals)
         want = prefactor.as_series().scale(scalar)
         for (x, b), v in zip(num, n_vals):
@@ -541,7 +546,7 @@ BASES = st.fractions(min_value=F(1, 3), max_value=4, max_denominator=5)
 def test_jtheta_matches_bruteforce_sum(k, e, base, T):
     x = Monomial(k, e)
     s = jtheta(x, base, T)
-    if is_theta_zero(x, base):
+    if theta_is_zero(k, e, base):
         assert s.is_exact_zero
     else:
         assert s.trunc == T
@@ -553,12 +558,47 @@ def test_jtheta_matches_bruteforce_sum(k, e, base, T):
         assert other.terms == s.terms and other.trunc == s.trunc
 
 
+@st.composite
+def builder_args(draw):
+    """(unit_k, qexp, base, D, trunc) for ``int_jtheta``: D is 1 to 6 times
+    the least lattice of qexp and base, and the trunc lies on 1/D or off
+    it, now and then at the valuation, and may be negative."""
+    k, e, base = draw(UNITS), draw(QEXPS), draw(BASES)
+    D = math.lcm(e.denominator, base.denominator) * draw(st.integers(min_value=1, max_value=6))
+    tden = draw(st.sampled_from([D, D, 1, 2, 3, 7]))
+    trunc = draw(st.one_of(st.builds(F, st.integers(min_value=-4 * tden, max_value=10 * tden), st.just(tden)),
+                           st.just(theta_valuation(e, base))))
+    return k, e, base, D, trunc
+
+
+@settings(max_examples=100, deadline=None)
+@given(builder_args())
+@example((0, F(4), F(3), 1, F(-1)))  # a trunc at the valuation: nothing stored
+@example((3, F(-3), F(2), 2, F(-7, 2)))  # a negative trunc above the valuation -4, on 1/2
+@example((1, F(1, 3), F(1, 2), 12, F(2, 7)))  # a trunc off 1/12 lifts den to 84
+@example((0, F(1, 2), F(1), 2, F(1, 3)))  # a trunc off 1/2, one third above the term at 0
+@example((0, F(2), F(1), 3, F(5)))  # a zero argument: the sum is empty
+def test_int_jtheta_matches_the_bruteforce_sum(args):
+    # the one theta builder on its caller's lattice against the oracle's sum,
+    # with its trunc kept as given; an audit slack stores the same terms
+    k, e, base, D, trunc = args
+    X, B = e.numerator * (D // e.denominator), base.numerator * (D // base.denominator)
+    want = {x: Gauss(F(re), F(im)) for x, (re, im) in jtheta_sum_gaussian(k, e, base, trunc).items()}
+    s = int_jtheta(k, X, B, D, trunc)
+    check_stored(s, want, trunc)
+    assert s.den == math.lcm(D, trunc.denominator)
+    for m in (1, 2):
+        with margin_scale(m):
+            other = int_jtheta(k, X, B, D, trunc)
+        assert (other.real, other.imag, other.tk, other.den) == (s.real, s.imag, s.tk, s.den)
+
+
 @settings(max_examples=30, deadline=None)
 @given(UNITS, st.fractions(min_value=F(1, 7), max_value=2, max_denominator=7),
        st.sampled_from([F(1), F(2), F(1, 2)]))
 def test_jtheta_matches_reduced_product(k, e, base):
+    assume(not theta_is_zero(k, e, base))
     x = Monomial(k, e)
-    assume(not is_theta_zero(x, base))
     assert_equal(jtheta(x, base, 6), jtheta_by_product(x, base, 6), 6)
 
 
@@ -641,10 +681,12 @@ def test_pochhammer_matches_product_expand(args, T):
 @settings(max_examples=100, deadline=None)
 @given(UNITS, QEXPS, BASES)
 def test_valuation_is_least_exponent(k, e, base):
-    x = Monomial(k, e)
-    assume(not is_theta_zero(x, base))
-    # f(0) = 0, so the least exponent is never positive and order 1 holds it
-    assert jtheta_valuation(x, base) == jtheta(x, base, 1).ord
+    assume(not theta_is_zero(k, e, base))
+    # f(0) = 0, so the least exponent is never positive and order 1 holds it;
+    # int_valuation works on the lattice of x and base
+    D = math.lcm(e.denominator, base.denominator)
+    v = int_valuation(e.numerator * (D // e.denominator), base.numerator * (D // base.denominator))
+    assert F(v, D) == theta_valuation(e, base) == jtheta(Monomial(k, e), base, 1).ord
 
 
 @settings(max_examples=300, deadline=None)
@@ -659,14 +701,17 @@ def test_valuation_is_least_exponent(k, e, base):
 @example(F(1), F(0), F(-1))
 # one root on an integer (n = 3), the other, -13/5, between two
 @example(F(2, 3), F(1, 5), F(13, 5))
-def test_parabola_range_matches_bruteforce(a, b, w):
+def test_int_parabola_matches_bruteforce(a, b, w):
     # for |n| >= R: a*C(n,2) + b*n >= a*n^2/2 - (a/2 + |b|)*|n|, which is
     # increasing in |n| and >= w, so no n outside [-R, R] qualifies
     R = 0
     while R < F(1, 2) + abs(b) / a or a * R * R / 2 - (a / 2 + abs(b)) * R < w:
         R += 1
     inside = [n for n in range(-R, R + 1) if a * F(n * (n - 1), 2) + b * n < w]
-    assert list(parabola_range(a, b, w)) == inside
+    # int_parabola over the common denominator L of a, b and w
+    L = math.lcm(a.denominator, b.denominator, w.denominator)
+    A, B, W = (r.numerator * (L // r.denominator) for r in (a, b, w))
+    assert list(int_parabola(A, B, W)) == inside == parabola_scan(a, b, w)
 
 
 # -- the int plan of theta_quotient against its Fraction restatement ------------
@@ -704,7 +749,6 @@ def test_int_plan_matches_the_fraction_plan(num, den, order, pre):
                  *(r.denominator for _, e, b in num + den for r in (e, b)))
     for k in (0, 2):
         zeros, want = theta_quotient_plan(num, den, order, pre, k)
-        assert [is_theta_zero(x, b) for x, b in nf + df] == zeros
         assert [int_is_zero(u, e * D, b * D) for u, e, b in num + den] == zeros
         with margin_scale(k):
             if any(zeros[len(num):]):
@@ -747,7 +791,7 @@ def chain_factor(draw):
     if draw(st.integers(min_value=0, max_value=2)) == 0:
         return draw(st.sampled_from([1, 2, 3])), base * draw(st.integers(min_value=-2, max_value=2)), base
     unit, qexp = draw(UNITS), draw(chain_rational(-3, 3))
-    assume(not is_theta_zero(Monomial(unit, qexp), base))
+    assume(not theta_is_zero(unit, qexp, base))
     return unit, qexp, base
 
 
