@@ -30,7 +30,6 @@ numerators over D, and j(z; q^base) is ``theta.int_jtheta`` on that lattice.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from .series import UNIT_PAIRS, Monomial, QSeries, Rat, on_lattice, pad, require_order
@@ -61,7 +60,6 @@ def appell_m(x: Monomial, base: Rat, z: Monomial, order: Rat) -> QSeries:
 
     o_z = int_valuation(Z, Bc)  # <= 0, the exponent of the n = 0 term of j(z)
     W = T + o_z + pad(Bc)  # win_s
-    win_s = Fraction(W, D)
     real, imag = {}, {}  # twice the sum, over the coefficient denominator 2
     sigma = 0
     for r in int_parabola(Bc, Z, W):
@@ -82,7 +80,7 @@ def appell_m(x: Monomial, base: Rat, z: Monomial, order: Rat) -> QSeries:
             part = imag if u & 1 else real
             part[k] = part.get(k, 0) + 2 - 2 * (u & 2)
 
-    s = QSeries.lattice(D, real, imag, win_s, 2)
+    s = QSeries.below(D, real, imag, W, 2)
     W_d = max(o_z + Bc, T + 2 * o_z - sigma + pad(Bc))  # win_d; sigma <= 0
-    denom = int_jtheta(z.unit_k, Z, Bc, D, Fraction(W_d, D))
+    denom = int_jtheta(z.unit_k, Z, Bc, D, W_d)
     return require_order(s / denom, order, "appell")

@@ -146,7 +146,7 @@ def _theta_times(tx: Monomial, tbase: Fraction, other, order: Fraction) -> QSeri
     # onto 1/D: no exponent of it lies in between
     low = min(rest.ord_bound(), 0)
     W = T - low.numerator * D // low.denominator + pad(B)
-    coeff = int_jtheta(tx.unit_k, X, B, D, F(W, D))
+    coeff = int_jtheta(tx.unit_k, X, B, D, W)
     return require_order(coeff * rest, order, "theta product")
 
 

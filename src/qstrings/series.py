@@ -30,7 +30,8 @@ every denominator of ``theta_quotient``, each made real with its conjugate
 when it is not and divided out in place on int lists that lie on the
 dividend's sublattice, one list per part and residue class of its keys
 modulo the divisors' step; its docstring gives the cost.  The constructors
-of the other modules fill the two dicts for ``QSeries.lattice``.  Fractions
+of the other modules fill the two dicts for ``QSeries.lattice``, or for
+``QSeries.below`` when they plan their trunc as an int on 1/den.  Fractions
 and GaussianRationals appear only at the boundary: the Fraction-keyed
 constructor, scalar arguments, ``trunc``, ``__getitem__``, ``terms``
 (views built on every read), ``items_sorted``, ``support``, ``ord`` and
@@ -341,8 +342,17 @@ class QSeries:
         for two int dicts and an int cden > 0; zeros are dropped, and den is
         lifted onto the lattice of an off-lattice trunc."""
         m, tk = _lift(den, trunc)
-        return _new(den * m, *({k * m: c for k, c in d.items() if c and k * m < tk} for d in (real, imag)),
-                    tk, cden)
+        if m != 1:
+            real, imag = ({k * m: c for k, c in d.items()} for d in (real, imag))
+        return QSeries.below(den * m, real, imag, tk, cden)
+
+    @staticmethod
+    def below(den: int, real: Mapping[int, int], imag: Mapping[int, int], tk, cden: int = 1) -> "QSeries":
+        """The sum of ((real[k] + imag[k]*i)/cden) q^(k/den) below the int
+        trunc tk on 1/den, or INF, for two int dicts and an int cden > 0;
+        zeros are dropped.  A caller that plans its windows on 1/den needs
+        no Fraction for its trunc."""
+        return _new(den, *({k: c for k, c in d.items() if c and k < tk} for d in (real, imag)), tk, cden)
 
     @staticmethod
     def zero() -> "QSeries":
@@ -411,8 +421,9 @@ class QSeries:
             other = QSeries.const(other)
         cden = lcm(self.cden, other.cden)
         den, (ar, ai, ta), (br, bi, tb) = _rebase(self, other, cden=cden)
-        tk = min(ta, tb)
-        return _new(den, _combo(ar, 1, br, 1, tk), _combo(ai, 1, bi, 1, tk), tk, cden)
+        if ta > tb:  # the side with the lower trunc has no key to cut: _combo copies it
+            (ar, ai, ta), (br, bi, tb) = (br, bi, tb), (ar, ai, ta)
+        return _new(den, _combo(ar, 1, br, 1, ta), _combo(ai, 1, bi, 1, ta), ta, cden)
 
     __radd__ = __add__
 
@@ -448,7 +459,8 @@ class QSeries:
         _convolve(real, ai, bi, tk, -1)
         _convolve(imag, ar, bi, tk, 1)
         _convolve(imag, ai, br, tk, 1)
-        return _new(den, *({k: c for k, c in d.items() if c} for d in (real, imag)), tk,
+        # a pass to drop cancelled terms only where a term cancelled
+        return _new(den, *({k: c for k, c in d.items() if c} if 0 in d.values() else d for d in (real, imag)), tk,
                     a.cden * b.cden)
 
     __rmul__ = __mul__
@@ -537,6 +549,8 @@ class QSeries:
             )
         cden = lcm(self.cden, other.cden)
         den, (*a, _), (*b, _) = _rebase(self, other, cden=cden)
+        if a == b:  # no key differs at all
+            return None
         bound = lattice_bound(upto, den)
         # a key differs where a part of one side is missing or other on the other
         diff = [k for x, y in zip(a, b) for k, _ in x.items() ^ y.items() if k < bound]
@@ -587,8 +601,8 @@ def _times(s: QSeries, cr: int, ci: int, d: int) -> QSeries:
 
 def _combo(x: dict, a: int, y: dict, b: int, bound=INF) -> dict:
     """a*x + b*y below the int bound for int dicts x and y and ints a and b,
-    without zeros."""
-    t = {k: a * c for k, c in x.items() if k < bound} if a else {}
+    without zeros; x has no key at or above the bound."""
+    t = (dict(x) if a == 1 else {k: a * c for k, c in x.items()}) if a else {}
     if b:
         for k, c in y.items():
             if k < bound:
@@ -605,6 +619,8 @@ def _convolve(acc: dict, la: list, lb: list, bound, sign: int) -> None:
     (k, int) lists in ascending k."""
     if not (la and lb):
         return
+    if len(la) > len(lb):  # the shorter list outside: fewer inner loops to start
+        la, lb = lb, la
     kb_min = lb[0][0]
     for ka, ca in la:
         if ka + kb_min >= bound:
@@ -617,25 +633,26 @@ def _convolve(acc: dict, la: list, lb: list, bound, sign: int) -> None:
             acc[k] = acc.get(k, 0) + ca * cb
 
 
-def divide(a: QSeries, divisors, shift: Monomial = Monomial.one(), scalar=1) -> QSeries:
-    """scalar * shift * a / (f_1 * ... * f_n): the chain of the n divisions
-    a/f_1/.../f_n, each under the truncation contract of ``/``, on one int
-    buffer, with the monomial `shift` and the scalar folded into the one
-    series it builds.
+def divide(a: QSeries, divisors) -> QSeries:
+    """a / (f_1 * ... * f_n): the chain of the n divisions a/f_1/.../f_n,
+    each under the truncation contract of ``/``, on one int buffer.  A
+    caller that wants a monomial or a scalar times the quotient applies it
+    to the dividend: it moves ord and trunc alike.
 
     A non-real divisor f is first made real with its conjugate, as
     a/f = a*conj(f) / (f*conj(f)); the products keep the trunc of every
     step, and each step raises where its division alone would.  Every
     exponent and trunc is then an int on the lattice 1/L, L the lcm of the
-    dens and of the shift's denominator.  Step i, by f_i of least exponent
-    v, takes the dividend's trunc t and least exponent o (its trunc when no
-    term is known) to min(t - v, o + f_i.trunc - 2v) and o - v.  A
+    dens.  Step i, by f_i of least exponent v, takes the dividend's trunc t
+    and least exponent o (its trunc when no term is known) to
+    min(t - v, o + f_i.trunc - 2v) and o - v.  A
     coefficient of a quotient depends on no coefficient of its dividend
     above it, so every step is run only below the last step's trunc: in the
     dividend's exponents, below B = that trunc plus the sum of the v.  Each
     divisor is taken over its content g (the gcd of its numerators) and
     times the sign of its leading numerator u, so that it leads with
-    N = |u|, and both go into the result's scalar.
+    N = |u|, and both go into the result's real scalar M/(G*P), P the power
+    of the N the buffer is over.
 
     The buffer lies on the dividend's sublattice.  With h the gcd of every
     divisor's offsets from its leading term, each quotient keeps its terms
@@ -648,7 +665,8 @@ def divide(a: QSeries, divisors, shift: Monomial = Monomial.one(), scalar=1) -> 
     multiplied by N, and the lists end over a common power of N (the rescale
     of Knuth, TAOCP vol. 2 §4.6.1, taken only where it is needed).  With no
     tail at all (h = 0: monomial divisors, or none) the quotient is the
-    dividend scaled, shifted and cut, and no list is built.
+    dividend scaled, shifted and cut, and no list is built; with no divisor
+    it is the dividend itself.
 
     Cost: a step walks sum over lists of ceil((B - s)/h) slots, at most
     2 * min(h, number of dividend terms) * (ceil(span/h) + 1) for the span of
@@ -671,13 +689,13 @@ def divide(a: QSeries, divisors, shift: Monomial = Monomial.one(), scalar=1) -> 
             fc = _new(f.den, f.real, _combo(f.imag, -1, {}, 0), f.tk, f.cden)
             a, f = a * fc, f * fc
         chain.append(f)
-    L = lcm(a.den, *(f.den for f in chain), shift.qexp.denominator)
+    L = lcm(a.den, *(f.den for f in chain))
     ma = L // a.den
     T = a.tk * ma
     # the dividend's least exponent, which only a step reads: with no divisor
     # the walk over its keys is skipped
     o = min(a.keys()) * ma if chain and (a.real or a.imag) else T
-    V, h, M, G = 0, 0, 1, 1  # the shift, the step, the scalar M/G
+    V, h, M, G = 0, 0, 1, 1  # the quotient's shift -V, the step, the scalar M/G
     steps = []
     for f in chain:
         mf = L // f.den
@@ -693,20 +711,13 @@ def divide(a: QSeries, divisors, shift: Monomial = Monomial.one(), scalar=1) -> 
         v = kv * mf
         T, o, V = min(T - v, o + f.tk * mf - 2 * v), o - v, V + v
         steps.append((w * f.real[kv] // g, tail))
-    sr, si, sd = _scalar(scalar)
-    if not (sr or si):
-        return QSeries.zero()
-    # the result's scalar: the scalar, the shift's unit i^k and M, over G*sd
-    ur, ui = UNIT_PAIRS[shift.unit_k]
-    cr, ci = M * (sr * ur - si * ui), M * (sr * ui + si * ur)
+    # the dividend's key x on 1/L is the result's key x - V, below B - V = T
     B = T + V
-    # the dividend's key x on 1/L is the result's key x + e, below B + e
-    e = on_lattice(shift.qexp, L) - V
     if not h:  # scale, shift and cut the dividend, kept as it is where nothing moves
-        if ma != 1 or e or B != a.tk:
-            a = _new(L, *({k * ma + e: c for k, c in d.items() if k * ma < B} for d in (a.real, a.imag)), B + e,
+        if ma != 1 or V or B != a.tk:
+            a = _new(L, *({k * ma - V: c for k, c in d.items() if k * ma < B} for d in (a.real, a.imag)), T,
                      a.cden)
-        return _times(a, cr, ci, G * prod(N for N, _ in steps) * sd)
+        return _times(a, M, 0, G * prod(N for N, _ in steps))
     plan = [(N, [(d // h, p) for d, p in tail]) for N, tail in steps]
     walked = []
     for i, part in enumerate((a.real, a.imag)):
@@ -728,12 +739,11 @@ def divide(a: QSeries, divisors, shift: Monomial = Monomial.one(), scalar=1) -> 
                 scale *= _walk(b, N, tail)
             walked.append((i, s, b, scale))
     P = lcm(*(scale for *_, scale in walked))
-    fold = 1 if ci else cr  # a real scalar is applied as the lists are read
     parts = {}, {}
     for i, s, b, scale in walked:
-        m = fold * P // scale
-        parts[i].update({k: m * x for k, x in zip(range(s + e, s + e + h * len(b), h), b) if x})
-    return _times(_new(L, *parts, B + e, a.cden * G * P * sd), cr // fold, ci, 1)
+        m = M * P // scale
+        parts[i].update({k: m * x for k, x in zip(range(s - V, s - V + h * len(b), h), b) if x})
+    return _new(L, *parts, T, a.cden * G * P)
 
 
 def _walk(b: list, N: int, tail: list) -> int:

@@ -146,7 +146,7 @@ def _cone_sum(N: int, ell: int, m: int, W: int) -> QSeries:
             break
         t += 1
 
-    return QSeries.lattice(2, terms, {}, F(W, 2))
+    return QSeries.below(2, terms, {}, W)
 
 
 def _divide_by_j1_cubed(raw: QSeries, order: Fraction, base: Rat = 1) -> QSeries:

@@ -16,11 +16,13 @@ plans, and then every exponent, modulus, valuation and window is an int
 numerator over D: the zero test is ``int_is_zero``, the least exponent
 ``int_valuation`` and the range ``int_parabola``.  ``int_jtheta`` is the
 one builder of a theta series: it sums j(x; q^base) straight onto the
-caller's lattice, exact below the caller's trunc.  ``jtheta`` calls it on
-the lattice of x and base, after its zero test; ``theta_quotient`` calls it
+caller's lattice, exact below the caller's int window, with no Fraction
+for its trunc.  ``jtheta`` calls it on the lattice of x, base and the
+order, after its zero test; ``theta_quotient`` calls it
 for each planned factor, ``hecke._theta_times`` for its theta factor and
 ``appell.appell_m`` for its divisor, each on its own plan's lattice.
-``Jm_cubed`` is the one builder of J_m^3.
+``Jm_cubed`` is the one builder of J_m^3, on the lattice of m and the
+order.
 
 The Pochhammer products and the triple-product form ``jtheta_prod`` compute
 the same series a second, independent way; they serve only as the other
@@ -30,6 +32,8 @@ side of the oracle identities and tests.
 factors over another, computing every factor at exactly the order its
 valuation requires (``quotient_plan``, on one lattice for the whole
 quotient), so the result is provably exact below the requested order.
+Its prefactor and scalar go on its sparsest numerator factor, not on the
+assembled product.
 """
 
 from __future__ import annotations
@@ -121,20 +125,20 @@ def int_valuation(X: int, B: int) -> int:
     return min(B * comb2(lo) + lo * X, B * comb2(lo + 1) + (lo + 1) * X)
 
 
-def int_jtheta(unit_k: int, X: int, B: int, D: int, trunc: Rat) -> QSeries:
-    """j(i^unit_k q^(X/D); q^(B/D)) on the lattice 1/D, exact below
-    `trunc`, by the defining two-sided sum; B > 0."""
+def int_jtheta(unit_k: int, X: int, B: int, D: int, W: int) -> QSeries:
+    """j(i^unit_k q^(X/D); q^(B/D)) on the lattice 1/D, exact below W/D, by
+    the defining two-sided sum; B > 0."""
     # the exponent of term n is k/D, k = B*C(n,2) + n*X; its coefficient
     # (-1)^n unit^n is i^u, u = (2 + unit_k)*n mod 4: +-1 goes to the real
     # part, +-i to the imaginary part
     kx = 2 + unit_k
     real, imag = {}, {}
-    for n in int_parabola(B, X, lattice_bound(trunc, D) + pad(B)):
+    for n in int_parabola(B, X, W + pad(B)):
         k = B * comb2(n) + n * X
         u = kx * n & 3
         part = imag if u & 1 else real
         part[k] = part.get(k, 0) + 1 - (u & 2)
-    return QSeries.lattice(D, real, imag, trunc)
+    return QSeries.below(D, real, imag, W)
 
 
 def pochhammer(x: Monomial, base: Rat, n: Optional[int], order: Rat) -> QSeries:
@@ -193,15 +197,16 @@ def jtheta_prod(x: Monomial, base: Rat, order: Rat) -> QSeries:
 
 def jtheta(x: Monomial, base: Rat, order: Rat) -> QSeries:
     """j(x; q^base), exact below `order`; exactly zero when x = q^(k*base).
-    The lattice 1/D is the lcm of the denominators of x.qexp and base."""
-    D = lcm(base.denominator, x.qexp.denominator)
+    The lattice 1/D is the lcm of the denominators of x.qexp, base and the
+    order, so the order is an int window on it."""
+    D = lcm(base.denominator, x.qexp.denominator, order.denominator)
     B = on_lattice(base, D)
     if B <= 0:
         raise ValueError("base must be positive")
     X = on_lattice(x.qexp, D)
     if int_is_zero(x.unit_k, X, B):
         return QSeries.zero()
-    return int_jtheta(x.unit_k, X, B, D, order)
+    return int_jtheta(x.unit_k, X, B, D, on_lattice(order, D))
 
 
 # -- shorthands --------------------------------------------------------------
@@ -225,15 +230,16 @@ def Jm(m: Rat, order: Rat) -> QSeries:
 
 def Jm_cubed(m: Rat, order: Rat) -> QSeries:
     """J_m^3 = sum over n >= 0 of (-1)^n (2n+1) q^(m*n(n+1)/2), Jacobi's
-    identity, exact below `order`, on the lattice of m."""
+    identity, exact below `order`, on the lattice of m and the order."""
     if m <= 0:
         raise ValueError("m must be positive")
     # the exponent is m*C(n,2) + m*n; n and -1 - n have the same one, so the
     # range is symmetric about -1/2 and the sum runs over its n >= 0 half
-    M, D = m.numerator, m.denominator
-    r = int_parabola(M, M, lattice_bound(order, D))
+    D = lcm(m.denominator, order.denominator)
+    M, W = on_lattice(m, D), on_lattice(order, D)
+    r = int_parabola(M, M, W)
     terms = {M * (n * (n + 1) // 2): (-1) ** n * (2 * n + 1) for n in range(max(r.start, 0), r.stop)}
-    return QSeries.lattice(D, terms, {}, order)
+    return QSeries.below(D, terms, {}, W)
 
 
 def eta(scale: Rat, order: Rat) -> QSeries:
@@ -320,18 +326,22 @@ def theta_quotient(
     A factor exact below v + M keeps trunc = ord + M through every product
     and quotient, so the assembled series is exact below its valuation plus
     M >= order - prefactor.qexp, with no slack; the floor b keeps every
-    divisor's leading term.  The numerators are multiplied sparsely, and
-    one ``divide`` chain takes out every denominator and applies the
-    prefactor and the scalar.  ``require_order`` checks the order.  A
-    vanishing numerator factor short-circuits to the exact zero; a vanishing
-    denominator factor raises ThetaZeroDenominator.
+    divisor's leading term.  The prefactor and the scalar go on the sparsest
+    numerator factor, or on the exact unit dividend when there is none: the
+    exact monomial moves ord and trunc alike, so the terms and the trunc are
+    those of applying it last, and no pass over the assembled product only
+    shifts or scales it.  The numerators are multiplied sparsely, and one
+    ``divide`` chain takes out every denominator.  ``require_order`` checks
+    the order.  A vanishing numerator factor short-circuits to the exact
+    zero; a vanishing denominator factor raises ThetaZeroDenominator.
     """
     plan = quotient_plan(num, den, order, prefactor.qexp)
     if plan is None:
         return QSeries.zero()
     D, _, nums, dens = plan
     # every factor comes back on the plan's lattice 1/D
-    nums, dens = ([int_jtheta(u, X, B, D, Fraction(W, D)) for u, X, B, _, W in fs] for fs in (nums, dens))
-    acc = reduce(mul, nums) if nums else QSeries.one()
-    # the exact monomial moves ord and trunc alike, so it can be applied last
-    return require_order(divide(acc, dens, prefactor, scalar), order, "quotient")
+    nums, dens = ([int_jtheta(u, X, B, D, W) for u, X, B, _, W in fs] for fs in (nums, dens))
+    nums = nums or [QSeries.one()]
+    i = min(range(len(nums)), key=lambda i: len(nums[i].keys()))
+    nums[i] = nums[i].shift(prefactor).scale(scalar)
+    return require_order(divide(reduce(mul, nums), dens), order, "quotient")

@@ -77,10 +77,10 @@ MUTANTS = (
            "    if A * lo * (lo - 1) + 2 * (B * lo - W) >= 0:\n        lo += 1\n",
            "    if A * lo * (lo - 1) + 2 * (B * lo - W) >= 0:\n        lo += 2\n",
            (PLAN_PROPERTY, "tests/test_theta.py::test_int_parabola_matches_bruteforce")),
-    Mutant("jtheta-window-floor-for-ceil", THETA,
-           "    for n in int_parabola(B, X, lattice_bound(trunc, D) + pad(B)):\n",
-           "    for n in int_parabola(B, X, trunc.numerator * D // trunc.denominator + pad(B)):\n",
-           (BUILDER_PROPERTY, "tests/test_theta.py::TestTripleProduct")),
+    Mutant("jtheta-lattice-misses-the-order", THETA,
+           "    D = lcm(base.denominator, x.qexp.denominator, order.denominator)\n",
+           "    D = lcm(base.denominator, x.qexp.denominator)\n",
+           ("tests/test_theta.py::test_jtheta_matches_bruteforce_sum", "tests/test_theta.py::TestTripleProduct")),
     Mutant("appell-geometric-tail-one-short", APPELL,
            "run = [(e_r + t * d, lead_k + rho_k * t) for t in range(-((e_r - W) // d))]",
            "run = [(e_r + t * d, lead_k + rho_k * t) for t in range(-((e_r - W) // d) - 1)]",
@@ -148,15 +148,28 @@ MUTANTS = (
            "        T, o, V = min(T - v, o + f.tk * mf - 2 * v), o, V + v\n",
            ("tests/test_series.py::TestDivision::test_chain_trunc_moves_with_each_least_exponent",
             CHAIN_PROPERTY)),
-    Mutant("prefactor-fold-sign", SERIES,
-           "    e = on_lattice(shift.qexp, L) - V\n",
-           "    e = -on_lattice(shift.qexp, L) - V\n",
+    Mutant("prefactor-fold-sign", THETA,
+           "    nums[i] = nums[i].shift(prefactor).scale(scalar)\n",
+           "    nums[i] = nums[i].shift(Monomial(prefactor.unit_k, -prefactor.qexp)).scale(scalar)\n",
            ("tests/test_theta.py::TestThetaQuotient", CHAIN_PROPERTY)),
     Mutant("combo-keeps-the-bound", SERIES,
-           "    t = {k: a * c for k, c in x.items() if k < bound} if a else {}",
-           "    t = {k: a * c for k, c in x.items() if k <= bound} if a else {}",
+           "            if k < bound:\n                s = t.get(k, 0) + b * c\n",
+           "            if k <= bound:\n                s = t.get(k, 0) + b * c\n",
            ("tests/test_series.py::TestAddMul::test_sum_drops_the_term_at_the_lower_trunc",
             "tests/test_series.py::test_add_sub_neg_match_oracle")),
+    # -- the fast paths: no pass over a product or a sum that only copies it
+    Mutant("mul-zero-check-skipped", SERIES,
+           "{k: c for k, c in d.items() if c} if 0 in d.values() else d for d in (real, imag)",
+           "d for d in (real, imag)",
+           ("tests/test_series.py::TestAddMul::test_mul_simple",)),
+    Mutant("add-copies-the-side-past-the-bound", SERIES,
+           "        if ta > tb:  # the side with the lower trunc",
+           "        if ta < tb:  # the side with the lower trunc",
+           ("tests/test_series.py::TestAddMul::test_sum_drops_the_term_at_the_lower_trunc",)),
+    Mutant("compare-shortcut-on-the-real-parts", SERIES,
+           "        if a == b:  # no key differs at all\n",
+           "        if a[0] == b[0]:  # no key differs at all\n",
+           ("tests/test_series.py::TestCompare::test_first_mismatch",)),
     Mutant("convolve-breaks-past-the-bound", SERIES,
            "            if k >= bound:\n                break\n",
            "            if k > bound:\n                break\n",
@@ -202,10 +215,10 @@ MUTANTS = (
 # `before` texts too
 EQUIVALENT = (
     (Mutant("factor-range-pad-dropped", THETA,
-            "    for n in int_parabola(B, X, lattice_bound(trunc, D) + pad(B)):\n",
-            "    for n in int_parabola(B, X, lattice_bound(trunc, D)):\n",
+            "    for n in int_parabola(B, X, W + pad(B)):\n",
+            "    for n in int_parabola(B, X, W):\n",
             ()),
-     "the sum's range is exact, and QSeries.lattice drops every term at or above the trunc, "
+     "the sum's range is exact, and QSeries.below drops every term at or above the trunc, "
      "so the audit slack widens a range whose extra terms are never stored"),
 )
 

@@ -213,6 +213,8 @@ class TestAddMul:
         one_plus_q = QSeries({F(0): 1, F(1): 1}, F(20))
         p = one_minus_q * one_plus_q
         assert p.terms == {F(0): GaussianRational(1), F(2): GaussianRational(-1)}
+        # the cancelled term at q^1 is not stored
+        check_stored(p, {F(0): Gauss(F(1)), F(2): Gauss(F(-1))}, F(20))
 
     def test_mul_laurent(self):
         a = Monomial.q(-1).as_series()
@@ -471,6 +473,10 @@ class TestCompare:
         b = QSeries({F(0): 1, F(5): 1}, F(10))
         m = a.compare(b, 10)
         assert m == Mismatch(F(5), GaussianRational(0), GaussianRational(1))
+        # equal real parts, a different imaginary part
+        a = QSeries({F(0): 1, F(1): GaussianRational(1, 1)}, F(10))
+        b = QSeries({F(0): 1, F(1): 1}, F(10))
+        assert a.compare(b, 10) == Mismatch(F(1), GaussianRational(1, 1), GaussianRational(1))
 
     def test_least_of_several_mismatches(self):
         G = GaussianRational

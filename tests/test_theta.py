@@ -9,7 +9,7 @@ from operator import mul
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from qstrings.series import GaussianRational, Monomial, QSeries, divide, margin_scale, pad
+from qstrings.series import GaussianRational, Monomial, QSeries, divide, format_series, margin_scale, pad
 from qstrings.theta import (
     DivergentProduct,
     J,
@@ -297,6 +297,25 @@ class TestThetaQuotient:
         with pytest.raises(ThetaZeroDenominator):
             theta_quotient(num=[(q(1), 3)], den=[(q(2), 1)], order=10)
 
+    @pytest.mark.parametrize("num, den, order, prefactor, scalar, text, trunc", [
+        # a zero scalar gives the exact zero, with factors or without
+        ([(q(1), 3)], [(mq(0), 4)], 8, Monomial(1, F(1, 3)), 0, "0", INF),
+        ([], [(q(1), 3)], 3, Monomial(2, F(1, 2)), 0, "0", INF),
+        ([], [], 2, Monomial(1, F(1, 2)), 0, "0", INF),
+        # no numerators: the prefactor and the scalar go on the exact unit dividend
+        ([], [(q(1), 3)], 3, Monomial(2, F(1, 2)), F(1, 2),
+         "(-1/2)q^(1/2) + (-1/2)q^(3/2) - q^(5/2) + O(q^3)", 3),
+        # no denominators: they go on the sparser of the two factors
+        ([(q(1), 3), (mq(F(1, 2)), 2)], [], 3, Monomial(3, F(1, 3)), GaussianRational(1, 2),
+         "(2-i)q^(1/3) + (2-i)q^(5/6) + (-2+i)q^(4/3) + (-2+i)q^(7/3) + (-4+2i)q^(17/6) + O(q^3)", 3),
+        # neither: the exact monomial, cut at the order
+        ([], [], 2, Monomial(1, F(1, 2)), GaussianRational(1, 2), "(-2+i)q^(1/2) + O(q^2)", 2),
+    ])
+    def test_edge_cases_keep_terms_and_trunc(self, num, den, order, prefactor, scalar, text, trunc):
+        got = theta_quotient(num, den, order, prefactor, scalar)
+        assert format_series(got) == text
+        assert got.trunc == trunc and got.is_exact_zero == (trunc == INF)
+
     def test_prefactor_and_scalar(self):
         T = 12
         s = theta_quotient(num=[(q(1), 3)], den=[], order=T,
@@ -580,16 +599,19 @@ def builder_args(draw):
 @example((0, F(2), F(1), 3, F(5)))  # a zero argument: the sum is empty
 def test_int_jtheta_matches_the_bruteforce_sum(args):
     # the one theta builder on its caller's lattice against the oracle's sum,
-    # with its trunc kept as given; an audit slack stores the same terms
+    # with its trunc kept as given; an audit slack stores the same terms.  A
+    # caller lifts D onto the lattice of an off-lattice trunc, as jtheta does,
+    # and passes the trunc as the int window W on 1/D
     k, e, base, D, trunc = args
-    X, B = e.numerator * (D // e.denominator), base.numerator * (D // base.denominator)
+    D = math.lcm(D, trunc.denominator)
+    X, B, W = (r.numerator * (D // r.denominator) for r in (e, base, trunc))
     want = {x: Gauss(F(re), F(im)) for x, (re, im) in jtheta_sum_gaussian(k, e, base, trunc).items()}
-    s = int_jtheta(k, X, B, D, trunc)
+    s = int_jtheta(k, X, B, D, W)
     check_stored(s, want, trunc)
-    assert s.den == math.lcm(D, trunc.denominator)
+    assert s.den == D
     for m in (1, 2):
         with margin_scale(m):
-            other = int_jtheta(k, X, B, D, trunc)
+            other = int_jtheta(k, X, B, D, W)
         assert (other.real, other.imag, other.tk, other.den) == (s.real, s.imag, s.tk, s.den)
 
 
@@ -812,6 +834,13 @@ def as_gauss(s: QSeries) -> dict:
 @example([(1, F(1, 3), F(1))], [(1, F(0), F(1)), (3, F(2, 5), F(2))], F(5), 1, F(1, 3), Gauss(F(1), F(2)))
 # a divisor of step 2 under a dividend on 1/5: ten residue classes mod 2 on 1/5
 @example([(0, F(1, 5), F(1))], [(2, F(0), F(2))], F(7), 2, F(-1, 2), Gauss(F(-1)))
+# no denominators, as in every product of the verify suite: the prefactor and
+# the scalar go on the sparsest numerator factor; units i, -1 and -i, a
+# Gaussian scalar and the zero scalar, which gives the exact zero
+@example([(0, F(1, 2), F(1))], [], F(4), 1, F(1, 3), Gauss(F(1)))
+@example([(2, F(1, 3), F(2)), (1, F(0), F(1))], [], F(5), 2, F(-1, 2), Gauss(F(1, 2)))
+@example([(0, F(2, 5), F(1)), (3, F(1, 2), F(3))], [], F(3), 3, F(0), Gauss(F(1), F(2)))
+@example([(0, F(1, 3), F(1))], [], F(3), 0, F(1, 2), Gauss(F(0)))
 def test_theta_quotient_matches_the_sequential_restatement(num, den, order, unit, pre, scalar):
     # every factor by the brute-force sum at the window of the Fraction plan,
     # the numerators multiplied and the product divided by one denominator
@@ -826,16 +855,19 @@ def test_theta_quotient_matches_the_sequential_restatement(num, den, order, unit
         acc = truncated_div(*acc, *f)
     terms, trunc = acc
     c = GAUSS_UNITS[unit] * scalar
-    want = {e + pre: x * c for e, x in terms.items()}
+    want = {e + pre: x * c for e, x in terms.items()} if c else {}
     prefactor, sc = Monomial(unit, pre), GaussianRational(scalar.re, scalar.im)
-    # the chain on the package's factors, with its own trunc
+    # the chain on the package's factors, with its own trunc, on the dividend
+    # shifted and scaled first
     nums, dens = ([jtheta(Monomial(u, x), b, w) for (u, x, b), w in pairs]
                   for pairs in (zip(num, plan.windows), zip(den, plan.windows[len(num):])))
-    got = divide(reduce(mul, nums) if nums else QSeries.one(), dens, prefactor, sc)
-    assert got.trunc == trunc + pre
+    got = divide((reduce(mul, nums) if nums else QSeries.one()).shift(prefactor).scale(sc), dens)
+    # a zero scalar gives the exact zero
+    assert got.trunc == (trunc + pre if c else INF)
     assert as_gauss(got) == want
+    assert got.is_exact_zero == (not c)
     # theta_quotient checks that trunc against the order and truncates there
     got = theta_quotient([(Monomial(u, x), b) for u, x, b in num], [(Monomial(u, x), b) for u, x, b in den],
                          order, prefactor, sc)
-    assert got.trunc == order
+    assert got.trunc == (order if c else INF)
     assert as_gauss(got) == {e: x for e, x in want.items() if e < order}
