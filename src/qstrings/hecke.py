@@ -11,13 +11,13 @@ each cut to its quadrant, so every contributing pair is enumerated exactly
 and no other.
 
 The enumeration runs on plain ints: with D the lcm of the denominators of
-base, x.qexp and y.qexp, every exponent is the int E(r,s)*D and the window
-e < order becomes E*D < ceil(order*D); both ranges are exact, so the
+base, x.qexp, y.qexp and the order, every exponent is the int E(r,s)*D and
+the window e < order becomes E*D < order*D; both ranges are exact, so the
 window needs no slack (``margin_scale`` widens it only for an audit).  Each
 term is a unit i^u: +-1 is summed into a dict of real int numerators and
 +-i into one of imaginary numerators, keyed by the int exponent, and those
 two dicts are the stored series on the lattice 1/D over the coefficient
-denominator 1 (``QSeries.lattice``); the half-integral
+denominator 1 (``QSeries.below``); the half-integral
 coefficients of the closed forms enter through ``appell_m`` and the
 division by j(-1; q^m).
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .series import Monomial, QSeries, Rat, lattice_bound, on_lattice, pad, require_order
+from .series import Monomial, QSeries, Rat, on_lattice, pad, require_order
 from .appell import appell_m
 from .theta import (
     comb2,
@@ -64,10 +64,10 @@ def hecke_f(a: int, b: int, c: int, x: Monomial, y: Monomial, base: Rat, order: 
         raise ValueError("base must be positive")
     # every exponent in units of 1/D: E(r,s)*D =
     # Ba*C(r,2) + Bb*r*s + Bc*C(s,2) + r*X + s*Y, all ints
-    D = lcm(base.denominator, x.qexp.denominator, y.qexp.denominator)
-    B, X, Y = on_lattice(base, D), on_lattice(x.qexp, D), on_lattice(y.qexp, D)
+    D = lcm(base.denominator, x.qexp.denominator, y.qexp.denominator, order.denominator)
+    B, X, Y, T = on_lattice(base, D), on_lattice(x.qexp, D), on_lattice(y.qexp, D), on_lattice(order, D)
     Ba, Bb, Bc = B * a, B * b, B * c
-    W = lattice_bound(order, D) + pad(B)  # e < order + pad(base) iff e*D < W
+    W = T + pad(B)  # e < order + pad(base) iff e*D < W
     # the unit of the (r, s) term is i^k, k = (2 + x.unit_k)*r + (2 + y.unit_k)*s
     kx, ky = 2 + x.unit_k, 2 + y.unit_k
     real, imag = {}, {}
@@ -92,7 +92,7 @@ def hecke_f(a: int, b: int, c: int, x: Monomial, y: Monomial, base: Rat, order: 
                 part = imag if u & 1 else real
                 part[e] = part.get(e, 0) + 1 - (u & 2)
 
-    return QSeries.lattice(D, real, imag, order)
+    return QSeries.below(D, real, imag, T)
 
 
 def hecke_shift_rhs(a: int, b: int, c: int, x: Monomial, y: Monomial, base: Rat,
@@ -144,8 +144,7 @@ def _theta_times(tx: Monomial, tbase: Fraction, other, order: Fraction) -> QSeri
     rest = other(F(T - int_valuation(X, B), D))
     # the theta factor is exact below order - min(ord(rest), 0), rounded up
     # onto 1/D: no exponent of it lies in between
-    low = min(rest.ord_bound(), 0)
-    W = T - low.numerator * D // low.denominator + pad(B)
+    W = T - min(min(rest.keys(), default=rest.tk), 0) * D // rest.den + pad(B)
     coeff = int_jtheta(tx.unit_k, X, B, D, W)
     return require_order(coeff * rest, order, "theta product")
 
@@ -212,7 +211,7 @@ def master_fnp_rhs(p: int, x: Monomial, y: Monomial, base: Rat, order: Rat) -> Q
                  base * M),
                 (Monomial(0, base * F(p * (2 + p) * 2 * s + p * (1 + p), 2)) * ((-x) ** (1 + p)) / (-y),
                  base * M),
-                (Monomial(2, F(0)), base * p * (2 + p)),  # Jbar_{0,p(2+p)}
+                (MINUS_ONE, base * p * (2 + p)),  # Jbar_{0,p(2+p)}
             ]
             acc = acc + theta_quotient(num, den, order, prefactor=mono)
     return acc.truncate(order)
@@ -239,8 +238,8 @@ def acdivb_rhs(n: int, x: Monomial, y: Monomial, base: Rat, order: Rat) -> QSeri
         den = [
             (Monomial(2, base * comb2(n)) * x * ((-y) ** (-n)), base * M),
             (Monomial(0, base * (n - 1) * (d + 1)) * x.inverse() * y, base * M),
-            (Monomial(2, F(0)), base * (n - 1)),      # Jbar_{0,n-1}
-            (Monomial(2, F(0)), base * (n * n - n)),  # Jbar_{0,n^2-n}
+            (MINUS_ONE, base * (n - 1)),      # Jbar_{0,n-1}
+            (MINUS_ONE, base * (n * n - n)),  # Jbar_{0,n^2-n}
         ]
         acc = acc - theta_quotient(num, den, order, prefactor=mono)
     return acc.truncate(order)

@@ -20,7 +20,8 @@ q^(k/den) is (real[k] + imag[k]*i)/cden, a missing key reading 0, and the
 int truncation ``tk``: every stored k is below tk, and trunc = tk/den, or
 tk = INF, which absorbs int shifts, positive int scalings and ``min`` by
 itself.  Neither den nor cden need be minimal, and a trunc off the lattice
-lifts den to the lcm of den and the trunc's denominator.  A real series
+lifts den to the lcm of den and the trunc's denominator (in the
+Fraction-keyed constructor, ``const`` and ``truncate``).  A real series
 has an empty ``imag``, so its imaginary arithmetic drops out with no flag
 and no second kernel.  An operation on two series moves both onto the lcm
 of their dens, and addition and comparison also onto the lcm of their
@@ -30,12 +31,13 @@ every denominator of ``theta_quotient``, each made real with its conjugate
 when it is not and divided out in place on int lists that lie on the
 dividend's sublattice, one list per part and residue class of its keys
 modulo the divisors' step; its docstring gives the cost.  The constructors
-of the other modules fill the two dicts for ``QSeries.lattice``, or for
-``QSeries.below`` when they plan their trunc as an int on 1/den.  Fractions
-and GaussianRationals appear only at the boundary: the Fraction-keyed
-constructor, scalar arguments, ``trunc``, ``__getitem__``, ``terms``
-(views built on every read), ``items_sorted``, ``support``, ``ord`` and
-``Mismatch``; the text and JSON forms are written from the stored ints.
+of the other modules plan their order as an int on their own lattice 1/den
+and fill the two dicts for ``QSeries.below``, the one constructor from
+ints.  Fractions and GaussianRationals appear only at the boundary: the
+Fraction-keyed constructor, scalar arguments, ``trunc``, ``__getitem__``,
+``terms`` (views built on every read), ``items_sorted``, ``support``,
+``ord`` and ``Mismatch``; the text and JSON forms are written from the
+stored ints.
 """
 
 from __future__ import annotations
@@ -120,8 +122,7 @@ class GaussianRational:
     @staticmethod
     def i_power(k: int) -> "GaussianRational":
         """The unit i**k."""
-        k %= 4
-        return _I_POWERS[k]
+        return GaussianRational(*UNIT_PAIRS[k % 4])
 
     def as_fraction(self) -> Fraction:
         if self.im != 0:
@@ -207,13 +208,6 @@ class GaussianRational:
         return format_coeff(self)
 
 
-_I_POWERS = (
-    GaussianRational(1),
-    GaussianRational(0, 1),
-    GaussianRational(-1),
-    GaussianRational(0, -1),
-)
-
 QI_ZERO = GaussianRational(0)
 UNIT_PAIRS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^k as (re, im)
 
@@ -293,7 +287,7 @@ class Monomial(FrozenRecord):
 
     def as_series(self) -> "QSeries":
         re, im = UNIT_PAIRS[self.unit_k]
-        return QSeries.lattice(self.qexp.denominator, {self.qexp.numerator: re}, {self.qexp.numerator: im}, INF)
+        return QSeries.below(self.qexp.denominator, {self.qexp.numerator: re}, {self.qexp.numerator: im}, INF)
 
     def __str__(self):
         u = {0: "", 1: "i*", 2: "-", 3: "-i*"}[self.unit_k]
@@ -336,22 +330,11 @@ class QSeries:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def lattice(den: int, real: Mapping[int, int], imag: Mapping[int, int], trunc: Trunc,
-                cden: int = 1) -> "QSeries":
-        """The sum of ((real[k] + imag[k]*i)/cden) q^(k/den) below `trunc`
-        for two int dicts and an int cden > 0; zeros are dropped, and den is
-        lifted onto the lattice of an off-lattice trunc."""
-        m, tk = _lift(den, trunc)
-        if m != 1:
-            real, imag = ({k * m: c for k, c in d.items()} for d in (real, imag))
-        return QSeries.below(den * m, real, imag, tk, cden)
-
-    @staticmethod
     def below(den: int, real: Mapping[int, int], imag: Mapping[int, int], tk, cden: int = 1) -> "QSeries":
         """The sum of ((real[k] + imag[k]*i)/cden) q^(k/den) below the int
         trunc tk on 1/den, or INF, for two int dicts and an int cden > 0;
-        zeros are dropped.  A caller that plans its windows on 1/den needs
-        no Fraction for its trunc."""
+        zeros are dropped.  The one constructor from int dicts: a caller
+        plans its order as an int on its own lattice 1/den."""
         return _new(den, *({k: c for k, c in d.items() if c and k < tk} for d in (real, imag)), tk, cden)
 
     @staticmethod
@@ -361,7 +344,8 @@ class QSeries:
     @staticmethod
     def const(c, trunc: Trunc = INF) -> "QSeries":
         re, im, d = _scalar(c)
-        return QSeries.lattice(1, {0: re}, {0: im}, trunc, d)
+        m, tk = _lift(1, trunc)
+        return QSeries.below(m, {0: re}, {0: im}, tk, d)
 
     @staticmethod
     def one(trunc: Trunc = INF) -> "QSeries":
@@ -387,10 +371,6 @@ class QSeries:
     def ord(self):
         """Least stored exponent, or None when no term is known."""
         return Fraction(min(self.keys()), self.den) if self.real or self.imag else None
-
-    def ord_bound(self) -> Trunc:
-        """A lower bound for the exponent of any term, known or not."""
-        return self.ord if self.real or self.imag else self.trunc
 
     def __getitem__(self, e: Rat) -> GaussianRational:
         e = Fraction(e)
@@ -459,9 +439,10 @@ class QSeries:
         _convolve(real, ai, bi, tk, -1)
         _convolve(imag, ar, bi, tk, 1)
         _convolve(imag, ai, br, tk, 1)
-        # a pass to drop cancelled terms only where a term cancelled
-        return _new(den, *({k: c for k, c in d.items() if c} if 0 in d.values() else d for d in (real, imag)), tk,
-                    a.cden * b.cden)
+        for d in (real, imag):  # drop the cancelled terms in place
+            for k in [k for k, c in d.items() if not c]:
+                del d[k]
+        return _new(den, real, imag, tk, a.cden * b.cden)
 
     __rmul__ = __mul__
 

@@ -152,11 +152,11 @@ def _cone_sum(N: int, ell: int, m: int, W: int) -> QSeries:
 def _divide_by_j1_cubed(raw: QSeries, order: Fraction, base: Rat = 1) -> QSeries:
     D = math.lcm(base.denominator, order.denominator)
     M, T = on_lattice(base, D), on_lattice(order, D)
-    sigma = min(raw.ord_bound(), 0)
+    sigma = min(min(raw.keys(), default=raw.tk), 0) * D // raw.den
     # J_base^3 = 1 + O(q^base), Jacobi's sum, is exact below order - sigma,
     # rounded up onto 1/D, and at least below base: a divisor needs its
     # leading term also when nothing of the quotient lies below order
-    W = max(T - sigma.numerator * D // sigma.denominator, M) + pad(M)
+    W = max(T - sigma, M) + pad(M)
     return require_order(raw / Jm_cubed(base, F(W, D)), order, "string function")
 
 

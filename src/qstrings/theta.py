@@ -51,7 +51,6 @@ from .series import (
     QSeries,
     Rat,
     divide,
-    lattice_bound,
     on_lattice,
     pad,
     require_order,
@@ -155,9 +154,9 @@ def pochhammer(x: Monomial, base: Rat, n: Optional[int], order: Rat) -> QSeries:
         raise DivergentProduct(f"(x; q^{base})_inf diverges for x = {x}")
     # factor i is 1 - x q^(i*base), its exponent k/D on the lattice 1/D; while
     # k < 0 every term is kept, and the terms reach down to n*min(k0, 0)
-    D = lcm(base.denominator, x.qexp.denominator)
-    k0, step = on_lattice(x.qexp, D), on_lattice(base, D)
-    W = lattice_bound(order, D) + pad(step)
+    D = lcm(base.denominator, x.qexp.denominator, order.denominator)
+    k0, step, T = on_lattice(x.qexp, D), on_lattice(base, D), on_lattice(order, D)
+    W = T + pad(step)
     if not x.unit_k and k0 <= 0 and k0 % step == 0 and (n is None or -k0 // step < n):
         return QSeries.zero()  # a factor 1 - q^0 kills the product exactly, at any order
     ur, ui = UNIT_PAIRS[x.unit_k]
@@ -172,7 +171,7 @@ def pochhammer(x: Monomial, base: Rat, n: Optional[int], order: Rat) -> QSeries:
                     real[j + k] = real.get(j + k, 0) - cr
                 if ci:
                     imag[j + k] = imag.get(j + k, 0) - ci
-    return QSeries.lattice(D, real, imag, order)
+    return QSeries.below(D, real, imag, T)
 
 
 def jtheta_prod(x: Monomial, base: Rat, order: Rat) -> QSeries:

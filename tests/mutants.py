@@ -78,9 +78,17 @@ MUTANTS = (
            "    if A * lo * (lo - 1) + 2 * (B * lo - W) >= 0:\n        lo += 2\n",
            (PLAN_PROPERTY, "tests/test_theta.py::test_int_parabola_matches_bruteforce")),
     Mutant("jtheta-lattice-misses-the-order", THETA,
-           "    D = lcm(base.denominator, x.qexp.denominator, order.denominator)\n",
-           "    D = lcm(base.denominator, x.qexp.denominator)\n",
+           "    D = lcm(base.denominator, x.qexp.denominator, order.denominator)\n    B = on_lattice(base, D)\n",
+           "    D = lcm(base.denominator, x.qexp.denominator)\n    B = on_lattice(base, D)\n",
            ("tests/test_theta.py::test_jtheta_matches_bruteforce_sum", "tests/test_theta.py::TestTripleProduct")),
+    Mutant("pochhammer-lattice-misses-the-order", THETA,
+           "    D = lcm(base.denominator, x.qexp.denominator, order.denominator)\n    k0, step, T =",
+           "    D = lcm(base.denominator, x.qexp.denominator)\n    k0, step, T =",
+           ("tests/test_theta.py::TestPochhammer::test_off_lattice_order_on_its_lattice",)),
+    Mutant("hecke-lattice-misses-the-order", HECKE,
+           "    D = lcm(base.denominator, x.qexp.denominator, y.qexp.denominator, order.denominator)\n",
+           "    D = lcm(base.denominator, x.qexp.denominator, y.qexp.denominator)\n",
+           ("tests/test_hecke.py::TestHeckeF::test_off_lattice_order_on_its_lattice",)),
     Mutant("appell-geometric-tail-one-short", APPELL,
            "run = [(e_r + t * d, lead_k + rho_k * t) for t in range(-((e_r - W) // d))]",
            "run = [(e_r + t * d, lead_k + rho_k * t) for t in range(-((e_r - W) // d) - 1)]",
@@ -90,12 +98,12 @@ MUTANTS = (
            "    W_d = max(o_z + Bc, T + 2 * o_z + sigma + pad(Bc))  # win_d; sigma <= 0",
            ("tests/test_appell.py",)),
     Mutant("theta-times-window-ignores-rest", HECKE,
-           "    W = T - low.numerator * D // low.denominator + pad(B)",
+           "    W = T - min(min(rest.keys(), default=rest.tk), 0) * D // rest.den + pad(B)",
            "    W = T + pad(B)",
            ("tests/test_hecke.py::TestG1b1",)),
     Mutant("j1-cubed-window-floor-dropped", STRINGS,
-           "    W = max(T - sigma.numerator * D // sigma.denominator, M) + pad(M)",
-           "    W = T - sigma.numerator * D // sigma.denominator + pad(M)",
+           "    W = max(T - sigma, M) + pad(M)",
+           "    W = T - sigma + pad(M)",
            ("tests/test_strings.py",)),
     Mutant("jm-cubed-drops-n-zero", THETA,
            "for n in range(max(r.start, 0), r.stop)}",
@@ -159,8 +167,8 @@ MUTANTS = (
             "tests/test_series.py::test_add_sub_neg_match_oracle")),
     # -- the fast paths: no pass over a product or a sum that only copies it
     Mutant("mul-zero-check-skipped", SERIES,
-           "{k: c for k, c in d.items() if c} if 0 in d.values() else d for d in (real, imag)",
-           "d for d in (real, imag)",
+           "            for k in [k for k, c in d.items() if not c]:\n                del d[k]\n",
+           "            pass\n",
            ("tests/test_series.py::TestAddMul::test_mul_simple",)),
     Mutant("add-copies-the-side-past-the-bound", SERIES,
            "        if ta > tb:  # the side with the lower trunc",

@@ -95,16 +95,16 @@ def poly_div(a: dict, f: dict, bound) -> dict:
     return out
 
 
-def _ord(a: dict, trunc):
+def ord_bound(a: dict, trunc):
     """The least exponent of a truncated series, or its trunc when it has no
-    known term."""
+    known term: a lower bound for the exponent of any term, known or not."""
     return min(a) if a else trunc
 
 
 def truncated_mul(a: dict, ta, b: dict, tb) -> tuple:
     """(a*b, its trunc) for two series given as terms and trunc: the product
     is exact below min(ta + ord b, tb + ord a)."""
-    t = min(ta + _ord(b, tb), tb + _ord(a, ta))
+    t = min(ta + ord_bound(b, tb), tb + ord_bound(a, ta))
     return poly_mul(a, b, t), t
 
 
@@ -113,7 +113,7 @@ def truncated_div(a: dict, ta, f: dict, tf) -> tuple:
     known term: the quotient is exact below min(ta - v, ord a + tf - 2v),
     v = ord f."""
     v = min(f)
-    t = min(ta - v, _ord(a, ta) + tf - 2 * v)
+    t = min(ta - v, ord_bound(a, ta) + tf - 2 * v)
     return poly_div(a, f, t), t
 
 

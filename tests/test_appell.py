@@ -9,7 +9,7 @@ from qstrings.appell import PoleAtXZ, appell_m
 from qstrings.series import Monomial, QSeries, margin_scale
 from qstrings.theta import ThetaZeroDenominator
 
-from oracles import Gauss, appell_numerator, jtheta_sum_gaussian
+from oracles import Gauss, appell_numerator, jtheta_sum_gaussian, ord_bound
 
 q = Monomial.q
 mq = Monomial.mq
@@ -159,7 +159,7 @@ def test_appell_m_matches_numerator_oracle(xk, xe, zk, ze, base, T):
             other = appell_m(x, base, z, T - o_j)
         assert other.terms == m.terms and other.trunc == m.trunc
     # m below T - o_j and j below T - ord(m) fix the product below T
-    o_m = m.ord_bound()
+    o_m = ord_bound(m.terms, m.trunc)
     j = jtheta_sum_gaussian(zk, ze, base, T - min(o_m, 0))
     prod: dict = {}
     for ej, (re, im) in j.items():

@@ -83,6 +83,16 @@ class TestHeckeF:
             with pytest.raises(ValueError, match="base must be positive"):
                 build()
 
+    def test_off_lattice_order_on_its_lattice(self):
+        # the order 7/3 lies off the lattice 1/2 of x and y: the sum is planned
+        # on the lattice 1/6 of both, and stored there
+        x, y = Monomial(1, F(1, 2)), q(F(-1, 2))
+        for k in (0, 2):
+            with margin_scale(k):
+                s = hecke_f(1, 2, 1, x, y, 1, F(7, 3))
+            assert (s.den, s.tk, s.trunc) == (6, 14, F(7, 3))
+            assert as_gauss(s) == oracle(1, 2, 1, x, y, 1, F(7, 3))
+
     def test_window_stability(self):
         for (a, b, c, x, y, base) in [
             (1, 3, 1, q(2), q(1), F(1)),

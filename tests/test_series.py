@@ -35,6 +35,7 @@ from oracles import (
     Gauss,
     format_series_items,
     int_coeffs,
+    ord_bound,
     partition_counts,
     pochhammer_product,
     poly_add,
@@ -104,7 +105,7 @@ class TestGaussianRational:
         assert g.re is re and g.im is im
         # the same value from ints, other spellings and the boundary view
         for h in (GaussianRational(F(6, 8), F(10, -12)), F(3, 4) + GaussianRational(0, F(-5, 6)),
-                  QSeries.lattice(3, {2: 9}, {2: -10}, INF, 12)[F(2, 3)]):
+                  QSeries.below(3, {2: 9}, {2: -10}, INF, 12)[F(2, 3)]):
             assert h == g and hash(h) == hash(g)
             assert type(h.re) is F and type(h.im) is F
         assert GaussianRational(2, 0) == 2 and hash(GaussianRational(2, F(0))) == hash(2)
@@ -112,7 +113,7 @@ class TestGaussianRational:
 
     def test_boundary_view_over_a_coefficient_denominator(self):
         # parts over cden come out in lowest terms, whatever cden is
-        s = QSeries.lattice(6, {-3: 2, 4: 8}, {-3: -6, 9: 3}, F(7, 3), 4)
+        s = QSeries.below(6, {-3: 2, 4: 8}, {-3: -6, 9: 3}, 14, 4)  # below q^(7/3)
         records = [
             {"num": -1, "den_exp": 2, "re_num": 1, "re_den": 2, "im_num": -3, "im_den": 2},
             {"num": 2, "den_exp": 3, "re_num": 2, "re_den": 1, "im_num": 0, "im_den": 1},
@@ -370,8 +371,8 @@ class TestDivision:
         # the divisor steps by 15015, and the dividend's two keys lie in two
         # residue classes mod 15015, so the walk covers two lists of 40 slots,
         # not the 600600 slots of one list over the gcd 1 of all offsets
-        a = QSeries.lattice(30030, {0: 1, 1: 1}, {}, F(20))
-        f = QSeries.lattice(2, {0: 1, 1: -1}, {}, INF)
+        a = QSeries.below(30030, {0: 1, 1: 1}, {}, 20 * 30030)
+        f = QSeries.below(2, {0: 1, 1: -1}, {}, INF)
         q = a / f
         want = poly_div({F(0): F(1), F(1, 30030): F(1)}, {F(0): F(1), F(1, 2): F(-1)}, F(20))
         assert len(want) == 80
@@ -445,22 +446,28 @@ class TestOffLatticeTrunc:
     # a trunc whose denominator does not divide den lifts den to their lcm,
     # so that the trunc is the int tk on the series' own lattice
 
-    def test_lattice_lifts_den(self):
-        s = QSeries.lattice(2, {1: 1}, {}, F(1, 3))  # q^(1/2) lies above q^(1/3)
-        assert (s.den, s.tk, s.trunc, s.terms) == (6, 2, F(1, 3), {})
-        s = QSeries.lattice(2, {-1: 1, 0: 3, 1: 1}, {}, F(1, 3))
-        assert (s.den, s.tk, s.trunc) == (6, 2, F(1, 3))
-        assert s.terms == {F(-1, 2): GaussianRational(1), F(0): GaussianRational(3)}
-        assert format_series(s) == "q^(-1/2) + 3 + O(q^(1/3))"
-
     def test_truncate_lifts_den(self):
-        s = QSeries.lattice(2, {-1: 1, 0: 2, 1: 5}, {}, F(3)).truncate(F(1, 3))
+        s = QSeries.below(2, {-1: 1, 0: 2, 1: 5}, {}, 6).truncate(F(1, 3))
         assert (s.den, s.tk, s.trunc) == (6, 2, F(1, 3))
         assert s.terms == {F(-1, 2): GaussianRational(1), F(0): GaussianRational(2)}
+
+    def test_const_lifts_den(self):
+        s = QSeries.const(GaussianRational(F(1, 2), -1), F(-2, 5))
+        assert (s.den, s.tk, s.trunc, s.terms) == (5, -2, F(-2, 5), {})
+        s = QSeries.const(GaussianRational(F(1, 2), -1), F(7, 3))
+        assert (s.den, s.tk, s.trunc, s.cden) == (3, 7, F(7, 3), 2)
+        assert s.terms == {F(0): GaussianRational(F(1, 2), -1)}
+        assert format_series(s) == "(1/2-i) + O(q^(7/3))"
 
     def test_fraction_keyed_constructor_lifts_den(self):
         s = QSeries({F(1, 2): 1, F(3, 2): 1}, F(4, 3))
         assert (s.den, s.tk, s.trunc, s.terms) == (6, 8, F(4, 3), {F(1, 2): GaussianRational(1)})
+        s = QSeries({F(1, 2): 1}, F(1, 3))  # q^(1/2) lies above q^(1/3)
+        assert (s.den, s.tk, s.trunc, s.terms) == (3, 1, F(1, 3), {})
+        s = QSeries({F(-1, 2): 1, F(0): 3, F(1, 2): 1}, F(1, 3))
+        assert (s.den, s.tk, s.trunc) == (6, 2, F(1, 3))
+        assert s.terms == {F(-1, 2): GaussianRational(1), F(0): GaussianRational(3)}
+        assert format_series(s) == "q^(-1/2) + 3 + O(q^(1/3))"
 
 
 class TestCompare:
@@ -613,7 +620,7 @@ def gaussian_poly_mul(a: dict, b: dict, bound) -> dict:
 def test_mul_matches_poly_mul_oracle(x, y):
     (a, a_full), (b, b_full) = x, y
     p = a * b
-    assert p.trunc == min(a.trunc + b.ord_bound(), b.trunc + a.ord_bound())
+    assert p.trunc == min(a.trunc + ord_bound(b.terms, b.trunc), b.trunc + ord_bound(a.terms, a.trunc))
     assert all(p.terms.values()) and all(e < p.trunc for e in p.terms)
     # the oracle sees the terms beyond each trunc too, so agreement below
     # p.trunc shows that the contract is provable
@@ -661,7 +668,7 @@ def test_division_matches_long_division_oracle(operands):
         return
     q = a / f
     v = f.ord
-    assert q.trunc == min(a.trunc - v, a.ord_bound() + f.trunc - 2 * v)
+    assert q.trunc == min(a.trunc - v, ord_bound(a.terms, a.trunc) + f.trunc - 2 * v)
     # the oracle sees the terms beyond each trunc too, so agreement below
     # q.trunc shows that the contract is provable
     assert as_gauss(q) == poly_div(a_full, f_full, q.trunc)
@@ -700,9 +707,11 @@ def on_lattice(den: int, coeffs: dict, trunc, cden: int = 1):
     """(s, its terms as {Fraction: Gauss}) for the {int k: Gauss} terms on
     the lattice 1/den, stored as numerators over `cden`; a trunc off that
     lattice lifts den to the lcm of den and the trunc's denominator."""
-    s = QSeries.lattice(den, {k: int(c.re * cden) for k, c in coeffs.items()},
-                        {k: int(c.im * cden) for k, c in coeffs.items()}, trunc, cden)
-    assert s.den == (den if trunc == INF else lcm(den, F(trunc).denominator)) and s.cden == cden
+    lifted = den if trunc == INF else lcm(den, F(trunc).denominator)
+    m = lifted // den
+    s = QSeries.below(lifted, {k * m: int(c.re * cden) for k, c in coeffs.items()},
+                      {k * m: int(c.im * cden) for k, c in coeffs.items()},
+                      INF if trunc == INF else int(trunc * lifted), cden)
     return s, {F(k, den): c for k, c in coeffs.items() if c and F(k, den) < trunc}
 
 
@@ -753,8 +762,8 @@ def check_stored(s: QSeries, want: dict, trunc) -> None:
 def relattice(s: QSeries, m: int) -> QSeries:
     """`s` with every key, every numerator, den and cden multiplied by m: the
     same series."""
-    return QSeries.lattice(s.den * m, *({k * m: c * m for k, c in d.items()} for d in (s.real, s.imag)),
-                           s.trunc, s.cden * m)
+    return QSeries.below(s.den * m, *({k * m: c * m for k, c in d.items()} for d in (s.real, s.imag)),
+                         s.tk * m, s.cden * m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -932,7 +941,7 @@ def test_division_by_non_unit_leads_matches_oracle(operands):
     a, f, a_full, f_full = operands
     q = a / f
     v = f.ord
-    assert q.trunc == min(a.trunc - v, a.ord_bound() + f.trunc - 2 * v)
+    assert q.trunc == min(a.trunc - v, ord_bound(a.terms, a.trunc) + f.trunc - 2 * v)
     check_stored(q, poly_div(a_full, f_full, q.trunc), q.trunc)
 
 

@@ -81,6 +81,22 @@ class TestPochhammer:
         d = product_expand([(F(1), F(1, 2) + i * F(3, 2)) for i in range(4)], F(9))
         assert {e: c.as_fraction() for e, c in s.terms.items()} == d
 
+    @pytest.mark.parametrize("x, base, n, den", [
+        (Monomial(1, F(1, 2)), F(3, 4), None, 12),
+        (q(F(-1, 2)), F(1), 3, 6),
+    ])
+    def test_off_lattice_order_on_its_lattice(self, x, base, n, den):
+        # the order 7/3 lies off the lattice of x and base: the product is
+        # planned on the lattice 1/den of all three, and stored there
+        order = F(7, 3)
+        count = n if n is not None else math.ceil((order - x.qexp) / base)
+        want = product_expand([(UNIT_COEFFS[x.unit_k], x.qexp + i * base) for i in range(count)], order)
+        for k in (0, 2):
+            with margin_scale(k):
+                s = pochhammer(x, base, n, order)
+            assert (s.den, s.tk, s.trunc) == (den, 7 * den // 3, order)
+            assert {e: Gauss(c.re, c.im) for e, c in s.terms.items()} == {e: Gauss.of(c) for e, c in want.items()}
+
     def test_divergent(self):
         with pytest.raises(DivergentProduct):
             pochhammer(q(-1), 1, None, 5)

@@ -123,7 +123,7 @@ class TestRunner:
         assert r.status == "error" and "lattice" in r.error
 
     # den 10 with only even keys is the /5 lattice; an odd key is 1/10 off it
-    EVEN = QSeries.lattice(10, {0: 1, 4: 2}, {16: 1}, F(5))
+    EVEN = QSeries.below(10, {0: 1, 4: 2}, {16: 1}, 50)
 
     def test_non_minimal_den_on_the_lattice_passes(self):
         assert self.EVEN.den == 10
@@ -131,7 +131,7 @@ class TestRunner:
         assert run_case(case).status == "pass"
 
     def test_odd_key_is_off_the_lattice(self):
-        odd = QSeries.lattice(10, {0: 1, 4: 2, 3: 1, 7: 1}, {}, F(5))
+        odd = QSeries.below(10, {0: 1, 4: 2, 3: 1, 7: 1}, {}, 50)
         assert odd.den == 10
         case = IdentityCase("odd", "theta", lambda T: self.EVEN, lambda T: odd, 5, F(5), "")
         r = run_case(case)
@@ -141,7 +141,7 @@ class TestRunner:
     def test_off_lattice_imaginary_term_is_an_error(self):
         # the side's real part lies on the /5 lattice; its only off-lattice
         # term, at q^(1/2), is imaginary
-        side = QSeries.lattice(10, {0: 1, 4: 2}, {16: 1, 5: 3}, F(5))
+        side = QSeries.below(10, {0: 1, 4: 2}, {16: 1, 5: 3}, 50)
         case = IdentityCase("imag-off", "theta", lambda T: self.EVEN, lambda T: side, 5, F(5), "")
         r = run_case(case)
         assert r.status == "error"
