@@ -24,6 +24,7 @@ from .theta import (
     jtheta_prod,
     pochhammer,
     theta_quotient,
+    theta_sum,
 )
 from .appell import appell_m
 from .hecke import (
@@ -55,7 +56,7 @@ __all__ = [
     "PrecisionShortfall", "QSeries",
     "SeriesError", "ZeroLeadingTerm", "format_series", "margin_scale",
     "J", "Jbar", "Jm", "eta", "j_split_components", "jtheta", "jtheta_prod",
-    "pochhammer", "theta_quotient",
+    "pochhammer", "theta_quotient", "theta_sum",
     "appell_m",
     "acdivb_rhs", "g_1b1", "genfn_rhs", "h_nn1", "hecke_f", "hecke_flip_rhs",
     "hecke_shift_rhs", "master_fnp_rhs", "singshift_rhs",

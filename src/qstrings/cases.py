@@ -53,12 +53,14 @@ from .theta import (
     jtheta,
     jtheta_prod,
     pochhammer,
+    theta_sum,
 )
 from .verify import IdentityCase
 
 F = Fraction
 q = Monomial.q
 mq = Monomial.mq
+ONE = Monomial.one()
 
 CASES: list = []  # every IdentityCase, in registration order
 
@@ -218,10 +220,10 @@ def _register_theta():
             return _tq([(a * c, base), (a / c, base), (b * d, base), (b / d, base)], [], T)
 
         def rhs(T, a=a, b=b, c=c, d=d, base=base):
-            r1 = _tq([(a * d, base), (a / d, base), (b * c, base), (b / c, base)], [], T)
-            r2 = _tq([(a * b, base), (a / b, base), (c * d, base), (c / d, base)], [], T,
-                     prefactor=b / c)
-            return r1 + r2
+            return theta_sum([
+                ([(a * d, base), (a / d, base), (b * c, base), (b / c, base)], [], ONE, 1),
+                ([(a * b, base), (a / b, base), (c * d, base), (c / d, base)], [], b / c, 1),
+            ], T)
 
         den = 5 * 7 * 11 * 13 * 2 * 3
         _case(f"weierstrass/{k:02d}", "theta", lhs, rhs, den=den, order=20,
@@ -232,15 +234,14 @@ def _register_theta():
             return _tq([(x, 1), (y, 1)], [], T)
 
         def rhs(T, x=x, y=y):
-            t1 = _tq([(-(x * y), 2), (-(q(1) / x * y), 2)], [], T)
-            t2 = _tq([(-(q(1) * x * y), 2), (-(y / x), 2)], [], T, prefactor=x, scalar=-1)
-            return t1 + t2
+            return theta_sum([([(-(x * y), 2), (-(q(1) / x * y), 2)], [], ONE, 1),
+                              ([(-(q(1) * x * y), 2), (-(y / x), 2)], [], x, -1)], T)
 
         _case(f"two-square-split/{k}", "theta", lhs, rhs, den=105,
               ref="product of two thetas as two modulus-2 terms")
 
         def lhs_d(T, x=x, y=y):
-            return _tq([(-x, 1), (y, 1)], [], T) - _tq([(x, 1), (-y, 1)], [], T)
+            return theta_sum([([(-x, 1), (y, 1)], [], ONE, 1), ([(x, 1), (-y, 1)], [], ONE, -1)], T)
 
         def rhs_d(T, x=x, y=y):
             return _tq([(y / x, 2), (q(1) * x * y, 2)], [], T, prefactor=x, scalar=2)
@@ -249,7 +250,7 @@ def _register_theta():
               ref="difference of sign-flipped theta products")
 
         def lhs_s(T, x=x, y=y):
-            return _tq([(-x, 1), (y, 1)], [], T) + _tq([(x, 1), (-y, 1)], [], T)
+            return theta_sum([([(-x, 1), (y, 1)], [], ONE, 1), ([(x, 1), (-y, 1)], [], ONE, 1)], T)
 
         def rhs_s(T, x=x, y=y):
             return _tq([(x * y, 2), (q(1) * y / x, 2)], [], T, scalar=2)
@@ -263,14 +264,14 @@ def _register_theta():
                 return _tq([(x, 1), (y, n)], [], T)
 
             def rhs(T, n=n, x=x, y=y):
-                out = QSeries.zero()
+                terms = []
                 for kk in range(n + 1):
                     pref = Monomial(2 * kk + kk * x.unit_k, F(comb2(kk)) + kk * x.qexp)
                     in1 = Monomial(2 * n + n * x.unit_k + y.unit_k,
                                    F(comb2(n) + kk * n) + n * x.qexp + y.qexp)
                     in2 = Monomial(2 + y.unit_k - x.unit_k, F(1 - kk) - x.qexp + y.qexp)
-                    out = out + _tq([(in1, n * (n + 1)), (in2, n + 1)], [], T, prefactor=pref)
-                return out
+                    terms.append(([(in1, n * (n + 1)), (in2, n + 1)], [], pref, 1))
+                return theta_sum(terms, T)
 
             _case(f"split-law/n={n}/{k}", "theta", lhs, rhs, den=105,
                   ref="splitting a theta product across moduli")

@@ -27,7 +27,8 @@ Everything is stated at modulus q in the classical references; here all
 exponents scale uniformly by `base` so calls at modulus q^2 need no lattice
 gymnastics.  Their windows are planned in ints too: ``_theta_times`` puts
 the theta factor, its valuation and its window on one lattice, as
-``appell_m`` and ``theta.quotient_plan`` do.
+``appell_m`` and ``theta.quotient_plan`` do.  Each block of theta quotients
+is one ``theta.theta_sum``.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .theta import (
     int_valuation,
     jtheta,
     theta_quotient,
+    theta_sum,
 )
 
 F = Fraction
@@ -188,14 +190,14 @@ def h_nn1(n: int, x: Monomial, y: Monomial, base: Rat, z1: Monomial, z0: Monomia
 
 def master_fnp_rhs(p: int, x: Monomial, y: Monomial, base: Rat, order: Rat) -> QSeries:
     """f_{1,p+1,1} as g_{1,p+1,1}(x,y,q,-1,-1) plus the p*p-term theta block
-    over Jbar_{0,p(2+p)}."""
+    over Jbar_{0,p(2+p)}, one ``theta_sum``."""
     if p < 1:
         raise ValueError("p must be >= 1")
     base = F(base)
     order = F(order)
-    acc = g_1b1(x, y, base, p + 1, MINUS_ONE, MINUS_ONE, order)
     M = p * p * (2 + p)
     jm = (Monomial.q(base * M), 3 * base * M)  # J_{p^2(2+p)}
+    terms = []
     for r in range(p):
         for s in range(p):
             mono = (((-x) ** r) * ((-y) ** (s + 1))
@@ -213,20 +215,20 @@ def master_fnp_rhs(p: int, x: Monomial, y: Monomial, base: Rat, order: Rat) -> Q
                  base * M),
                 (MINUS_ONE, base * p * (2 + p)),  # Jbar_{0,p(2+p)}
             ]
-            acc = acc + theta_quotient(num, den, order, prefactor=mono)
-    return acc.truncate(order)
+            terms.append((num, den, mono, 1))
+    return (g_1b1(x, y, base, p + 1, MINUS_ONE, MINUS_ONE, order) + theta_sum(terms, order)).truncate(order)
 
 
 def acdivb_rhs(n: int, x: Monomial, y: Monomial, base: Rat, order: Rat) -> QSeries:
     """f_{n,n,1} as h_{n,n,1}(x,y,q,-1,-1) minus the n-term theta block over
-    Jbar_{0,n-1} Jbar_{0,n^2-n}."""
+    Jbar_{0,n-1} Jbar_{0,n^2-n}, one ``theta_sum``."""
     if n < 2:
         raise ValueError("n must be >= 2")
     base = F(base)
     order = F(order)
-    acc = h_nn1(n, x, y, base, MINUS_ONE, MINUS_ONE, order)
     M = n * (n - 1)
     jm = (Monomial.q(base * M), 3 * base * M)  # J_{n(n-1)}
+    terms = []
     for d in range(n - 1 + 1):
         mono = Monomial(0, base * (n - 1) * comb2(d + 1))
         num = [
@@ -241,8 +243,8 @@ def acdivb_rhs(n: int, x: Monomial, y: Monomial, base: Rat, order: Rat) -> QSeri
             (MINUS_ONE, base * (n - 1)),      # Jbar_{0,n-1}
             (MINUS_ONE, base * (n * n - n)),  # Jbar_{0,n^2-n}
         ]
-        acc = acc - theta_quotient(num, den, order, prefactor=mono)
-    return acc.truncate(order)
+        terms.append((num, den, mono, -1))
+    return (h_nn1(n, x, y, base, MINUS_ONE, MINUS_ONE, order) + theta_sum(terms, order)).truncate(order)
 
 
 # -- the z = y/x expansions ----------------------------------------------------
@@ -261,7 +263,9 @@ def theta_1p(p: int, x: Monomial, y: Monomial, base: Rat, order: Rat) -> QSeries
     """The correction block Theta_{1,p} for the z1 = y/x, z0 = x/y expansions,
     p in {1,2,3,4}.
 
-    For p in {2,3,4} these are explicit theta quotients.  For p = 1 the
+    For p in {2,3,4} these are explicit theta quotients, each block one
+    ``theta_sum``; the two p = 3 terms share their denominators, so they
+    share one dividend and one division chain.  For p = 1 the
     block is assembled from the master p=1 correction re-based from
     z = -1 to z = y/x via the z-changing relation; the combination is the
     unique function with f_{1,2,1} = g_{1,2,1}(x,y,q,y/x,x/y) - Theta_{1,1}.
@@ -303,15 +307,12 @@ def theta_1p(p: int, x: Monomial, y: Monomial, base: Rat, order: Rat) -> QSeries
                       (qb(2) * x, 5 * b), (qb(2) * y, 5 * b)]
         common_den = [(Monomial.q(5 * b), 15 * b), (Monomial.q(5 * b), 15 * b),
                       (qb(6) * (x ** 3), 15 * b), (qb(6) * (y ** 3), 15 * b)]
-        t1 = theta_quotient(
-            num=common_num + [(qb(11) * (x ** 2) * y, 15 * b), (qb(11) * x * (y ** 2), 15 * b)],
-            den=common_den, order=order, prefactor=qb(1) * x * y,
-        )
-        t2 = theta_quotient(
-            num=common_num + [(qb(16) * (x ** 2) * y, 15 * b), (qb(16) * x * (y ** 2), 15 * b)],
-            den=common_den, order=order, prefactor=qb(5) * (x ** 2) * (y ** 2), scalar=-1,
-        )
-        return (t1 + t2).truncate(order)
+        return theta_sum([
+            (common_num + [(qb(11) * (x ** 2) * y, 15 * b), (qb(11) * x * (y ** 2), 15 * b)],
+             common_den, qb(1) * x * y, 1),
+            (common_num + [(qb(16) * (x ** 2) * y, 15 * b), (qb(16) * x * (y ** 2), 15 * b)],
+             common_den, qb(5) * (x ** 2) * (y ** 2), -1),
+        ], order)
 
     if p == 4:
         J12 = (Monomial.q(12 * b), 36 * b)
@@ -327,33 +328,22 @@ def theta_1p(p: int, x: Monomial, y: Monomial, base: Rat, order: Rat) -> QSeries
         s2pre_num = [(qb(10) * (x ** 2) * (y ** 2), 24 * b),
                      (-(y / x), 24 * b),
                      (qb(11) * x * y, 12 * b)]
-        t1 = theta_quotient(
-            num=[J416] + s1pre_num + [(Monomial(2, 10 * b) * (x ** 2) * (y ** 2), 24 * b),
-                                      (qb(12) * (y ** 2) * (x ** -2), 24 * b), J24, J24],
-            den=[J12, J12, J12, J48] + cden,
-            order=order, prefactor=qb(1) * x * y,
-        )
-        t2 = theta_quotient(
-            num=[J416] + s1pre_num + [(Monomial(2, 22 * b) * (x ** 2) * (y ** 2), 24 * b),
-                                      (qb(12) * y / x, 24 * b), (qb(12) * y / x, 24 * b),
-                                      (-(y / x), 24 * b), (-(y / x), 24 * b)],
-            den=[J12, J12, J12, J48, J24] + cden,
-            order=order, prefactor=qb(6) * (x ** 3) * y,
-        )
-        t3 = theta_quotient(
-            num=[J816] + s2pre_num + [(Monomial(2, 10 * b) * (x ** 2) * (y ** 2), 24 * b),
-                                      (qb(12) * (y ** 2) * (x ** -2), 24 * b), J48],
-            den=[J12, J12, J24] + cden,
-            order=order, prefactor=qb(4) * x, scalar=-1,
-        )
-        t4 = theta_quotient(
-            num=[J816] + s2pre_num + [(Monomial(2, 22 * b) * (x ** 2) * (y ** 2), 24 * b),
-                                      (qb(24) * (y ** 2) * (x ** -2), 48 * b),
-                                      (qb(24) * (y ** 2) * (x ** -2), 48 * b)],
-            den=[J12, J12, J48] + cden,
-            order=order, prefactor=qb(3) * (x ** 2) * y, scalar=-1,
-        )
-        return (t1 + t2 + t3 + t4).truncate(order)
+        return theta_sum([
+            ([J416] + s1pre_num + [(Monomial(2, 10 * b) * (x ** 2) * (y ** 2), 24 * b),
+                                   (qb(12) * (y ** 2) * (x ** -2), 24 * b), J24, J24],
+             [J12, J12, J12, J48] + cden, qb(1) * x * y, 1),
+            ([J416] + s1pre_num + [(Monomial(2, 22 * b) * (x ** 2) * (y ** 2), 24 * b),
+                                   (qb(12) * y / x, 24 * b), (qb(12) * y / x, 24 * b),
+                                   (-(y / x), 24 * b), (-(y / x), 24 * b)],
+             [J12, J12, J12, J48, J24] + cden, qb(6) * (x ** 3) * y, 1),
+            ([J816] + s2pre_num + [(Monomial(2, 10 * b) * (x ** 2) * (y ** 2), 24 * b),
+                                   (qb(12) * (y ** 2) * (x ** -2), 24 * b), J48],
+             [J12, J12, J24] + cden, qb(4) * x, -1),
+            ([J816] + s2pre_num + [(Monomial(2, 22 * b) * (x ** 2) * (y ** 2), 24 * b),
+                                   (qb(24) * (y ** 2) * (x ** -2), 48 * b),
+                                   (qb(24) * (y ** 2) * (x ** -2), 48 * b)],
+             [J12, J12, J48] + cden, qb(3) * (x ** 2) * y, -1),
+        ], order)
 
     raise ValueError("p must be in {1, 2, 3, 4}")
 

@@ -25,9 +25,12 @@ Fraction-keyed constructor, ``const`` and ``truncate``).  A real series
 has an empty ``imag``, so its imaginary arithmetic drops out with no flag
 and no second kernel.  An operation on two series moves both onto the lcm
 of their dens, and addition and comparison also onto the lcm of their
-cdens.  Multiplication is one real convolution per pair of nonzero parts.
+cdens.  Multiplication is one kernel, ``product_sum``: a sum of products,
+one real convolution per pair of nonzero parts of each, accumulated in one
+pair of dicts; ``*`` is its one-pair call, and ``theta.theta_sum`` calls it
+with the last pair of every term over one denominator list.
 Division is one kernel, ``divide``: a chain of divisors, one for ``/`` and
-every denominator of ``theta_quotient``, each made real with its conjugate
+every denominator of a ``theta_sum`` group, each made real with its conjugate
 when it is not and divided out in place on int lists that lie on the
 dividend's sublattice, one list per part and residue class of its keys
 modulo the divisors' step; its docstring gives the cost.  The constructors
@@ -118,11 +121,6 @@ class GaussianRational:
         # a part that already is a Fraction is kept as it is
         self.re = re if re.__class__ is Fraction else Fraction(re)
         self.im = im if im.__class__ is Fraction else Fraction(im)
-
-    @staticmethod
-    def i_power(k: int) -> "GaussianRational":
-        """The unit i**k."""
-        return GaussianRational(*UNIT_PAIRS[k % 4])
 
     def as_fraction(self) -> Fraction:
         if self.im != 0:
@@ -424,25 +422,7 @@ class QSeries:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
-        a, b = self, other
-        if a.is_exact_zero or b.is_exact_zero:
-            return QSeries.zero()
-        den, (ar, ai, ta), (br, bi, tb) = _rebase(a, b)
-        ar, ai, br, bi = (sorted(d.items()) for d in (ar, ai, br, bi))
-        # each trunc plus the other side's least key, or its trunc when it
-        # has no term; a stored key is below its trunc, so min picks the key
-        tk = min(ta + min(br[0][0] if br else tb, bi[0][0] if bi else tb),
-                 tb + min(ar[0][0] if ar else ta, ai[0][0] if ai else ta))
-        # (ar + ai*i)(br + bi*i) = ar*br - ai*bi + (ar*bi + ai*br)*i
-        real, imag = {}, {}
-        _convolve(real, ar, br, tk, 1)
-        _convolve(real, ai, bi, tk, -1)
-        _convolve(imag, ar, bi, tk, 1)
-        _convolve(imag, ai, br, tk, 1)
-        for d in (real, imag):  # drop the cancelled terms in place
-            for k in [k for k, c in d.items() if not c]:
-                del d[k]
-        return _new(den, real, imag, tk, a.cden * b.cden)
+        return product_sum([(self, other)])
 
     __rmul__ = __mul__
 
@@ -593,6 +573,41 @@ def _combo(x: dict, a: int, y: dict, b: int, bound=INF) -> dict:
                 else:
                     del t[k]
     return t
+
+
+def product_sum(pairs) -> QSeries:
+    """The sum of a*b over the pairs (a, b) of series, exact below the least
+    of the products' truncs: the product kernel, whose one-pair call is ``*``.
+
+    Each product's trunc is each side's trunc plus the other side's least
+    key, or its trunc when it has no term, so a product with the exact zero
+    is the exact zero.  Every product convolves below the least of them
+    straight into one pair of int dicts, on the lcm of the dens and over the
+    lcm of the products' cdens, and the cancelled terms are deleted once, in
+    place: a sum of products makes no series for each product and no pass
+    that only adds them.
+    """
+    den, *parts = _rebase(*(s for pair in pairs for s in pair))
+    cden = lcm(*(a.cden * b.cden for a, b in pairs))
+    lists, tks = [], []
+    for (a, b), (ar, ai, ta), (br, bi, tb) in zip(pairs, parts[::2], parts[1::2]):
+        ar, ai, br, bi = (sorted(d.items()) for d in (ar, ai, br, bi))
+        # a stored key is below its trunc, so min picks the least key
+        tks.append(min(ta + min(br[0][0] if br else tb, bi[0][0] if bi else tb),
+                       tb + min(ar[0][0] if ar else ta, ai[0][0] if ai else ta)))
+        lists.append((ar, ai, br, bi, cden // (a.cden * b.cden)))
+    tk = min(tks)
+    real, imag = {}, {}
+    for ar, ai, br, bi, c in lists:
+        # (ar + ai*i)(br + bi*i) = ar*br - ai*bi + (ar*bi + ai*br)*i
+        _convolve(real, ar, br, tk, c)
+        _convolve(real, ai, bi, tk, -c)
+        _convolve(imag, ar, bi, tk, c)
+        _convolve(imag, ai, br, tk, c)
+    for d in (real, imag):  # drop the cancelled terms in place
+        for k in [k for k, c in d.items() if not c]:
+            del d[k]
+    return _new(den, real, imag, tk, cden)
 
 
 def _convolve(acc: dict, la: list, lb: list, bound, sign: int) -> None:

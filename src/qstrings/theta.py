@@ -18,7 +18,7 @@ numerator over D: the zero test is ``int_is_zero``, the least exponent
 one builder of a theta series: it sums j(x; q^base) straight onto the
 caller's lattice, exact below the caller's int window, with no Fraction
 for its trunc.  ``jtheta`` calls it on the lattice of x, base and the
-order, after its zero test; ``theta_quotient`` calls it
+order, after its zero test; ``theta_sum`` calls it
 for each planned factor, ``hecke._theta_times`` for its theta factor and
 ``appell.appell_m`` for its divisor, each on its own plan's lattice.
 ``Jm_cubed`` is the one builder of J_m^3, on the lattice of m and the
@@ -28,20 +28,22 @@ The Pochhammer products and the triple-product form ``jtheta_prod`` compute
 the same series a second, independent way; they serve only as the other
 side of the oracle identities and tests.
 
-``theta_quotient`` assembles a monomial prefactor times a product of theta
-factors over another, computing every factor at exactly the order its
-valuation requires (``quotient_plan``, on one lattice for the whole
-quotient), so the result is provably exact below the requested order.
-Its prefactor and scalar go on its sparsest numerator factor, not on the
-assembled product.
+``theta_sum`` is the one assembler: it sums terms, each a scalar times a
+monomial prefactor times a product of theta factors over another,
+computing every factor at exactly the order its valuation requires
+(``quotient_plan``, on one lattice for the whole sum), so the result is
+provably exact below the requested order.  The terms over one multiset of
+denominator factors share one dividend, into which each term's last
+product convolves (``series.product_sum``), and one ``divide`` chain, whose
+factors are built once each; a term's prefactor and scalar go on its
+sparsest numerator factor, not on an assembled product.  ``theta_quotient``
+is its one-term call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import isqrt, lcm
-from operator import mul
 from typing import Optional, Sequence, Tuple, Union
 
 from .series import (
@@ -51,6 +53,7 @@ from .series import (
     QSeries,
     Rat,
     divide,
+    product_sum,
     on_lattice,
     pad,
     require_order,
@@ -74,6 +77,9 @@ class ThetaZeroDenominator(ThetaError):
 
 
 ThetaFactor = Tuple[Monomial, Rat]  # (argument, modulus exponent): j(x; q^base)
+Scalar = Union[int, Fraction, GaussianRational]
+# (num, den, prefactor, scalar): scalar * prefactor * prod(num) / prod(den)
+ThetaTerm = Tuple[Sequence[ThetaFactor], Sequence[ThetaFactor], Monomial, Scalar]
 
 
 def comb2(n: int) -> int:
@@ -277,7 +283,7 @@ def j_split_components(z: Monomial, base: Rat, mm: int, order: Rat) -> list:
 
 def quotient_plan(num: Sequence[ThetaFactor], den: Sequence[ThetaFactor], order: Rat,
                   pre_qexp: Rat) -> Optional[tuple]:
-    """The int plan of ``theta_quotient``: (D, deficit, num_plan, den_plan) on
+    """The int plan of a term of ``theta_sum``: (D, deficit, num_plan, den_plan) on
     the lattice 1/D, or None when a numerator factor vanishes.
 
     D is the lcm of the denominators of the order, the prefactor's exponent
@@ -310,37 +316,74 @@ def quotient_plan(num: Sequence[ThetaFactor], den: Sequence[ThetaFactor], order:
     return D, deficit, windows(nums, n_vals), windows(dens, d_vals)
 
 
+def theta_sum(terms: Sequence[ThetaTerm], order: Rat) -> QSeries:
+    """The sum of scalar * prefactor * prod(num) / prod(den) over the terms
+    (num, den, prefactor, scalar), exact below `order`.
+
+    Every term is planned by ``quotient_plan``, its ints rescaled onto one
+    lattice 1/D, the lcm of the terms' lattices.  Each factor j(x; q^b) is
+    computed at its valuation v plus the margin max(d, b), d the term's
+    deficit, so a term's product is exact below its valuation plus
+    d >= order - prefactor.qexp, with no slack; the floor b keeps every
+    divisor's leading term.  The terms whose denominator factors are equal
+    as a multiset form one group, which builds each of its denominator
+    factors once, at the largest window any of its terms needs, and runs one
+    ``divide`` chain: a shared factor exact that far keeps every term's
+    quotient exact below the order.  The dividend of a group is the sum of
+    its terms' numerator products, exact below the least of their truncs:
+    each product is multiplied as a pairwise tree, smallest factors first,
+    down to its last two factors, and ``product_sum`` convolves every
+    term's last pair straight into the one dividend.  A term's prefactor and
+    scalar go on its sparsest numerator factor, or on an exact unit when it
+    has fewer than two: the exact monomial moves ord and trunc alike, so no
+    pass over a product only shifts or scales it.  The groups are added, and
+    ``require_order`` checks the order.  A term whose scalar is zero or
+    whose numerator factor vanishes adds nothing; a sum known to be exactly
+    zero, as when no other term is left, is the exact zero.  A vanishing
+    denominator factor raises ThetaZeroDenominator, in any term.
+    """
+    plans = [(quotient_plan(num, den, order, pre.qexp), pre, scalar) for num, den, pre, scalar in terms]
+    live = [(plan, pre, scalar) for plan, pre, scalar in plans if plan is not None and scalar]
+    if not live:
+        return QSeries.zero()
+    D = lcm(*(plan[0] for plan, _, _ in live))
+    groups = {}  # the sorted denominator factors (unit_k, X, B) -> the group's terms
+    for (d, _, nums, dens), pre, scalar in live:
+        m = D // d
+        nums = [(u, X * m, B * m, W * m) for u, X, B, _, W in nums]
+        dens = [((u, X * m, B * m), W * m) for u, X, B, _, W in dens]
+        groups.setdefault(tuple(sorted(f for f, _ in dens)), []).append((nums, dens, pre, scalar))
+    out = None
+    for group in groups.values():
+        windows = {}
+        for _, dens, _, _ in group:
+            for f, W in dens:
+                windows[f] = max(W, windows.get(f, W))
+        built = {f: int_jtheta(*f, D, W) for f, W in windows.items()}
+        pairs = []
+        for nums, _, pre, scalar in group:
+            fs = [int_jtheta(u, X, B, D, W) for u, X, B, W in nums]
+            fs += [QSeries.one()] * (2 - len(fs))
+            i = min(range(len(fs)), key=lambda i: len(fs[i].keys()))
+            fs[i] = fs[i].shift(pre).scale(scalar)
+            while len(fs) > 2:  # one level of the tree, the odd factor carried
+                fs.sort(key=lambda f: len(f.keys()))
+                fs = [fs[j] * fs[j + 1] for j in range(0, len(fs) - 1, 2)] + fs[len(fs) & ~1:]
+            pairs.append(fs)
+        # the chain in the first term's order: a one-term call divides in its
+        # caller's order
+        quotient = divide(product_sum(pairs), [built[f] for f, _ in group[0][1]])
+        out = quotient if out is None else out + quotient
+    return require_order(out, order, "quotient")
+
+
 def theta_quotient(
     num: Sequence[ThetaFactor],
     den: Sequence[ThetaFactor],
     order: Rat,
     prefactor: Monomial = Monomial.one(),
-    scalar: Union[int, Fraction, GaussianRational] = 1,
+    scalar: Scalar = 1,
 ) -> QSeries:
-    """scalar * prefactor * prod(num) / prod(den), exact below `order`.
-
-    Each factor j(x; q^b) is computed at its own valuation v plus the common
-    margin M = max(d, b), d = order - prefactor.qexp - (sum of num valuations
-    - sum of den valuations), all of it planned in ints by ``quotient_plan``.
-    A factor exact below v + M keeps trunc = ord + M through every product
-    and quotient, so the assembled series is exact below its valuation plus
-    M >= order - prefactor.qexp, with no slack; the floor b keeps every
-    divisor's leading term.  The prefactor and the scalar go on the sparsest
-    numerator factor, or on the exact unit dividend when there is none: the
-    exact monomial moves ord and trunc alike, so the terms and the trunc are
-    those of applying it last, and no pass over the assembled product only
-    shifts or scales it.  The numerators are multiplied sparsely, and one
-    ``divide`` chain takes out every denominator.  ``require_order`` checks
-    the order.  A vanishing numerator factor short-circuits to the exact
-    zero; a vanishing denominator factor raises ThetaZeroDenominator.
-    """
-    plan = quotient_plan(num, den, order, prefactor.qexp)
-    if plan is None:
-        return QSeries.zero()
-    D, _, nums, dens = plan
-    # every factor comes back on the plan's lattice 1/D
-    nums, dens = ([int_jtheta(u, X, B, D, W) for u, X, B, _, W in fs] for fs in (nums, dens))
-    nums = nums or [QSeries.one()]
-    i = min(range(len(nums)), key=lambda i: len(nums[i].keys()))
-    nums[i] = nums[i].shift(prefactor).scale(scalar)
-    return require_order(divide(reduce(mul, nums), dens), order, "quotient")
+    """scalar * prefactor * prod(num) / prod(den), exact below `order`: the
+    one-term ``theta_sum``, whose docstring gives the plan and the contract."""
+    return theta_sum([(num, den, prefactor, scalar)], order)

@@ -48,6 +48,7 @@ SERIES, STRINGS = "src/qstrings/series.py", "src/qstrings/strings.py"
 EXPR, CASES = "src/qstrings/expr.py", "src/qstrings/cases.py"
 PLAN_PROPERTY = "tests/test_theta.py::test_int_plan_matches_the_fraction_plan"
 CHAIN_PROPERTY = "tests/test_theta.py::test_theta_quotient_matches_the_sequential_restatement"
+SUM_PROPERTY = "tests/test_theta.py::test_theta_sum_matches_the_sequential_restatement"
 BUILDER_PROPERTY = "tests/test_theta.py::test_int_jtheta_matches_the_bruteforce_sum"
 TRUNC_CHAINS = "tests/test_series.py::test_int_truncs_follow_the_fraction_restatement_over_chains"
 
@@ -121,10 +122,10 @@ MUTANTS = (
            "    m = 1\n",
            ("tests/test_series.py::TestOffLatticeTrunc", TRUNC_CHAINS)),
     Mutant("mul-tk-offset-by-its-own-least-key", SERIES,
-           "        tk = min(ta + min(br[0][0] if br else tb, bi[0][0] if bi else tb),\n"
-           "                 tb + min(ar[0][0] if ar else ta, ai[0][0] if ai else ta))\n",
-           "        tk = min(ta + min(ar[0][0] if ar else ta, ai[0][0] if ai else ta),\n"
-           "                 tb + min(br[0][0] if br else tb, bi[0][0] if bi else tb))\n",
+           "        tks.append(min(ta + min(br[0][0] if br else tb, bi[0][0] if bi else tb),\n"
+           "                       tb + min(ar[0][0] if ar else ta, ai[0][0] if ai else ta)))\n",
+           "        tks.append(min(ta + min(ar[0][0] if ar else ta, ai[0][0] if ai else ta),\n"
+           "                       tb + min(br[0][0] if br else tb, bi[0][0] if bi else tb)))\n",
            ("tests/test_series.py::TestAddMul::test_mul_trunc_off_both_lattices",
             "tests/test_series.py::test_mul_matches_poly_mul_oracle", TRUNC_CHAINS)),
     # -- the division on one int buffer: its rescale, its residue classes,
@@ -157,9 +158,24 @@ MUTANTS = (
            ("tests/test_series.py::TestDivision::test_chain_trunc_moves_with_each_least_exponent",
             CHAIN_PROPERTY)),
     Mutant("prefactor-fold-sign", THETA,
-           "    nums[i] = nums[i].shift(prefactor).scale(scalar)\n",
-           "    nums[i] = nums[i].shift(Monomial(prefactor.unit_k, -prefactor.qexp)).scale(scalar)\n",
+           "            fs[i] = fs[i].shift(pre).scale(scalar)\n",
+           "            fs[i] = fs[i].shift(Monomial(pre.unit_k, -pre.qexp)).scale(scalar)\n",
            ("tests/test_theta.py::TestThetaQuotient", CHAIN_PROPERTY)),
+    # -- the sums of theta quotients: one dividend and one chain per
+    # denominator list, each product a pairwise tree
+    Mutant("sum-den-window-from-one-term", THETA,
+           "                windows[f] = max(W, windows.get(f, W))\n",
+           "                windows.setdefault(f, W)\n",
+           ("tests/test_theta.py::TestThetaSum::test_a_shared_denominator_reaches_every_term", SUM_PROPERTY)),
+    Mutant("sum-bound-from-one-term", SERIES,
+           "    tk = min(tks)\n",
+           "    tk = tks[-1]\n",
+           ("tests/test_series.py::TestAddMul::test_product_sum_is_exact_below_the_least_trunc",
+            "tests/test_series.py::test_product_sum_matches_the_oracle_products")),
+    Mutant("tree-drops-the-odd-factor", THETA,
+           " for j in range(0, len(fs) - 1, 2)] + fs[len(fs) & ~1:]\n",
+           " for j in range(0, len(fs) - 1, 2)]\n",
+           ("tests/test_theta.py::TestThetaSum::test_odd_numerator_counts",)),
     Mutant("combo-keeps-the-bound", SERIES,
            "            if k < bound:\n                s = t.get(k, 0) + b * c\n",
            "            if k <= bound:\n                s = t.get(k, 0) + b * c\n",
@@ -167,8 +183,8 @@ MUTANTS = (
             "tests/test_series.py::test_add_sub_neg_match_oracle")),
     # -- the fast paths: no pass over a product or a sum that only copies it
     Mutant("mul-zero-check-skipped", SERIES,
-           "            for k in [k for k, c in d.items() if not c]:\n                del d[k]\n",
-           "            pass\n",
+           "        for k in [k for k, c in d.items() if not c]:\n            del d[k]\n",
+           "        pass\n",
            ("tests/test_series.py::TestAddMul::test_mul_simple",)),
     Mutant("add-copies-the-side-past-the-bound", SERIES,
            "        if ta > tb:  # the side with the lower trunc",

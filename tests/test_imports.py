@@ -1,6 +1,7 @@
 """No module of the package imports a name it never uses, no private
 module-level name goes unused by the package, every public module-level
-function or class is used by the package or exported, and no module but
+function or class is used by the package or exported, every public method
+of a module-level class is used by the package, and no module but
 `series.py` reads a series' Fraction-keyed `terms` view or its `real` and
 `imag` numerators.
 Every module imports only the standard library and its own package, and none
@@ -90,22 +91,46 @@ def public_definitions(source: str) -> list:
             and not node.name.startswith("_")]
 
 
+def public_methods(source: str) -> list:
+    """(line, class, name) of each function in the body of a module-level
+    class whose name does not start with `_`."""
+    return [(item.lineno, node.name, item.name) for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")]
+
+
 def outside_loads(source: str) -> set:
     """The names read (as by ``loaded_names``) anywhere but in the body of the
-    module-level definition of that name: a recursive call is no use."""
+    definition of that name, at module level or in a module-level class: a
+    recursive call is no use."""
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     out = set()
     for node in ast.parse(source).body:
-        names = loaded_names(node)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, ast.ClassDef):
+            parts = [*node.body, *node.bases, *node.keywords, *node.decorator_list]
+        else:
+            parts = [node]
+        names = set()
+        for part in parts:
+            part_names = loaded_names(part)
+            if isinstance(part, definitions):
+                part_names.discard(part.name)
+            names |= part_names
+        if isinstance(node, definitions):
             names.discard(node.name)
         out |= names
     return out
 
 
-# public names that the package neither uses nor exports, with the reason
+# public names that the package neither uses nor exports, methods as
+# Class.name, with the reason
 UNUSED_PUBLIC = {
     "pretty": "expr's documented rendering of a parsed expression, "
               "parse(pretty(parse(s))) == parse(s), which the parser's round-trip tests use",
+    "GaussianRational.as_fraction": "the value of a real coefficient as a Fraction, raising on a "
+                                    "non-real one: the boundary read of a library caller, and of the tests",
+    "QSeries.support": "the sorted exponents as Fractions, a boundary view the series docstring "
+                       "documents for library callers; the package reads the int keys",
 }
 
 
@@ -114,18 +139,28 @@ def test_checker_finds_public_names_nothing_uses():
            "class C:\n    pass\n\n\nclass D(C):\n    pass\n\n\ndef _h():\n    return D\n")
     assert public_definitions(src) == [(1, "f"), (5, "g"), (9, "C"), (13, "D")]
     assert {"f", "g", "C", "D"} - outside_loads(src) == {"f"}
+    src = ("class C:\n    def m(self):\n        return self.m()\n\n    def n(self):\n        return C.k()\n\n"
+           "    @staticmethod\n    def k():\n        return 1\n\n    def _p(self):\n        return self.n()\n")
+    assert public_methods(src) == [(2, "C", "m"), (5, "C", "n"), (9, "C", "k")]
+    assert {"C", "m", "n", "k"} - outside_loads(src) == {"C", "m"}
 
 
 def test_every_public_name_is_used_or_exported():
     # a public function or class that the package never reads is dead code,
-    # unless qstrings.__all__ exports it
+    # unless qstrings.__all__ exports it; so is a public method that the
+    # package never reads, which no export covers
     import qstrings
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    used = set().union(*(outside_loads(src) for src in sources.values())) | set(qstrings.__all__)
+    loads = set().union(*(outside_loads(src) for src in sources.values()))
+    used = loads | set(qstrings.__all__)
     unused = [(module, line, name) for module, src in sources.items()
               for line, name in public_definitions(src) if name not in used and name not in UNUSED_PUBLIC]
+    unused += [(module, line, f"{cls}.{name}") for module, src in sources.items()
+               for line, cls, name in public_methods(src)
+               if name not in loads and f"{cls}.{name}" not in UNUSED_PUBLIC]
     assert unused == []
-    assert not used & UNUSED_PUBLIC.keys()  # an exemption that is no longer needed goes
+    # an exemption that is no longer needed goes
+    assert not {key for key in UNUSED_PUBLIC if key.rpartition(".")[2] in (loads if "." in key else used)}
 
 
 def reads_of(source: str, attr: str) -> list:

@@ -21,12 +21,14 @@ from qstrings.series import (
     PrecisionShortfall,
     QSeries,
     SeriesError,
+    UNIT_PAIRS,
     ZeroLeadingTerm,
     divide,
     format_coeff,
     format_series,
     margin_scale,
     pad,
+    product_sum,
     require_order,
     series_to_json,
 )
@@ -59,6 +61,11 @@ J1_SQUARED_14 = [1, -2, -1, 2, 1, 2, -2, 0, -2, -2, 1, 0, 0, 2]
 PARTITIONS_13 = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101]
 
 
+def i_power(k: int) -> GaussianRational:
+    """The unit i**k."""
+    return GaussianRational(*UNIT_PAIRS[k % 4])
+
+
 def series_from_coeffs(coeffs, trunc):
     return QSeries({F(i): c for i, c in enumerate(coeffs)}, trunc)
 
@@ -78,10 +85,10 @@ class TestGaussianRational:
         assert -a == GaussianRational(F(-1, 2), -3)
 
     def test_units(self):
-        i = GaussianRational.i_power(1)
+        i = i_power(1)
         assert i * i == -1
-        assert GaussianRational.i_power(7) == -i
-        assert 1 / i == GaussianRational.i_power(3)
+        assert i_power(7) == -i
+        assert 1 / i == i_power(3)
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
@@ -269,6 +276,14 @@ class TestAddMul:
         p = QSeries({}, F(2)) * QSeries({}, F(1, 3))
         assert p.terms == {} and p.trunc == F(7, 3)
 
+    def test_product_sum_is_exact_below_the_least_trunc(self):
+        # (1 + q)*1 is known below q^2 and (1 + q + q^2 + q^3)(1 + q^2) below
+        # q^5: the sum is exact below q^2 whichever pair comes last
+        a, b = QSeries({0: 1, 1: 1}, 2), QSeries({0: 1}, INF)
+        c, d = QSeries({0: 1, 1: 1, 2: 1, 3: 1}, 5), QSeries({0: 1, 2: 1}, INF)
+        for pairs in ([(a, b), (c, d)], [(c, d), (a, b)]):
+            assert format_series(product_sum(pairs)) == "2 + 2q + O(q^2)"
+
     @pytest.mark.parametrize("b1, want", [
         (GaussianRational(-1, 1), GaussianRational(0, 2)),  # real parts cancel
         (GaussianRational(1, -1), GaussianRational(2, 0)),  # imaginary parts cancel
@@ -383,7 +398,7 @@ class TestDivision:
         # conjugate 1 - i*q, and the divisor alone would give 1/(1 + q^2)
         q = QSeries.one(F(6)) / QSeries({F(0): 1, F(1): GaussianRational(0, 1)}, INF)
         assert q.trunc == F(6)
-        assert q.terms == {F(k): GaussianRational.i_power(3 * k) for k in range(6)}
+        assert q.terms == {F(k): i_power(3 * k) for k in range(6)}
 
     def test_chain_trunc_moves_with_each_least_exponent(self):
         # a/f1 is exact below min(10 - 1, 0 + INF - 2) = 9 and starts at q^-1,
@@ -625,6 +640,21 @@ def test_mul_matches_poly_mul_oracle(x, y):
     # the oracle sees the terms beyond each trunc too, so agreement below
     # p.trunc shows that the contract is provable
     assert as_gauss(p) == gaussian_poly_mul(a_full, b_full, p.trunc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(mul_operand(), mul_operand()), min_size=1, max_size=3))
+def test_product_sum_matches_the_oracle_products(pairs):
+    # the sum is exact below the least of the products' truncs
+    got = product_sum([(a, b) for (a, _), (b, _) in pairs])
+    trunc = min(min(a.trunc + ord_bound(b.terms, b.trunc), b.trunc + ord_bound(a.terms, a.trunc))
+                for (a, _), (b, _) in pairs)
+    assert got.trunc == trunc
+    want = {}
+    for (_, a_full), (_, b_full) in pairs:
+        want = poly_add(want, gaussian_poly_mul(a_full, b_full, trunc), trunc)
+    assert as_gauss(got) == want
+    check_stored(got, want, trunc)
 
 
 @st.composite

@@ -30,11 +30,12 @@ from qstrings.theta import (
     pochhammer,
     quotient_plan,
     theta_quotient,
+    theta_sum,
 )
 
 from oracles import (Gauss, int_coeffs, jtheta_sum_bruteforce, jtheta_sum_gaussian, parabola_scan,
-                     pochhammer_product, product_expand, theta_is_zero, theta_quotient_plan, theta_valuation,
-                     truncated_div, truncated_mul)
+                     pochhammer_product, poly_add, product_expand, theta_is_zero, theta_quotient_plan,
+                     theta_valuation, truncated_div, truncated_mul)
 from test_series import check_stored
 
 q = Monomial.q
@@ -841,6 +842,26 @@ def as_gauss(s: QSeries) -> dict:
     return {e: Gauss(c.re, c.im) for e, c in s.terms.items()}
 
 
+def sequential_quotient(num, den, order, unit, pre, scalar) -> tuple:
+    """(terms, trunc) of scalar * i^unit q^pre * prod(num) / prod(den), each
+    factor (unit_k, qexp, base), by the restatement: every factor by the
+    brute-force sum at the window of the Fraction plan, the numerators
+    multiplied and the product divided by one denominator after the other,
+    each step under its own truncation contract, then shifted and scaled; a
+    zero scalar gives no terms."""
+    _, plan = theta_quotient_plan(num, den, order, pre, 0)
+    factors = [({e: Gauss(F(re), F(im)) for e, (re, im) in jtheta_sum_gaussian(u, x, b, w).items()}, w)
+               for (u, x, b), w in zip(num + den, plan.windows)]
+    acc = ({F(0): Gauss(F(1))}, INF)
+    for f in factors[:len(num)]:
+        acc = truncated_mul(*acc, *f)
+    for f in factors[len(num):]:
+        acc = truncated_div(*acc, *f)
+    terms, trunc = acc
+    c = GAUSS_UNITS[unit] * scalar
+    return ({e + pre: x * c for e, x in terms.items()} if c else {}), trunc + pre
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(chain_factor(), max_size=3), st.lists(chain_factor(), min_size=1, max_size=3),
        chain_rational(-2, 8), UNITS, chain_rational(-2, 2), CHAIN_SCALARS)
@@ -858,28 +879,17 @@ def as_gauss(s: QSeries) -> dict:
 @example([(0, F(2, 5), F(1)), (3, F(1, 2), F(3))], [], F(3), 3, F(0), Gauss(F(1), F(2)))
 @example([(0, F(1, 3), F(1))], [], F(3), 0, F(1, 2), Gauss(F(0)))
 def test_theta_quotient_matches_the_sequential_restatement(num, den, order, unit, pre, scalar):
-    # every factor by the brute-force sum at the window of the Fraction plan,
-    # the numerators multiplied and the product divided by one denominator
-    # after the other, each step under its own truncation contract
-    _, plan = theta_quotient_plan(num, den, order, pre, 0)
-    factors = [({e: Gauss(F(re), F(im)) for e, (re, im) in jtheta_sum_gaussian(u, x, b, w).items()}, w)
-               for (u, x, b), w in zip(num + den, plan.windows)]
-    acc = ({F(0): Gauss(F(1))}, INF)
-    for f in factors[:len(num)]:
-        acc = truncated_mul(*acc, *f)
-    for f in factors[len(num):]:
-        acc = truncated_div(*acc, *f)
-    terms, trunc = acc
+    want, trunc = sequential_quotient(num, den, order, unit, pre, scalar)
     c = GAUSS_UNITS[unit] * scalar
-    want = {e + pre: x * c for e, x in terms.items()} if c else {}
     prefactor, sc = Monomial(unit, pre), GaussianRational(scalar.re, scalar.im)
     # the chain on the package's factors, with its own trunc, on the dividend
     # shifted and scaled first
+    _, plan = theta_quotient_plan(num, den, order, pre, 0)
     nums, dens = ([jtheta(Monomial(u, x), b, w) for (u, x, b), w in pairs]
                   for pairs in (zip(num, plan.windows), zip(den, plan.windows[len(num):])))
     got = divide((reduce(mul, nums) if nums else QSeries.one()).shift(prefactor).scale(sc), dens)
     # a zero scalar gives the exact zero
-    assert got.trunc == (trunc + pre if c else INF)
+    assert got.trunc == (trunc if c else INF)
     assert as_gauss(got) == want
     assert got.is_exact_zero == (not c)
     # theta_quotient checks that trunc against the order and truncates there
@@ -887,3 +897,95 @@ def test_theta_quotient_matches_the_sequential_restatement(num, den, order, unit
                          order, prefactor, sc)
     assert got.trunc == (order if c else INF)
     assert as_gauss(got) == {e: x for e, x in want.items() if e < order}
+
+
+# -- theta_sum against the sum of the sequential restatements ---------------------
+
+SUM_SCALARS = st.sampled_from([Gauss(F(1)), Gauss(F(-1)), Gauss(F(1, 2)), Gauss(F(1), F(2)), Gauss(F(0))])
+
+
+@st.composite
+def sum_terms(draw):
+    """1 to 4 terms (num, den, unit, pre, scalar) of factors that are not
+    zero: a term takes an earlier term's denominator list one draw in two,
+    and a fresh list repeats its first factor one draw in three."""
+    terms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        num = draw(st.lists(chain_factor(), max_size=3))
+        if terms and draw(st.booleans()):
+            den = draw(st.sampled_from(terms))[1]
+        else:
+            den = draw(st.lists(chain_factor(), max_size=2))
+            if den and draw(st.integers(min_value=0, max_value=2)) == 0:
+                den = den + den[:1]
+        terms.append((num, den, draw(UNITS), draw(chain_rational(-2, 2)), draw(SUM_SCALARS)))
+    return terms
+
+
+def as_theta_terms(terms) -> list:
+    """The terms (num, den, unit, pre, scalar) in the form theta_sum takes."""
+    return [([(Monomial(u, x), b) for u, x, b in num], [(Monomial(u, x), b) for u, x, b in den],
+             Monomial(unit, pre), GaussianRational(sc.re, sc.im)) for num, den, unit, pre, sc in terms]
+
+
+@settings(max_examples=100, deadline=None)
+@given(sum_terms(), chain_rational(-2, 8))
+# two terms over one denominator list at different valuations, so the shared
+# factor is built at the second term's larger window
+@example([([(0, F(1, 3), F(1))], [(2, F(0), F(3))], 0, F(2), Gauss(F(1))),
+          ([(0, F(2, 5), F(1))], [(2, F(0), F(3))], 1, F(1, 2), Gauss(F(1), F(2)))], F(6))
+# a repeated denominator factor, a term with no numerators and a zero scalar
+@example([([], [(0, F(1, 2), F(1)), (0, F(1, 2), F(1))], 2, F(1, 3), Gauss(F(1, 2))),
+          ([(0, F(1, 5), F(1)), (2, F(1, 3), F(2)), (1, F(0), F(1))], [], 0, F(0), Gauss(F(-1))),
+          ([(0, F(1, 5), F(1))], [(0, F(1, 2), F(1))], 3, F(1), Gauss(F(0)))], F(5))
+# Gaussian units on both sides, and j(i; q), whose lead 1 - i is not a unit
+@example([([(1, F(1, 3), F(1))], [(1, F(0), F(1)), (3, F(2, 5), F(2))], 1, F(1, 3), Gauss(F(1), F(2))),
+          ([(3, F(1, 2), F(1))], [(1, F(0), F(1)), (3, F(2, 5), F(2))], 2, F(0), Gauss(F(1)))], F(4))
+def test_theta_sum_matches_the_sequential_restatement(terms, order):
+    # each term restated alone at the windows of its own plan, the terms
+    # added and the sum cut at the order; the sum is exactly zero only when
+    # it is known exactly, from terms with no factors
+    want, trunc = {}, INF
+    for num, den, unit, pre, scalar in terms:
+        t_want, t_trunc = sequential_quotient(num, den, order, unit, pre, scalar)
+        if scalar:
+            assert t_trunc >= order  # the term's plan reaches the order
+            want, trunc = poly_add(want, t_want, INF), min(trunc, t_trunc)
+    got = theta_sum(as_theta_terms(terms), order)
+    assert got.trunc == (INF if trunc == INF and not want else order)
+    assert as_gauss(got) == {e: x for e, x in want.items() if e < order}
+
+
+class TestThetaSum:
+    NUM = [(q(F(1, 5)), 1), (mq(F(2, 7)), 2)]
+    DEN = [(q(F(1, 3)), 1)]
+
+    def test_a_term_minus_itself_is_known_to_the_order(self):
+        got = theta_sum([(self.NUM, self.DEN, Monomial.one(), 1), (self.NUM, self.DEN, Monomial.one(), -1)], 6)
+        assert format_series(got) == "0 + O(q^6)" and not got.is_exact_zero
+
+    def test_vanishing_terms_give_the_exact_zero(self):
+        # a numerator factor j(q^3; q) is zero, and so is the other scalar
+        got = theta_sum([([(q(3), 1)] + self.NUM, self.DEN, Monomial.one(), 1),
+                         (self.NUM, self.DEN, q(1), 0)], 6)
+        assert got.is_exact_zero
+
+    def test_a_zero_denominator_raises_in_a_zero_scalar_term(self):
+        with pytest.raises(ThetaZeroDenominator):
+            theta_sum([(self.NUM, self.DEN, Monomial.one(), 1), (self.NUM, [(q(2), 1)], Monomial.one(), 0)], 6)
+
+    @pytest.mark.parametrize("pres", [[q(2), Monomial.one()], [Monomial.one(), q(2)]])
+    def test_a_shared_denominator_reaches_every_term(self, pres):
+        # the terms share j(q^(1/3); q); the term at q^2 needs it 2 less far,
+        # and the sum must be exact to the order whichever term comes first
+        got = theta_sum([(self.NUM, self.DEN, pre, 1) for pre in pres], 6)
+        want = theta_quotient(self.NUM, self.DEN, 6, pres[0]) + theta_quotient(self.NUM, self.DEN, 6, pres[1])
+        assert got.trunc == want.trunc == 6 and got.terms == want.terms
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_odd_numerator_counts(self, n):
+        # the product tree carries the odd factor of each level
+        num = [(q(F(k, 7)), 1) for k in range(1, n + 1)]
+        got = theta_sum([(num, [], Monomial.one(), 1)], 4)
+        want = reduce(mul, [jtheta(x, b, 4) for x, b in num]).truncate(4)
+        assert got.trunc == want.trunc == 4 and got.terms == want.terms
